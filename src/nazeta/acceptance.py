@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Poly, RationalFunction, SubstRule, poly_complex_roots, substitute
+from .certificate import Certificate
 from .curve import (
     CurveData,
     completed_zeta_factor,
@@ -57,17 +58,24 @@ class CriterionResult:
     number: int
     name: str
     lines: list[tuple[bool, str]] = field(default_factory=list)
+    failures: list[dict] = field(default_factory=list)  # failed certificate checks
 
     def check(self, ok: bool, text: str) -> bool:
         self.lines.append((bool(ok), text))
         return bool(ok)
+
+    def certify(self, certs: list[Certificate], text: str) -> bool:
+        """One line that passes when every certificate passes."""
+        failed = [{"certificate": c.name, **f} for c in certs for f in c.failures()]
+        self.failures.extend(failed)
+        return self.check(not failed, text)
 
     @property
     def passed(self) -> bool:
         return all(ok for ok, _ in self.lines)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "criterion": self.number,
             "name": self.name,
             "passed": self.passed,
@@ -75,12 +83,17 @@ class CriterionResult:
                 {"ok": ok, "check": text} for ok, text in self.lines
             ],
         }
+        if self.failures:
+            out["failures"] = self.failures
+        return out
 
     def render(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         out = [f"criterion {self.number} [{mark}] {self.name}"]
         for ok, text in self.lines:
             out.append(f"  [{'ok' if ok else 'FAIL'}] {text}")
+        for f in self.failures:
+            out.append(f"    failed in {f['certificate']}: {f['identity']}")
         return "\n".join(out)
 
 
@@ -244,18 +257,19 @@ def criterion_5() -> CriterionResult:
         W = enumerate_weyl(rs)
         for p in ps:
             pd = parabolic_data(rs, W, p)
-            cert = verify_count_identities(rs, W, pd)
-            res.check(
-                cert.passed,
+            res.certify(
+                [verify_count_identities(rs, W, pd)],
                 f"{label}{rank} p={p}: count-table identities over full support",
             )
             for idx, cc in enumerate(curves):
                 z = group_zeta(cc, rs, W, pd)
-                ok_fe = fe_check_group(z)[0]
-                dec = omega_D_decompose(cc, rs, W, pd, z)
-                inv = fg_involution_check(cc, rs, W, pd)
-                res.check(
-                    ok_fe and dec.certificate.passed and inv.passed,
+                certs = [
+                    fe_check_group(z)[1],
+                    omega_D_decompose(cc, rs, W, pd, z).certificate,
+                    fg_involution_check(cc, rs, W, pd),
+                ]
+                res.certify(
+                    certs,
                     f"{label}{rank} p={p} curve#{idx + 1}: FE, decomposition, involution exact",
                 )
     return res
@@ -268,9 +282,11 @@ def criterion_6() -> CriterionResult:
     W = enumerate_weyl(rs)
     for p in (1, 2):
         pd = parabolic_data(rs, W, p)
-        cert = residue_route_equivalence(c, rs, W, pd)
-        res.check(cert.passed, f"A2 p={p}: iterated residues = closed formula, "
-                               "term-level vanishing included")
+        res.certify(
+            [residue_route_equivalence(c, rs, W, pd)],
+            f"A2 p={p}: iterated residues = closed formula, "
+            "term-level vanishing included",
+        )
     return res
 
 

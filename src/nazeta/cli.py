@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check
-failed, 2 malformed input.  Exact values serialize as "num/den"
-strings; floats appear only in zero and deviation fields.  JSON output
-is deterministic for identical configs apart from the version header.
+failed (the JSON lists every failed check), 2 bad input or usage.
+Exact values serialize as "num/den" strings; floats appear only in zero
+and deviation fields.  JSON output is deterministic for identical
+configs apart from the version header.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .acceptance import ALL_CRITERIA, run_all
+from .acceptance import run_all
 from .algebra import RationalFunction
 from .curve import CurveData, curve_from_json, curve_to_json, zeta_special_residue
 from .errors import DomainError, NumericError
@@ -85,12 +86,12 @@ def emit_zero_plot_data(zeros, path: str) -> None:
 
 
 def _zero_rows(report) -> list[tuple[float, float, float, float]]:
-    rows = []
-    for (re_s, im_s), z, dev in zip(
-        report.s_coordinates, report.zeros_u, report.deviations
-    ):
-        rows.append((re_s, im_s, abs(z), dev))
-    return rows
+    return [
+        (re_s, im_s, abs(z), dev)
+        for (re_s, im_s), z, dev in zip(
+            report.s_coordinates, report.zeros_u, report.deviations
+        )
+    ]
 
 
 def _rf_json(f: RationalFunction) -> dict:
@@ -101,36 +102,16 @@ def _rf_json(f: RationalFunction) -> dict:
     }
 
 
-def _load_curve(args) -> "CurveData":
-    if not args.curve:
-        raise DomainError("--curve FILE is required")
+def _read_json(path: str, what: str):
     try:
-        with open(args.curve) as fh:
-            spec = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DomainError(f"curve file not found: {args.curve}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"curve file is not valid JSON: {exc}") from exc
-    return curve_from_json(spec)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not (UTF-8) JSON
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_config(args) -> None:
-    """Merge a JSON config file into unset argparse fields."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"bad config file: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise DomainError("config file must hold a JSON object")
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise DomainError(f"config field {key!r} is not a known option")
-        if getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+def _load_curve(args) -> CurveData:
+    return curve_from_json(_read_json(args.curve, "curve file"))
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +132,13 @@ def cmd_curve_validate(args) -> int:
 
 
 def _pure_inputs(args, curve) -> PureZetaInputs:
-    r = args.r or 2
     if args.alphas:
-        raw = args.alphas
-        parts = raw if isinstance(raw, list) else str(raw).split(",")
-        alphas = [Fraction(str(x)) for x in parts]
         if args.beta0 is None:
             raise DomainError("--beta0 required when --alphas is given")
-        return PureZetaInputs.make(r, alphas, Fraction(str(args.beta0)))
-    if curve.g == 1 and r == 2:
+        return PureZetaInputs.make(args.r, args.alphas, args.beta0)
+    if curve.g == 1 and args.r == 2:
         return elliptic_rank2_inputs(curve)
-    if curve.g == 1 and r == 1:
+    if curve.g == 1 and args.r == 1:
         return rank1_inputs(curve)
     raise DomainError(
         "no built-in alpha provider for this curve/rank; pass --alphas/--beta0"
@@ -173,17 +150,13 @@ def cmd_pure(args) -> int:
     inputs = _pure_inputs(args, curve)
     result = pure_zeta(curve, inputs)
     ok_fe, cert = fe_check_pure(result.zeta, curve.g, curve.q, inputs.r)
+    alpha0 = inputs.alphas[0]
     report = rh_report(
-        result.numerator.scale(1 / inputs.alphas[0])
-        if inputs.alphas[0]
-        else result.numerator,
+        result.numerator.scale(1 / alpha0) if alpha0 else result.numerator,
         result.Q,
         tol=args.tol,
     )
-    counts = [
-        str(x)
-        for x in bundle_counts(result.zeta, inputs.alphas[0], result.Q, 2 * curve.g)
-    ]
+    counts = bundle_counts(result.zeta, alpha0, result.Q, 2 * curve.g)
     payload = {
         "zeta_T": _rf_json(result.zeta),
         "completed_t": _rf_json(result.completed),
@@ -192,14 +165,15 @@ def cmd_pure(args) -> int:
         "fe": ok_fe,
         "fe_certificate": cert.to_json(),
         "rh": report.to_json(),
-        "bundle_counts": counts,
+        "bundle_counts": [str(x) for x in counts],
     }
     _emit_json(payload, args.json_out)
     if args.csv_out:
+        ln_q = math.log(curve.q**inputs.r)
         rows = [
             (
-                -_safe_log(abs(z), curve.q ** inputs.r),
-                _arg_over_lnq(z, curve.q ** inputs.r),
+                -(math.log(abs(z)) / ln_q) if abs(z) > 0 else -math.inf,
+                math.atan2(z.imag, z.real) / ln_q,
                 abs(z),
                 dev,
             )
@@ -209,25 +183,12 @@ def cmd_pure(args) -> int:
     return EXIT_OK if ok_fe and report.verdict else EXIT_MATH_FAIL
 
 
-def _safe_log(x: float, base: int) -> float:
-    import math
-
-    return math.log(x) / math.log(base) if x > 0 else float("inf")
-
-
-def _arg_over_lnq(z: complex, base: int) -> float:
-    import math
-
-    return math.atan2(z.imag, z.real) / math.log(base)
-
-
 def cmd_mass(args) -> int:
     curve = _load_curve(args)
-    r = args.r or 2
-    zb = zagier_beta(curve, r, 0)
-    mr = mass_reformulated(curve, r)
+    zb = zagier_beta(curve, args.r, 0)
+    mr = mass_reformulated(curve, args.r)
     payload = {
-        "rank": r,
+        "rank": args.r,
         "composition_sum": str(zb),
         "reformulation": str(mr),
         "agree": zb == mr,
@@ -238,8 +199,6 @@ def cmd_mass(args) -> int:
 
 def cmd_mixed(args) -> int:
     q, n = args.q, args.N
-    if q is None or n is None:
-        raise DomainError("mixed needs --q and --N")
     f = mixed_zeta_rank2(q, n)
     numer = mixed_numerator(q, n)
     identity = partial_rank3_identity_check(q, n)
@@ -257,18 +216,15 @@ def cmd_mixed(args) -> int:
     return EXIT_OK if identity else EXIT_MATH_FAIL
 
 
-def _group_data(args):
-    if not args.type or not args.rank or not args.p:
-        raise DomainError("group needs --type, --rank and --p")
-    rs = build_root_system(args.type, args.rank)
+def _group_data(type_label: str, rank: int, p: int):
+    rs = build_root_system(type_label, rank)
     W = enumerate_weyl(rs)
-    pd = parabolic_data(rs, W, args.p)
-    return rs, W, pd
+    return rs, W, parabolic_data(rs, W, p)
 
 
 def cmd_group(args) -> int:
     curve = _load_curve(args)
-    rs, W, pd = _group_data(args)
+    rs, W, pd = _group_data(args.type, args.rank, args.p)
     z = group_zeta(curve, rs, W, pd)
     ok_fe, _ = fe_check_group(z)
     zeros = group_zeta_zeros(z, tol=args.tol)
@@ -300,7 +256,7 @@ def cmd_group(args) -> int:
 
 def cmd_residue_compare(args) -> int:
     curve = _load_curve(args)
-    rs, W, pd = _group_data(args)
+    rs, W, pd = _group_data(args.type, args.rank, args.p)
     cert = residue_route_equivalence(curve, rs, W, pd)
     _emit_json({"certificate": cert.to_json()}, args.json_out)
     return EXIT_OK if cert.passed else EXIT_MATH_FAIL
@@ -308,15 +264,10 @@ def cmd_residue_compare(args) -> int:
 
 def cmd_uniformity(args) -> int:
     curve = _load_curve(args)
-    r = args.r or 2
-    if r != 2:
+    if args.r != 2:
         raise DomainError("uniformity matching is wired for r = 2 (A_1 pair)")
-    rs = build_root_system("A", 1)
-    W = enumerate_weyl(rs)
-    pd = parabolic_data(rs, W, 1)
-    z = group_zeta(curve, rs, W, pd)
-    inputs = _pure_inputs(args, curve)
-    pz = pure_zeta(curve, inputs)
+    z = group_zeta(curve, *_group_data("A", 1, 1))
+    pz = pure_zeta(curve, _pure_inputs(args, curve))
     match = uniformity_match(pz.completed.retag("u"), z)
     if isinstance(match, UniformityMatch):
         _emit_json({"status": "verified", "match": match.to_json()}, args.json_out)
@@ -335,22 +286,18 @@ def cmd_uniformity(args) -> int:
 
 
 def cmd_numfield(args) -> int:
-    rmax = args.r or 4
     payload = {
-        "volumes": volume_table(rmax).to_json(),
-        "reduction_probe": [ks_identity_probe(r) for r in range(1, min(rmax, 5) + 1)],
+        "volumes": volume_table(args.r).to_json(),
+        "reduction_probe": [
+            ks_identity_probe(r) for r in range(1, min(args.r, 5) + 1)
+        ],
     }
     _emit_json(payload, args.json_out)
     return EXIT_OK
 
 
 def cmd_report_all(args) -> int:
-    workers = args.parallel or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fn: fn(), ALL_CRITERIA))
-    else:
-        results = run_all()
+    results = run_all()
     payload = {
         "criteria": [r.to_json() for r in results],
         "passed": all(r.passed for r in results),
@@ -366,6 +313,60 @@ def cmd_report_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _flag_type(convert, expected: str, accept=lambda value: True):
+    """An argparse type: ``convert`` the text and require ``accept``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            ok = accept(value)
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _flag_type(int, "a positive integer", lambda v: v >= 1)
+_TOLERANCE = _flag_type(float, "a positive finite number", lambda v: 0 < v < math.inf)
+_RATIONAL = _flag_type(Fraction, "a rational number")
+_RATIONALS = _flag_type(
+    lambda text: [Fraction(x) for x in text.split(",")], "comma-separated rationals"
+)
+
+FLAGS = {
+    "curve": dict(required=True, help="curve spec JSON file"),
+    "type": dict(required=True, help="root system type (A, B, C, G2)"),
+    "rank": dict(required=True, type=int),
+    "p": dict(required=True, type=int, help="removed simple root (1-based)"),
+    "r": dict(type=_POSITIVE_INT, default=2, help="bundle rank (numfield: 4)"),
+    "q": dict(
+        required=True, type=_flag_type(int, "a field size q >= 2", lambda v: v >= 2)
+    ),
+    "N": dict(required=True, type=_POSITIVE_INT, help="rational point count"),
+    "alphas": dict(type=_RATIONALS, help="comma-separated rationals"),
+    "beta0": dict(type=_RATIONAL, help="rational mass value"),
+    "tol": dict(type=_TOLERANCE, default=1e-9),
+    "json-out": {},
+    "csv-out": {},
+}
+
+# subcommand -> (handler, the flags it reads besides --config)
+COMMANDS = {
+    "curve-validate": (cmd_curve_validate, "curve json-out"),
+    "pure": (cmd_pure, "curve r alphas beta0 tol json-out csv-out"),
+    "mass": (cmd_mass, "curve r json-out"),
+    "mixed": (cmd_mixed, "q N tol json-out"),
+    "group": (cmd_group, "curve type rank p tol json-out csv-out"),
+    "residue-compare": (cmd_residue_compare, "curve type rank p json-out"),
+    "uniformity": (cmd_uniformity, "curve r alphas beta0 json-out"),
+    "numfield": (cmd_numfield, "r json-out"),
+    "report-all": (cmd_report_all, "json-out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nazeta",
@@ -373,43 +374,41 @@ def build_parser() -> argparse.ArgumentParser:
         "and their group-theoretic companions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "curve-validate": cmd_curve_validate,
-        "pure": cmd_pure,
-        "mass": cmd_mass,
-        "mixed": cmd_mixed,
-        "group": cmd_group,
-        "residue-compare": cmd_residue_compare,
-        "uniformity": cmd_uniformity,
-        "numfield": cmd_numfield,
-        "report-all": cmd_report_all,
-    }
-    for name, fn in commands.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON file supplying defaults for flags")
-        p.add_argument("--curve", help="curve spec JSON file")
-        p.add_argument("--type", help="root system type (A, B, C, G2)")
-        p.add_argument("--rank", type=int)
-        p.add_argument("--p", type=int, help="removed simple root (1-based)")
-        p.add_argument("--r", type=int, help="bundle rank")
-        p.add_argument("--q", type=int)
-        p.add_argument("--N", type=int, help="rational point count")
-        p.add_argument("--alphas", help="comma-separated rationals")
-        p.add_argument("--beta0", help="rational mass value")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--json-out")
-        p.add_argument("--csv-out")
-        p.add_argument("--parallel", type=int, default=1)
-        p.set_defaults(handler=fn)
+    for name, (handler, flags) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="JSON file of flag values")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(handler=handler)
+    sub.choices["numfield"].set_defaults(r=4)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; --config keys act as flags put before the explicit ones.
+
+    argparse keeps the last value of a repeated flag, so explicit flags win.
+    """
+    find_config = argparse.ArgumentParser("nazeta", add_help=False, allow_abbrev=False)
+    find_config.add_argument("--config")
+    config = find_config.parse_known_args(argv)[0].config
+    if config:
+        cfg = _read_json(config, "config file")
+        if not isinstance(cfg, dict) or "config" in cfg or not all(
+            type(value) in (str, int, float) for value in cfg.values()
+        ):
+            raise DomainError("config must map flags (not config) to strings or numbers")
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
+        argv = argv[:1] + flags + argv[1:]
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _load_config(args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.handler(args)
+    except SystemExit as exc:  # from argparse: --help (0) or bad usage (2)
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     except (DomainError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -10,15 +10,22 @@ from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 
 S = TypeVar("S")
+
+# 2^15 compositions at the cap; rank 16 masses take tens of seconds
+COMPOSITION_RANK_CAP = 16
 
 
 def compositions(r: int) -> list[tuple[int, ...]]:
     """All 2^(r-1) ordered tuples of positive integers summing to r."""
     if r < 1:
         raise DomainError("compositions need r >= 1")
+    if r > COMPOSITION_RANK_CAP:
+        raise CapabilityError(
+            f"compositions are enumerated up to r = {COMPOSITION_RANK_CAP}"
+        )
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], remaining: int) -> None:

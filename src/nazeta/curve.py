@@ -211,17 +211,24 @@ def curve_to_json(c: CurveData) -> dict:
 
 
 def curve_from_json(data: dict) -> CurveData:
+    """A curve from its JSON spec: genus, q and point counts or numerator."""
+    if not isinstance(data, dict) or not (
+        {"point_counts", "numerator_coeffs"} & data.keys()
+    ):
+        raise ValidationError(
+            "curve spec needs either point_counts or numerator_coeffs"
+        )
     try:
         g = int(data["genus"])
         q = int(data["q"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"curve spec missing genus/q: {exc}") from exc
+        if "point_counts" in data:
+            counts = [int(n) for n in data["point_counts"]]
+        else:
+            coeffs = [Fraction(s) for s in data["numerator_coeffs"]]
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(
+            f"malformed curve spec ({type(exc).__name__}: {exc})"
+        ) from exc
     if "point_counts" in data:
-        counts = [int(n) for n in data["point_counts"]]
         return curve_from_point_counts(g, q, counts)
-    if "numerator_coeffs" in data:
-        coeffs = [Fraction(s) for s in data["numerator_coeffs"]]
-        return curve_from_numerator(g, q, coeffs)
-    raise ValidationError(
-        "curve spec needs either point_counts or numerator_coeffs"
-    )
+    return curve_from_numerator(g, q, coeffs)

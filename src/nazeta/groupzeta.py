@@ -49,7 +49,7 @@ class GroupZetaResult:
     zeta: RationalFunction  # variable u = q^{-s}
     omega: RationalFunction  # the period before normalization
     normalization: dict  # (k, h) -> exponent, h >= 2
-    c_p: Fraction
+    c_p: int
     route: str  # "formula2" or "residue-engine"
     curve: CurveData
     rs: RootSystem
@@ -157,19 +157,9 @@ def group_zeta(
 # ---------------------------------------------------------------------------
 
 
-def fe_substitution(
-    f: RationalFunction, q: int, c_p: Fraction
-) -> RationalFunction:
-    """Apply u -> q^{c_p}/u, reparametrizing u = v^2 for half-integer c_p."""
-    if c_p.denominator == 1:
-        return substitute(f, SubstRule.reciprocal(Fraction(q) ** int(c_p)))
-    if c_p.denominator == 2:
-        doubled = substitute(f, SubstRule.power(1, 2, "v"))
-        out = substitute(
-            doubled, SubstRule.reciprocal(Fraction(q) ** int(2 * c_p))
-        )
-        return out
-    raise DomainError(f"unsupported parabolic offset c_p = {c_p}")
+def fe_substitution(f: RationalFunction, q: int, c_p: int) -> RationalFunction:
+    """Apply u -> q^{c_p}/u."""
+    return substitute(f, SubstRule.reciprocal(Fraction(q) ** c_p))
 
 
 def fe_check_group(z: GroupZetaResult) -> tuple[bool, Certificate]:
@@ -177,13 +167,7 @@ def fe_check_group(z: GroupZetaResult) -> tuple[bool, Certificate]:
     cert = Certificate(
         f"group zeta functional equation {z.rs.type_label}{z.rs.rank} p={z.pd.p}"
     )
-    reflected = fe_substitution(z.zeta, z.curve.q, z.c_p)
-    target = (
-        z.zeta
-        if z.c_p.denominator == 1
-        else substitute(z.zeta, SubstRule.power(1, 2, "v"))
-    )
-    ok = reflected == target
+    ok = fe_substitution(z.zeta, z.curve.q, z.c_p) == z.zeta
     cert.record("zeta(-c_p - s) = zeta(s)", ok, c_p=str(z.c_p))
     return ok, cert
 
@@ -256,11 +240,6 @@ def omega_D_decompose(
         "global numerator reflection",
         fe_substitution(omega_global, q, cp) == omega_global,
     )
-    if not cert.passed:
-        raise ValidationError(
-            "global decomposition failed: "
-            + "; ".join(c["identity"] for c in cert.failures())
-        )
     return Decomposition(clearing, omega_global, den, cert)
 
 
@@ -310,40 +289,32 @@ def fg_involution_check(
     For every w in the Weyl subset both substitution identities
     f_w(-c_p-s) = f_{w_0 w w_p}(s) and g_w(-c_p-s) = g_{w_0 w w_p}(s)
     must hold exactly, and the clearing-times-period function must equal
-    sum_w f_w g_w.
+    sum_w f_w g_w.  An involution partner outside the Weyl subset is a
+    recorded failure, like a failed identity.
     """
     cert = Certificate(
         f"involution structure {rs.type_label}{rs.rank} p={pd.p}"
     )
     q, cp = c.q, pd.c_p
-    perms = {w.perm: w for w in pd.weyl_subset}
+    perms = {w.perm for w in pd.weyl_subset}
     total = RationalFunction.const(0, "u")
     for w in pd.weyl_subset:
-        partner = W.longest.compose(w).compose(pd.levi_longest)
-        if partner.perm not in perms:
-            raise ValidationError("involution leaves the Weyl subset")
         fw = f_factor(c, rs, W, pd, w)
         gw = g_factor(c, rs, W, pd, w)
+        total = total + fw * gw
+        where = _describe(rs, w)
+        partner = W.longest.compose(w).compose(pd.levi_longest)
+        if partner.perm not in perms:
+            cert.record("involution stays in the Weyl subset", False, w=where)
+            continue
         fp = f_factor(c, rs, W, pd, partner)
         gp = g_factor(c, rs, W, pd, partner)
-        ok_f = fe_substitution(fw, q, cp) == (
-            fp if cp.denominator == 1 else substitute(fp, SubstRule.power(1, 2, "v"))
-        )
-        ok_g = fe_substitution(gw, q, cp) == (
-            gp if cp.denominator == 1 else substitute(gp, SubstRule.power(1, 2, "v"))
-        )
-        cert.record("f involution", ok_f, w=_describe(rs, w))
-        cert.record("g involution", ok_g, w=_describe(rs, w))
-        if not (ok_f and ok_g):
-            raise ValidationError(
-                f"involution identity fails at w = {_describe(rs, w)}"
-            )
-        total = total + fw * gw
+        cert.record("f involution", fe_substitution(fw, q, cp) == fp, w=where)
+        cert.record("g involution", fe_substitution(gw, q, cp) == gp, w=where)
     decomp = omega_D_decompose(c, rs, W, pd)
-    ok_sum = total == decomp.omega_global
-    cert.record("sum of f*g equals clearing * period", ok_sum)
-    if not ok_sum:
-        raise ValidationError("sum identity for the involution fails")
+    cert.record(
+        "sum of f*g equals clearing * period", total == decomp.omega_global
+    )
     return cert
 
 
@@ -422,9 +393,7 @@ def edge_residue(z: GroupZetaResult) -> EdgeResidue:
     Laurent coefficients (of (u-u0)^{-order} .. (u-u0)^{-1}) instead of
     a single residue.
     """
-    if z.c_p.denominator != 1:
-        raise DomainError("edge residue needs an integer parabolic offset")
-    u0 = Fraction(z.curve.q) ** int(z.c_p)
+    u0 = Fraction(z.curve.q) ** z.c_p
     f = z.zeta.mul_monomial(-1)  # zeta(u)/u
     num, den = f.num, f.den
     order = 0

@@ -411,7 +411,7 @@ class ParabolicData:
     p: int  # 1-based index of the removed simple root
     levi_root_indices: tuple[int, ...]  # Phi_p inside the ambient root list
     rho_p: Vector
-    c_p: Fraction
+    c_p: int
     weyl_subset: tuple[WeylElement, ...]  # {w : w Delta_p in Delta u Phi^-}
     levi_longest: WeylElement  # w_p
 
@@ -435,13 +435,12 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
         sum(Fraction(rs.roots[i][j]) for i in levi_pos) / 2
         for j in range(rs.rank)
     )
-    simple_idx = rs.simple_indices()
-    alpha_p_idx = simple_idx[p0]
-    lam_p = rs.weights[p0]
-    c_p = 2 * (
-        rs.pairing_with_coroot(lam_p, alpha_p_idx)
-        - rs.pairing_with_coroot(rho_p, alpha_p_idx)
+    # c_p = 2<lambda_p - rho_p, alpha_p^vee> = 2 - <2 rho_p, alpha_p^vee> is
+    # an integer: 2 rho_p is the sum of the positive Levi roots
+    c_p = 2 - sum(
+        rs.cartan[p0][j] * rs.roots[i][j] for i in levi_pos for j in range(rs.rank)
     )
+    simple_idx = rs.simple_indices()
     delta_p = [simple_idx[j] for j in range(rs.rank) if j != p0]
     simple_set = set(simple_idx)
 
@@ -584,7 +583,8 @@ def verify_count_identities(
       (c) the Weyl-vector identity c_p lambda_p - w_p rho = rho;
       (d) for h >= 2, M_p(k, h) equals the longest-element difference
           N_{p,w_0}(k, h-1) - N_{p,w_0}(k, h).
-    Raises ValidationError naming the first failing identity and witness.
+    Every check is recorded with its witness; a failed identity fails the
+    certificate, it does not raise.
     """
     if table is None:
         table = count_tables(rs, W, pd)
@@ -602,36 +602,20 @@ def verify_count_identities(
             cert.record(
                 "clamped-max agreement (h>=1)", ok, k=k, h=h
             )
-            if not ok:
-                raise ValidationError(
-                    f"clamped-max identity fails at (k,h)=({k},{h})"
-                )
 
-    if cp.denominator != 1:
-        raise ValidationError("non-integer parabolic offset")
-    icp = int(cp)
     for k in range(kmin, kmax + 1):
-        for h in range(-hmax - abs(icp) * max(abs(kmin), kmax) - 2,
-                       hmax + abs(icp) * max(abs(kmin), kmax) + 3):
-            lhs = N.get((k, k * icp - h), 0) - M.get((k, k * icp - h + 1), 0)
+        for h in range(-hmax - abs(cp) * max(abs(kmin), kmax) - 2,
+                       hmax + abs(cp) * max(abs(kmin), kmax) + 3):
+            lhs = N.get((k, k * cp - h), 0) - M.get((k, k * cp - h + 1), 0)
             rhs = N.get((k, h - 1), 0) - M.get((k, h), 0)
-            ok = lhs == rhs
-            cert.record("reflection symmetry of counts", ok, k=k, h=h)
-            if not ok:
-                raise ValidationError(
-                    f"count reflection symmetry fails at (k,h)=({k},{h}): "
-                    f"{lhs} != {rhs}"
-                )
+            cert.record("reflection symmetry of counts", lhs == rhs, k=k, h=h)
 
     lhs_vec = tuple(
-        pd.c_p * rs.weights[pd.p0][i]
+        cp * rs.weights[pd.p0][i]
         - W.act_vector(pd.levi_longest, rs.rho)[i]
         for i in range(rs.rank)
     )
-    ok = lhs_vec == rs.rho
-    cert.record("Weyl-vector reflection identity", ok)
-    if not ok:
-        raise ValidationError("Weyl-vector reflection identity fails")
+    cert.record("Weyl-vector reflection identity", lhs_vec == rs.rho)
 
     # longest-element difference formula for the normalization exponents;
     # the difference needs clamping at zero (it can be negative where the
@@ -644,18 +628,12 @@ def verify_count_identities(
         for h in range(2, hmax + 2):
             lhs = M.get((k, h), 0)
             rhs = max(0, nw0.get((k, h - 1), 0) - nw0.get((k, h), 0))
-            ok = lhs == rhs
             cert.record(
                 "longest-element difference formula (h>=2, clamped)",
-                ok,
+                lhs == rhs,
                 k=k,
                 h=h,
             )
-            if not ok:
-                raise ValidationError(
-                    f"longest-element difference formula fails at ({k},{h}): "
-                    f"{lhs} != {rhs}"
-                )
     return cert
 
 

@@ -1,10 +1,13 @@
 """Command-line contract: exit codes, JSON shapes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from nazeta.cli import EXIT_INPUT, EXIT_OK, main
+import nazeta.acceptance
+import nazeta.residues
+from nazeta.cli import EXIT_INPUT, EXIT_MATH_FAIL, EXIT_OK, main
 
 
 @pytest.fixture
@@ -38,6 +41,12 @@ class TestExitCodes:
 
     def test_missing_required_flag(self, elliptic_file):
         assert main(["group", "--curve", elliptic_file]) == EXIT_INPUT
+
+    def test_help_and_usage_errors_return_codes(self):
+        assert main(["--help"]) == EXIT_OK
+        assert main(["mass", "--help"]) == EXIT_OK
+        assert main([]) == EXIT_INPUT
+        assert main(["no-such-command"]) == EXIT_INPUT
 
     def test_mass_ok(self, elliptic_file, tmp_path):
         out = tmp_path / "mass.json"
@@ -190,3 +199,161 @@ class TestZeroPlotData:
         lines = path.read_text().strip().splitlines()[1:]
         ims = [float(line.split(",")[1]) for line in lines]
         assert ims == sorted(ims)
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+GROUP_A1 = ["group", "--type", "A", "--rank", "1", "--p", "1"]
+
+
+class TestMalformedInput:
+    """Every malformed value ends in exit 2 with a message, no traceback."""
+
+    @pytest.mark.parametrize(
+        "curve,config,argv",
+        [
+            ({"genus": 1, "q": 2, "point_counts": ["x"]}, None, ["curve-validate"]),
+            ({"genus": 1, "q": 2, "point_counts": 3}, None, ["curve-validate"]),
+            ({"genus": 1, "q": 2, "numerator_coeffs": [None, 1, 2]}, None,
+             ["curve-validate"]),
+            ({"genus": 1, "q": 2, "numerator_coeffs": ["1/0", "1", "2"]}, None,
+             ["curve-validate"]),
+            ({"genus": float("inf"), "q": 2, "point_counts": [3]}, None,
+             ["curve-validate"]),
+            ([1, 2], None, ["curve-validate"]),
+            (None, None, ["pure", "--alphas", "abc", "--beta0", "1"]),
+            (None, None, ["pure", "--alphas", "3", "--beta0", "x"]),
+            (None, None, ["pure", "--alphas", "3", "--beta0", "1/0"]),
+            (None, {"r": "x"}, ["mass"]),
+            (None, {"r": True}, ["mass"]),
+            (None, {"r": [2]}, ["mass"]),
+            (None, [1], ["mass"]),
+            (None, None, GROUP_A1 + ["--tol", "-1"]),
+            (None, None, GROUP_A1 + ["--tol", "0"]),
+            (None, None, GROUP_A1 + ["--tol", "nan"]),
+            (None, None, GROUP_A1 + ["--tol", "inf"]),
+            (None, {"tol": -1}, GROUP_A1),
+            (None, None, ["mass", "--r", "1000"]),
+            (None, None, ["mass", "--r", "0"]),
+            (None, None, ["mixed", "--q", "1", "--N", "3"]),
+            (None, None, ["mixed", "--q", "2", "--N", "0"]),
+        ],
+    )
+    def test_exits_2_with_a_message(
+        self, curve, config, argv, elliptic_file, tmp_path, capsys
+    ):
+        if argv[0] != "mixed":
+            curve_file = _write(tmp_path, "c.json", curve) if curve else elliptic_file
+            argv = argv + ["--curve", curve_file]
+        if config is not None:
+            argv = argv + ["--config", _write(tmp_path, "cfg.json", config)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["mass", "--tol", "1"], None),
+            (["report-all", "--parallel", "2"], None),
+            (["numfield", "--curve", "x.json"], None),
+            (["mass"], {"tol": 1}),
+            (["mass"], {"config": "other.json"}),
+            (["mass", "--conf", "cfg.json"], None),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(
+        self, argv, config, elliptic_file, tmp_path
+    ):
+        if argv[0] == "mass":
+            argv = argv + ["--curve", elliptic_file]
+        if config is not None:
+            argv = argv + ["--config", _write(tmp_path, "cfg.json", config)]
+        assert main(argv) == EXIT_INPUT
+
+
+class TestConfigPrecedence:
+    def test_string_value_converted_like_a_flag(self, elliptic_file, tmp_path):
+        out = tmp_path / "mass.json"
+        cfg = _write(tmp_path, "cfg.json", {"r": "3", "json_out": str(out)})
+        code = main(["mass", "--curve", elliptic_file, "--config", cfg])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["rank"] == 3
+
+    def test_tol_reaches_both_rh_reports(self, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", {"tol": 0.5})
+        out = tmp_path / "mixed.json"
+        argv = ["mixed", "--q", "2", "--N", "3", "--json-out", str(out)]
+        assert main(argv + ["--config", cfg]) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert data["mixed_rh"]["tolerance"] == 0.5
+        assert data["partial_rh"]["tolerance"] == 0.5
+        # an explicit flag beats the config, wherever it stands
+        assert main(argv + ["--tol", "0.25", "--config", cfg]) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert data["mixed_rh"]["tolerance"] == 0.25
+        assert data["partial_rh"]["tolerance"] == 0.25
+
+    def test_config_supplies_required_flags(self, elliptic_file, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", {
+            "curve": elliptic_file, "type": "A", "rank": 1, "p": 1,
+        })
+        out = tmp_path / "group.json"
+        code = main(["group", "--config", cfg, "--json-out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["c_p"] == "2"
+
+    def test_builtin_default_when_neither_is_given(self, tmp_path):
+        out = tmp_path / "mixed.json"
+        main(["mixed", "--q", "2", "--N", "3", "--json-out", str(out)])
+        assert json.loads(out.read_text())["mixed_rh"]["tolerance"] == 1e-9
+
+
+@pytest.fixture
+def residue_fault(monkeypatch):
+    """Scale every closed-formula Weyl term seen by the residue oracle."""
+    exact = nazeta.residues.weyl_term
+    monkeypatch.setattr(
+        nazeta.residues,
+        "weyl_term",
+        lambda *args: exact(*args).scale(Fraction(1001, 1000)),
+    )
+
+
+class TestMathematicalFailure:
+    def test_residue_mismatch_exits_1_with_every_failure(
+        self, residue_fault, elliptic_file, tmp_path
+    ):
+        out = tmp_path / "rc.json"
+        code = main([
+            "residue-compare", "--type", "A", "--rank", "2", "--p", "1",
+            "--curve", elliptic_file, "--json-out", str(out),
+        ])
+        assert code == EXIT_MATH_FAIL
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["passed"] is False
+        assert len(cert["checks"]) == 7  # |W| + 1
+        failed = [c["identity"] for c in cert["checks"] if not c["ok"]]
+        assert failed == ["surviving term matches closed formula"] * 5 + [
+            "summed residues equal the closed period"
+        ]
+
+    def test_report_all_with_a_failing_verifier(
+        self, residue_fault, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            nazeta.acceptance, "ALL_CRITERIA", (nazeta.acceptance.criterion_6,)
+        )
+        out = tmp_path / "report.json"
+        assert main(["report-all", "--json-out", str(out)]) == EXIT_MATH_FAIL
+        (criterion,) = json.loads(out.read_text())["criteria"]
+        assert criterion["passed"] is False
+        # A2 p=1 and p=2: five surviving terms and the total each
+        assert len(criterion["failures"]) == 12
+        assert {f["certificate"] for f in criterion["failures"]} == {
+            "residue route A2 p=1", "residue route A2 p=2"
+        }

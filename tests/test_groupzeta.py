@@ -1,8 +1,11 @@
 """Group zeta assembly, functional equations, zeros, uniformity."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+
+import nazeta.groupzeta
 
 from nazeta.algebra import Poly, RationalFunction
 from nazeta.curve import (
@@ -146,6 +149,17 @@ class TestDecomposition:
         assert z.zeta * dec.denominator == dec.omega_global
         assert dec.certificate.passed
 
+    def test_perturbed_zeta_fails_one_identity(self):
+        rs, W, pd = pair("A", 2, 1)
+        z = group_zeta(E23, rs, W, pd)
+        bad = dataclasses.replace(z, zeta=z.zeta.scale(F(1001, 1000)))
+        cert = omega_D_decompose(E23, rs, W, pd, bad).certificate
+        assert not cert.passed
+        assert [c["identity"] for c in cert.failures()] == [
+            "zeta * denominator = clearing * period"
+        ]
+        assert len(cert.checks) == 4
+
 
 class TestInvolution:
     def test_a1_hand_values(self):
@@ -171,6 +185,36 @@ class TestInvolution:
         assert cert.passed
         per_w = [c for c in cert.checks if c["identity"] == "f involution"]
         assert len(per_w) == len(pd.weyl_subset)
+
+    def test_perturbed_g_factor_records_every_failure(self, monkeypatch):
+        rs, W, pd = pair("A", 2, 1)
+        exact = nazeta.groupzeta.g_factor
+
+        def perturbed(c, rs, W, pd, w):
+            g = exact(c, rs, W, pd, w)
+            return g.scale(F(1001, 1000)) if w == W.identity else g
+
+        monkeypatch.setattr(nazeta.groupzeta, "g_factor", perturbed)
+        cert = fg_involution_check(E23, rs, W, pd)
+        failed = [c["identity"] for c in cert.failures()]
+        # the identity and its partner w_0 w_p both see the bad factor
+        assert failed == [
+            "g involution", "g involution", "sum of f*g equals clearing * period"
+        ]
+        assert len(cert.checks) == 2 * len(pd.weyl_subset) + 1
+
+    def test_partner_outside_the_subset_is_a_recorded_failure(self):
+        rs, W, pd = pair("A", 2, 1)
+        partner = W.longest.compose(W.identity).compose(pd.levi_longest)
+        cut = dataclasses.replace(
+            pd, weyl_subset=tuple(w for w in pd.weyl_subset if w != partner)
+        )
+        cert = fg_involution_check(E23, rs, W, cut)
+        leaving = [
+            c for c in cert.failures()
+            if c["identity"] == "involution stays in the Weyl subset"
+        ]
+        assert len(leaving) == 1
 
 
 class TestZeros:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nazeta.algebra import Poly, RationalFunction, SubstRule, substitute
-from nazeta.compositions import compositions
+from nazeta.compositions import COMPOSITION_RANK_CAP, compositions
 from nazeta.curve import artin_zeta, curve_from_numerator, elliptic_curve
-from nazeta.errors import DomainError
+from nazeta.errors import CapabilityError, DomainError
 from nazeta.purezeta import (
     PureZetaInputs,
     bundle_counts,
@@ -48,6 +48,14 @@ class TestCompositions:
     def test_counts(self):
         for r in range(1, 7):
             assert len(compositions(r)) == 2 ** (r - 1)
+
+    def test_rank_cap(self):
+        # the cap covers the top rung of the mass-ladder benchmark
+        assert COMPOSITION_RANK_CAP >= 13
+        with pytest.raises(CapabilityError):
+            compositions(COMPOSITION_RANK_CAP + 1)
+        with pytest.raises(DomainError):
+            compositions(0)
 
 
 class TestMassFormulas:

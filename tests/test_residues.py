@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import nazeta.residues
 from nazeta.curve import curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.groupzeta import period_gp
@@ -113,6 +114,25 @@ class TestRouteEquivalence:
             c for c in cert.checks if c["identity"] == "non-surviving term vanishes"
         ]
         assert len(vanish) == 1  # exactly one excluded Weyl element
+
+    def test_mismatch_records_every_failing_check(self, monkeypatch):
+        exact = nazeta.residues.weyl_term
+        monkeypatch.setattr(
+            nazeta.residues,
+            "weyl_term",
+            lambda *args: exact(*args).scale(F(1001, 1000)),
+        )
+        rs, W, pd = pair("A", 2, 1)
+        cert = residue_route_equivalence(E23, rs, W, pd)
+        assert not cert.passed
+        assert len(cert.checks) == len(W) + 1
+        failed = [c["identity"] for c in cert.failures()]
+        assert failed == (
+            ["surviving term matches closed formula"] * len(pd.weyl_subset)
+            + ["summed residues equal the closed period"]
+        )
+        surviving = {tuple(w.perm) for w in pd.weyl_subset}
+        assert {tuple(c["perm"]) for c in cert.failures()[:-1]} == surviving
 
     def test_a2_genus2_curve(self):
         g2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)

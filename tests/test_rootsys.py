@@ -1,5 +1,6 @@
 """Root systems, Weyl groups and the parabolic count tables."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.rootsys import (
+    SUPPORTED,
     build_root_system,
     count_tables,
     enumerate_weyl,
@@ -128,7 +130,7 @@ class TestWeylGroup:
 class TestParabolicData:
     def test_a1_trivial_levi(self):
         _, _, pd = make("A", 1, 1)
-        assert pd.c_p == 2
+        assert pd.c_p == 2 and type(pd.c_p) is int
         assert len(pd.weyl_subset) == 2
 
     def test_a2_first(self):
@@ -147,6 +149,22 @@ class TestParabolicData:
         )
         image = rs.roots[excluded[0].apply(levi_simple)]
         assert image == (1, 1)
+
+    def test_cp_is_the_defining_pairing_on_every_supported_pair(self):
+        # c_p = 2<lambda_p - rho_p, alpha_p^vee>, evaluated in rationals
+        count = 0
+        for label, ranks in SUPPORTED.items():
+            for rank in ranks:
+                rs, W = make(label, rank)
+                for p in range(1, rank + 1):
+                    pd = parabolic_data(rs, W, p)
+                    alpha_p = rs.simple_indices()[p - 1]
+                    lam_p = rs.weights[p - 1]
+                    pairing = rs.pairing_with_coroot(lam_p, alpha_p)
+                    pairing -= rs.pairing_with_coroot(pd.rho_p, alpha_p)
+                    assert type(pd.c_p) is int and pd.c_p == 2 * pairing
+                    count += 1
+        assert count == 27
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_cp_equals_rank_for_last_node(self, r):
@@ -227,6 +245,37 @@ class TestCountTables:
             names = {c["identity"] for c in cert.checks}
             assert any("reflection symmetry" in n for n in names)
             assert any("longest-element" in n for n in names)
+
+    def test_corrupted_clamped_table_fails_at_its_witness(self):
+        rs, W, pd = make("A", 2, 1)
+        table = count_tables(rs, W, pd)
+        bad = dict(table.max_diff_clamped)
+        bad[(1, 2)] = bad.get((1, 2), 0) + 1
+        cert = verify_count_identities(
+            rs, W, pd, dataclasses.replace(table, max_diff_clamped=bad)
+        )
+        assert not cert.passed
+        assert cert.failures() == [
+            {"identity": "clamped-max agreement (h>=1)", "ok": False, "k": 1, "h": 2}
+        ]
+
+    def test_corrupted_global_counts_record_every_witness(self):
+        # N_p(k, h0 - 1) enters the reflection identity twice: as the
+        # right side at h = h0 and as the left side at h = k c_p - h0 + 1
+        rs, W, pd = make("A", 3, 2)
+        table = count_tables(rs, W, pd)
+        k, h0 = 1, 3
+        bad = dict(table.global_counts)
+        bad[(k, h0 - 1)] = bad.get((k, h0 - 1), 0) + 1
+        cert = verify_count_identities(
+            rs, W, pd, dataclasses.replace(table, global_counts=bad)
+        )
+        witnesses = {(c["k"], c["h"]) for c in cert.failures()}
+        assert {c["identity"] for c in cert.failures()} == {
+            "reflection symmetry of counts"
+        }
+        assert witnesses == {(k, h0), (k, k * pd.c_p - h0 + 1)}
+        assert len(witnesses) == 2
 
 
 class TestReductionTable:
