@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import BoundError, DomainError, NumericError
+from .errors import BoundError, CapabilityError, DomainError, NumericError
 
 Rat = Union[Fraction, int]
 
@@ -31,6 +33,28 @@ _DEGREE_BOUND = 100_000
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def parse_rational(value) -> Fraction:
+    """``Fraction(value)``, refusing a value too large to print exactly.
+
+    The printable size is the interpreter's limit on integer-to-string
+    conversion (``sys.get_int_max_str_digits``, 0 for none).  The
+    exponent of a decimal string is read first, so "1e10000000" is
+    refused before Fraction spends seconds expanding it.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and isinstance(value, str):
+        match = _EXPONENT.search(value)
+        if match and abs(int(match.group(1))) > limit:
+            raise CapabilityError(f"{value[:40]!r} has more than {limit} digits")
+    x = Fraction(value)
+    if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise CapabilityError(f"a rational value has more than {limit} digits")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,12 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .acceptance import run_all
-from .algebra import RationalFunction
+from .algebra import RationalFunction, parse_rational
 from .curve import CurveData, curve_from_json, curve_to_json, zeta_special_residue
-from .errors import DomainError, NumericError
+from .errors import CapabilityError, DomainError, NumericError
 from .groupzeta import (
     UniformityMatch,
     edge_residue,
@@ -37,6 +36,7 @@ from .purezeta import (
     bundle_counts,
     elliptic_rank2_inputs,
     fe_check_pure,
+    mass_digits_estimate,
     mass_reformulated,
     mixed_numerator,
     mixed_zeta_rank2,
@@ -128,7 +128,7 @@ def cmd_curve_validate(args) -> int:
         "special_value_at_1": str(zeta_special_residue(curve)),
     }
     _emit_json(payload, args.json_out)
-    return EXIT_OK
+    return EXIT_OK if payload["weil_check"] else EXIT_MATH_FAIL
 
 
 def _pure_inputs(args, curve) -> PureZetaInputs:
@@ -185,6 +185,12 @@ def cmd_pure(args) -> int:
 
 def cmd_mass(args) -> int:
     curve = _load_curve(args)
+    limit = sys.get_int_max_str_digits()
+    if limit and mass_digits_estimate(curve, args.r) > limit:
+        raise CapabilityError(
+            f"the rank-{args.r} mass of this curve would have more than "
+            f"{limit} digits, too many to print"
+        )
     zb = zagier_beta(curve, args.r, 0)
     mr = mass_reformulated(curve, args.r)
     payload = {
@@ -320,6 +326,8 @@ def _flag_type(convert, expected: str, accept=lambda value: True):
         try:
             value = convert(text)
             ok = accept(value)
+        except DomainError as exc:  # a value the library refuses, say too large
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides
             ok = False
         if not ok:
@@ -331,9 +339,10 @@ def _flag_type(convert, expected: str, accept=lambda value: True):
 
 _POSITIVE_INT = _flag_type(int, "a positive integer", lambda v: v >= 1)
 _TOLERANCE = _flag_type(float, "a positive finite number", lambda v: 0 < v < math.inf)
-_RATIONAL = _flag_type(Fraction, "a rational number")
+_RATIONAL = _flag_type(parse_rational, "a rational number")
 _RATIONALS = _flag_type(
-    lambda text: [Fraction(x) for x in text.split(",")], "comma-separated rationals"
+    lambda text: [parse_rational(x) for x in text.split(",")],
+    "comma-separated rationals",
 )
 
 FLAGS = {
@@ -415,6 +424,12 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_MATH_FAIL
+    except ValueError as exc:
+        # str() of an exact value past sys.get_int_max_str_digits()
+        if "integer string conversion" not in str(exc):
+            raise
+        sys.stderr.write(f"input error: a result is too large to print: {exc}\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -12,12 +12,14 @@ rational number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     Poly,
     RationalFunction,
+    parse_rational,
     poly_complex_roots,
     series_exp,
 )
@@ -53,7 +55,17 @@ class CurveData:
                 )
 
     def weil_numbers_check(self, tol: float = 1e-6) -> bool:
-        """Numerically verify all inverse roots have modulus sqrt(q)."""
+        """Verify all inverse roots have modulus sqrt(q).
+
+        The Hasse-Weil bound a_i^2 <= C(2g, i)^2 q^i on every coefficient
+        is checked exactly first; it holds whenever the roots are where
+        they should be, and it keeps huge coefficients away from the
+        float root finder.  The roots themselves are then checked
+        numerically.
+        """
+        for i, a in enumerate(self.P.coeffs):
+            if a * a > math.comb(2 * self.g, i) ** 2 * self.q**i:
+                return False
         target = float(self.q) ** 0.5
         for z, _ in poly_complex_roots(self.P, tol=1e-10):
             if abs(abs(z) * target - 1.0) > tol:
@@ -224,7 +236,7 @@ def curve_from_json(data: dict) -> CurveData:
         if "point_counts" in data:
             counts = [int(n) for n in data["point_counts"]]
         else:
-            coeffs = [Fraction(s) for s in data["numerator_coeffs"]]
+            coeffs = [parse_rational(s) for s in data["numerator_coeffs"]]
     except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(
             f"malformed curve spec ({type(exc).__name__}: {exc})"

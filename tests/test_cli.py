@@ -1,13 +1,20 @@
 """Command-line contract: exit codes, JSON shapes, determinism."""
 
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import nazeta.acceptance
+import nazeta.cli
+import nazeta.compositions
 import nazeta.residues
 from nazeta.cli import EXIT_INPUT, EXIT_MATH_FAIL, EXIT_OK, main
+
+
+GENUS2_SPEC = {"genus": 2, "q": 2, "numerator_coeffs": ["1", "0", "4", "0", "4"]}
 
 
 @pytest.fixture
@@ -52,6 +59,31 @@ class TestExitCodes:
         out = tmp_path / "mass.json"
         code = main(["mass", "--curve", elliptic_file, "--r", "3",
                      "--json-out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["agree"] is True
+
+    @pytest.mark.parametrize("a1", ["5", "1e200"])
+    def test_failed_weil_check_exits_1(self, a1, tmp_path):
+        curve = _write(
+            tmp_path, "c.json", {"genus": 1, "q": 2, "numerator_coeffs": ["1", a1, "2"]}
+        )
+        out = tmp_path / "out.json"
+        code = main(["curve-validate", "--curve", curve, "--json-out", str(out)])
+        assert code == EXIT_MATH_FAIL
+        assert json.loads(out.read_text())["weil_check"] is False
+
+    def test_mass_never_enumerates_compositions(self, tmp_path, monkeypatch):
+        def refuse(r):
+            raise AssertionError(f"compositions({r}) enumerated")
+
+        original = nazeta.compositions.compositions
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, "compositions", None)
+            if name.startswith("nazeta") and held is original:
+                monkeypatch.setattr(module, "compositions", refuse)
+        curve = _write(tmp_path, "g2.json", GENUS2_SPEC)
+        out = tmp_path / "mass.json"
+        code = main(["mass", "--curve", curve, "--r", "13", "--json-out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["agree"] is True
 
@@ -241,6 +273,16 @@ class TestMalformedInput:
             (None, None, ["mass", "--r", "0"]),
             (None, None, ["mixed", "--q", "1", "--N", "3"]),
             (None, None, ["mixed", "--q", "2", "--N", "0"]),
+            # exact values too large to print (more than 4300 digits)
+            (None, None, ["pure", "--alphas", "1e5000", "--beta0", "1"]),
+            (None, None, ["pure", "--alphas", "3", "--beta0", "1e5000"]),
+            (None, None, ["pure", "--alphas", "3", "--beta0", "1e10000000"]),
+            ({"genus": 1, "q": 2, "numerator_coeffs": ["1", "1e5000", "2"]}, None,
+             ["curve-validate"]),
+            (None, None, ["pure", "--alphas", "1e4290", "--beta0", "1"]),
+            ({"genus": 1, "q": 10**9, "point_counts": [10**9 + 1]}, None,
+             ["mass", "--r", "40"]),
+            (None, None, ["mass", "--r", "41"]),
         ],
     )
     def test_exits_2_with_a_message(
@@ -251,9 +293,24 @@ class TestMalformedInput:
             argv = argv + ["--curve", curve_file]
         if config is not None:
             argv = argv + ["--config", _write(tmp_path, "cfg.json", config)]
+        start = time.perf_counter()
         assert main(argv) == EXIT_INPUT
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
+
+    def test_result_too_large_to_print_exits_2(self, tmp_path, monkeypatch, capsys):
+        # past the up-front size refusal, the printing itself is refused
+        monkeypatch.setattr(nazeta.cli, "mass_digits_estimate", lambda c, r: 0)
+        curve = _write(tmp_path, "g2.json", GENUS2_SPEC)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the rank-40 mass has 688 digits
+        try:
+            code = main(["mass", "--curve", curve, "--r", "40"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == EXIT_INPUT
+        assert "too large to print" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,config",

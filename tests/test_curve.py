@@ -67,6 +67,14 @@ class TestConstruction:
         assert elliptic_curve(3, 4).weil_numbers_check()
         assert curve_from_numerator(2, 2, GENUS2_P.coeffs).weil_numbers_check()
 
+    def test_weil_check_rejects_coefficients_beyond_hasse_weil(self):
+        # a_1 = 5 > 2 sqrt(2): roots off the circle
+        assert not curve_from_numerator(1, 2, [1, 5, 2]).weil_numbers_check()
+        # a_1 = 10^200: the float root test alone reported true here
+        assert not curve_from_numerator(1, 2, [1, 10**200, 2]).weil_numbers_check()
+        # the bound is inclusive: 1 + 2T + 2T^2 has its roots on the circle
+        assert curve_from_numerator(1, 2, [1, 2, 2]).weil_numbers_check()
+
 
 class TestArtinZeta:
     def test_elliptic_closed_form(self):

@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import pytest
 
-from nazeta.compositions import parabolic_mass_sum
+from nazeta.compositions import compositions, parabolic_mass_sum
 from nazeta.errors import DomainError
 from nazeta.numfield import (
     KS_CONVENTIONS,
@@ -64,6 +65,28 @@ class TestVolumes:
             3, completed_riemann, lambda a, b: float(a + b)
         )
         assert moduli_volume(3) == 3 * total
+
+    @pytest.mark.parametrize("r", range(5, 9))
+    def test_moduli_against_50_digit_sum(self, r):
+        # the alternating sum cancels heavily; term by term in doubles it
+        # was 2.4e-10 off at r = 8
+        with mpmath.workdps(50):
+            zhat = [None, mpmath.mpf(1)] + [
+                mpmath.pi ** (-mpmath.mpf(n) / 2)
+                * mpmath.gamma(mpmath.mpf(n) / 2)
+                * mpmath.zeta(n)
+                for n in range(2, r + 1)
+            ]
+            total = mpmath.mpf(0)
+            for comp in compositions(r):
+                term = mpmath.mpf(-1) ** (len(comp) - 1)
+                for n in comp:
+                    term *= mpmath.fprod(zhat[1 : n + 1])
+                for a, b in zip(comp, comp[1:]):
+                    term /= a + b
+                total += term
+            reference = r * total
+            assert abs(moduli_volume(r) - reference) <= 1e-11 * abs(reference)
 
 
 class TestReductionProbe:

@@ -6,10 +6,23 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nazeta.purezeta
 from nazeta.algebra import Poly, RationalFunction, SubstRule, substitute
-from nazeta.compositions import COMPOSITION_RANK_CAP, compositions
-from nazeta.curve import artin_zeta, curve_from_numerator, elliptic_curve
-from nazeta.errors import CapabilityError, DomainError
+from nazeta.compositions import (
+    COMPOSITION_RANK_CAP,
+    MASS_RANK_CAP,
+    compositions,
+    parabolic_mass_sum,
+)
+from nazeta.curve import (
+    artin_zeta,
+    artin_zeta_value,
+    completed_zeta_value,
+    curve_from_numerator,
+    elliptic_curve,
+    zeta_special_residue,
+)
+from nazeta.errors import CapabilityError, DomainError, ValidationError
 from nazeta.purezeta import (
     PureZetaInputs,
     bundle_counts,
@@ -19,6 +32,7 @@ from nazeta.purezeta import (
     fe_check_pure,
     genus2_numerator,
     genus2_rh_criterion,
+    mass_digits_estimate,
     mass_reformulated,
     mixed_numerator,
     mixed_zeta_rank2,
@@ -32,6 +46,57 @@ from nazeta.purezeta import (
 )
 
 GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Reference sums: the composition enumeration the library's recurrences
+# replaced, kept as the small-rank oracle
+# ---------------------------------------------------------------------------
+
+
+def enumerated_zagier_beta(c, r, d=0):
+    """Zagier's degree-d mass, one summand per composition of r."""
+    q = F(c.q)
+    g = c.g
+
+    def v(n):
+        val = c.P.evaluate(1) / (q - 1)
+        val *= q ** ((n * n - 1) * (g - 1))
+        for i in range(2, n + 1):
+            val *= artin_zeta_value(c, i)
+        return val
+
+    total = F(0)
+    for comp in compositions(r):
+        k = len(comp)
+        cross = sum(comp[i] * comp[j] for i in range(k) for j in range(i + 1, k))
+        term = q ** ((g - 1) * cross)
+        exponent = F(0)
+        for i in range(k - 1):
+            prefix = F(sum(comp[: i + 1]) * d, r)
+            exponent += (comp[i] + comp[i + 1]) * (prefix - math.floor(prefix))
+            term /= 1 - q ** (comp[i] + comp[i + 1])
+        if exponent.denominator != 1:
+            raise ValidationError(f"non-integer q-exponent {exponent} for {comp}")
+        term *= q ** int(exponent)
+        for n in comp:
+            term *= v(n)
+        total += term
+    return total
+
+
+def enumerated_mass_sum(r, zhat, pair_weight):
+    """The alternating composition sum of parabolic_mass_sum, term by term."""
+    total = 0
+    for comp in compositions(r):
+        term = 1 if len(comp) % 2 == 1 else -1
+        for n in comp:
+            for i in range(1, n + 1):
+                term = term * zhat(i)
+        for a, b in zip(comp, comp[1:]):
+            term = term / pair_weight(a, b)
+        total = total + term
+    return total
 
 
 def hasse_counts(q):
@@ -50,7 +115,7 @@ class TestCompositions:
             assert len(compositions(r)) == 2 ** (r - 1)
 
     def test_rank_cap(self):
-        # the cap covers the top rung of the mass-ladder benchmark
+        # the enumeration stays usable as the test oracle (r <= 10 here)
         assert COMPOSITION_RANK_CAP >= 13
         with pytest.raises(CapabilityError):
             compositions(COMPOSITION_RANK_CAP + 1)
@@ -89,6 +154,101 @@ class TestMassFormulas:
     def test_rank_must_be_positive(self):
         with pytest.raises(DomainError):
             zagier_beta(elliptic_curve(2, 3), 0)
+
+
+ORACLE_CURVES = {
+    "E(2,3)": elliptic_curve(2, 3),
+    "E(3,2)": elliptic_curve(3, 2),
+    "GENUS2": GENUS2,
+}
+
+
+class TestMassRecurrences:
+    """The prefix-sum recurrences against the composition enumeration."""
+
+    @pytest.mark.parametrize("name", ORACLE_CURVES)
+    def test_zagier_beta_matches_enumeration(self, name):
+        c = ORACLE_CURVES[name]
+        for r in range(1, 10):
+            for d in range(r + 1):
+                assert zagier_beta(c, r, d) == enumerated_zagier_beta(c, r, d), (r, d)
+
+    def test_zagier_beta_negative_and_large_degrees(self):
+        c = ORACLE_CURVES["GENUS2"]
+        for r, d in ((4, -1), (5, -7), (6, 13)):
+            assert zagier_beta(c, r, d) == enumerated_zagier_beta(c, r, d)
+
+    @pytest.mark.parametrize("name", ORACLE_CURVES)
+    def test_mass_sum_matches_enumeration_on_curve_values(self, name):
+        c = ORACLE_CURVES[name]
+        q = F(c.q)
+
+        def zhat(i):
+            return zeta_special_residue(c) if i == 1 else completed_zeta_value(c, i)
+
+        def pair_weight(a, b):
+            return q ** (a + b) - 1
+
+        for r in range(1, 11):
+            assert parabolic_mass_sum(r, zhat, pair_weight) == enumerated_mass_sum(
+                r, zhat, pair_weight
+            )
+
+    def test_mass_sum_matches_enumeration_on_generic_scalars(self):
+        def zhat(i):
+            return F(2 * i + 1, i * i + 3)
+
+        def pair_weight(a, b):
+            return F(a * a + 3 * b, 7) + 1  # not symmetric in (a, b)
+
+        for r in range(1, 11):
+            assert parabolic_mass_sum(r, zhat, pair_weight) == enumerated_mass_sum(
+                r, zhat, pair_weight
+            )
+
+    @pytest.mark.parametrize("r", [20, 40])
+    @pytest.mark.parametrize("name", ["E(2,3)", "GENUS2"])
+    def test_routes_agree_at_high_rank(self, name, r):
+        c = ORACLE_CURVES[name]
+        assert zagier_beta(c, r, 0) == mass_reformulated(c, r)
+
+    def test_completed_values_built_once_per_argument(self, monkeypatch):
+        calls = []
+        exact = nazeta.purezeta.completed_zeta_value
+        monkeypatch.setattr(
+            nazeta.purezeta,
+            "completed_zeta_value",
+            lambda c, h: calls.append(h) or exact(c, h),
+        )
+        mass_reformulated(GENUS2, 12)
+        assert sorted(calls) == list(range(2, 13))
+
+    def test_mass_rank_cap(self):
+        c = elliptic_curve(2, 3)
+        for route in (zagier_beta, mass_reformulated):
+            with pytest.raises(CapabilityError):
+                route(c, MASS_RANK_CAP + 1)
+            with pytest.raises(DomainError):
+                route(c, 0)
+
+    def test_digits_estimate_bounds_the_mass(self):
+        curves = list(ORACLE_CURVES.values()) + [
+            elliptic_curve(101, 122),  # near the Hasse bound
+            elliptic_curve(10**9, 10**9 + 1),
+            curve_from_numerator(1, 2, [1, F(1, 1000), 2]),  # not a Weil numerator
+            curve_from_numerator(1, 3, [1, 10**30, 3]),
+            curve_from_numerator(3, 2, (Poly.of(1, 0, 2) ** 3).coeffs),
+        ]
+        for c in curves:
+            for r in (1, 2, 5, 12):
+                m = mass_reformulated(c, r)
+                digits = max(len(str(abs(m.numerator))), len(str(m.denominator)))
+                assert digits <= mass_digits_estimate(c, r), (c, r)
+        # not so loose that it refuses printable masses of real curves
+        for c, r in ((GENUS2, 40), (elliptic_curve(10**9, 10**9 + 1), 20)):
+            m = zagier_beta(c, r, 0)
+            digits = max(len(str(abs(m.numerator))), len(str(m.denominator)))
+            assert mass_digits_estimate(c, r) <= 1.5 * digits
 
 
 class TestPureZeta:
