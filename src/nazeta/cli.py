@@ -32,6 +32,7 @@ from .groupzeta import (
 )
 from .numfield import ks_identity_probe, volume_table
 from .purezeta import (
+    MASS_DIGITS_SLACK,
     PureZetaInputs,
     bundle_counts,
     elliptic_rank2_inputs,
@@ -185,17 +186,20 @@ def cmd_pure(args) -> int:
 
 def cmd_mass(args) -> int:
     curve = _load_curve(args)
+    # refuse only a mass surely too long to print; a mass near the limit
+    # is computed, and printing it refuses it if it is too long after all
     limit = sys.get_int_max_str_digits()
-    if limit and mass_digits_estimate(curve, args.r) > limit:
+    if limit and mass_digits_estimate(curve, args.r) > MASS_DIGITS_SLACK * limit:
         raise CapabilityError(
             f"the rank-{args.r} mass of this curve would have more than "
             f"{limit} digits, too many to print"
         )
     zb = zagier_beta(curve, args.r, 0)
+    composition_sum = str(zb)  # too long to print: refused before the second route
     mr = mass_reformulated(curve, args.r)
     payload = {
         "rank": args.r,
-        "composition_sum": str(zb),
+        "composition_sum": composition_sum,
         "reformulation": str(mr),
         "agree": zb == mr,
     }

@@ -3,11 +3,13 @@
 A curve enters the library only through its genus g, field size q and
 Weil numerator P of degree 2g, validated against P(0) = 1 and the
 coefficient symmetry a_{2g-i} = q^{g-i} a_i.  The completed zeta
-q^{(g-1)s} P(q^{-s}) / ((1-q^{-s})(1-q^{1-s})) is realized exactly as a
-rational function of u = q^{-s}, for any integer-linear argument
-k*s + h, and its residue at s = 1 is kept in "stripped" form, multiplied
-by log q, so that every special value in the system is an honest
-rational number.
+q^{(g-1)s} P(q^{-s}) / ((1-q^{-s})(1-q^{1-s})) at any integer-linear
+argument k*s + h is a constant times a power of u = q^{-s} times powers
+of the atoms 1 - c u^m and P(c u^m), m >= 1 (a FactorProduct); products
+of such factors stay factored until one expansion into a reduced
+rational function of u.  The residue at s = 1 is kept in "stripped"
+form, multiplied by log q, so that every special value in the system is
+an honest rational number.
 """
 
 from __future__ import annotations
@@ -133,6 +135,135 @@ def artin_zeta(c: CurveData) -> RationalFunction:
     return RationalFunction.make(c.P, den, "t")
 
 
+# ("L", c, m) stands for 1 - c u^m and ("P", c, m) for P(c u^m), m >= 1
+Atom = tuple[str, Fraction, int]
+
+
+@dataclass(frozen=True)
+class FactorProduct:
+    """const * u^upow * prod atom^e over a multiset of atoms.
+
+    Products of zeta factors stay in this form, so multiplying is adding
+    exponents and only the final expansion builds polynomials.
+    """
+
+    const: Fraction
+    upow: int = 0
+    atoms: tuple[tuple[Atom, int], ...] = ()
+
+    def __mul__(self, other: "FactorProduct") -> "FactorProduct":
+        exps = dict(self.atoms)
+        for atom, e in other.atoms:
+            exps[atom] = exps.get(atom, 0) + e
+        return FactorProduct(
+            self.const * other.const,
+            self.upow + other.upow,
+            tuple((a, e) for a, e in exps.items() if e),
+        )
+
+    def __pow__(self, n: int) -> "FactorProduct":
+        if n < 0 and self.const == 0:
+            raise DomainError("division by the zero function")
+        atoms = tuple((a, e * n) for a, e in self.atoms) if n else ()
+        return FactorProduct(self.const**n, self.upow * n, atoms)
+
+    def expand(self, c: CurveData) -> RationalFunction:
+        """The product as a reduced rational function: one reduction."""
+        return expand_sum(c, [self])
+
+
+def _atom_poly(c: CurveData, atom: Atom) -> Poly:
+    kind, coeff, m = atom
+    if kind == "L":
+        return Poly.monomial(m, -coeff) + Poly.one()
+    return c.P.compose_monomial(coeff, m)
+
+
+def line_factor(coeff: Fraction, k: int) -> FactorProduct:
+    """1 - coeff * u^k; a negative k folds to 1 - u^{-k}/coeff."""
+    if k > 0:
+        return FactorProduct(Fraction(1), 0, ((("L", coeff, k), 1),))
+    if k < 0:
+        # 1 - c u^{-m} = -c u^{-m} (1 - u^m / c)
+        return FactorProduct(-coeff, k, ((("L", 1 / coeff, -k), 1),))
+    return FactorProduct(1 - coeff)
+
+
+def _numerator_factor(c: CurveData, coeff: Fraction, k: int) -> FactorProduct:
+    """P(coeff * u^k); a negative k folds by the coefficient symmetry."""
+    if k > 0:
+        return FactorProduct(Fraction(1), 0, ((("P", coeff, k), 1),))
+    if k < 0:
+        # P(x) = q^g x^{2g} P(1/(q x)) at x = coeff u^{-m}
+        return FactorProduct(
+            Fraction(c.q) ** c.g * coeff ** (2 * c.g),
+            2 * c.g * k,
+            ((("P", 1 / (c.q * coeff), -k), 1),),
+        )
+    return FactorProduct(c.P.evaluate(coeff))
+
+
+def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
+    """Completed zeta at k*s + h as a product of atoms in u = q^{-s}.
+
+    q^{(g-1)h} U^{-(g-1)} P(U q^{-h}) / ((1 - U q^{-h})(1 - U q^{1-h}))
+    with U = u^k.  The argument values 0 and 1, reached only when k = 0,
+    are poles; callers wanting the stripped special value at 1 use
+    zeta_special_residue.
+    """
+    if k == 0 and h in (0, 1):
+        raise PoleError(
+            f"completed zeta has a pole at the constant argument {h}; "
+            "use zeta_special_residue for the stripped value at 1"
+        )
+    q = Fraction(c.q)
+    g = c.g
+    shift = FactorProduct(q ** ((g - 1) * h), -k * (g - 1))
+    return (
+        shift
+        * _numerator_factor(c, q**-h, k)
+        * line_factor(q**-h, k) ** -1
+        * line_factor(q ** (1 - h), k) ** -1
+    )
+
+
+def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
+    """The reduced sum of factored terms, with a single reduction.
+
+    The common denominator takes each atom to its highest power over the
+    terms, and the lowest power of u; each numerator is lifted to it with
+    cached atom powers, and the dense sum is reduced once.
+    """
+    terms = [t for t in terms if t.const != 0]
+    den_exps: dict[Atom, int] = {}
+    for t in terms:
+        for atom, e in t.atoms:
+            if e < 0 and -e > den_exps.get(atom, 0):
+                den_exps[atom] = -e
+    low = min((t.upow for t in terms), default=0)
+    powers: dict[tuple[Atom, int], Poly] = {}
+
+    def power(atom: Atom, n: int) -> Poly:
+        if (atom, n) not in powers:
+            powers[atom, n] = _atom_poly(c, atom) ** n
+        return powers[atom, n]
+
+    total = Poly.zero()
+    for t in terms:
+        exps = dict(den_exps)
+        for atom, e in t.atoms:
+            exps[atom] = exps.get(atom, 0) + e
+        num = Poly.monomial(t.upow - low, t.const)
+        for atom, n in exps.items():
+            if n:
+                num = num * power(atom, n)
+        total = total + num
+    den = Poly.monomial(max(-low, 0))
+    for atom, n in den_exps.items():
+        den = den * power(atom, n)
+    return RationalFunction.make(total * Poly.monomial(max(low, 0)), den, "u")
+
+
 @dataclass(frozen=True)
 class ZetaFactor:
     """The completed zeta at argument k*s + h, as a function of u."""
@@ -143,51 +274,8 @@ class ZetaFactor:
 
 
 def completed_zeta_factor(c: CurveData, k: int, h: int) -> ZetaFactor:
-    """Completed zeta at k*s + h in the variable u = q^{-s}.
-
-    Assembles u^{-k(g-1)} q^{(g-1)h} P(u^k q^{-h}) over
-    (1 - u^k q^{-h})(1 - u^k q^{1-h}) and clears negative powers.  The
-    argument values 0 and 1, reached only when k = 0, are poles; callers
-    wanting the stripped special value at 1 use zeta_special_residue.
-    """
-    if k == 0 and h in (0, 1):
-        raise PoleError(
-            f"completed zeta has a pole at the constant argument {h}; "
-            "use zeta_special_residue for the stripped value at 1"
-        )
-    q = Fraction(c.q)
-    g = c.g
-    if k == 0:
-        val = q ** ((g - 1) * h) * c.P.evaluate(q**-h)
-        val /= (1 - q**-h) * (1 - q ** (1 - h))
-        return ZetaFactor(k, h, RationalFunction.const(val, "u"))
-    # polynomial parts in u^k before clearing: k may be negative
-    absk = abs(k)
-    sign = 1 if k > 0 else -1
-    # P(u^k q^{-h}) with u^k replaced by x^(sign): build in x = u then clear
-    num = _eval_poly_at_monomial(c.P, q**-h, k)
-    d1 = _one_minus_monomial(q**-h, k)
-    d2 = _one_minus_monomial(q ** (1 - h), k)
-    f = num / (d1 * d2)
-    f = f.mul_monomial(-k * (g - 1)).scale(q ** ((g - 1) * h))
-    return ZetaFactor(k, h, f)
-
-
-def _eval_poly_at_monomial(p: Poly, coeff: Fraction, k: int) -> RationalFunction:
-    """p(coeff * u^k) as a rational function of u, k any nonzero integer."""
-    f = RationalFunction.const(0, "u")
-    ci = Fraction(1)
-    for i, a in enumerate(p.coeffs):
-        if a != 0:
-            f = f + RationalFunction.const(a * ci, "u").mul_monomial(k * i)
-        ci *= coeff
-    return f
-
-
-def _one_minus_monomial(coeff: Fraction, k: int) -> RationalFunction:
-    return RationalFunction.const(1, "u") - RationalFunction.const(
-        coeff, "u"
-    ).mul_monomial(k)
+    """Completed zeta at k*s + h in the variable u = q^{-s}, reduced."""
+    return ZetaFactor(k, h, zeta_factors(c, k, h).expand(c))
 
 
 def zeta_special_residue(c: CurveData) -> Fraction:
@@ -203,7 +291,7 @@ def zeta_special_residue(c: CurveData) -> Fraction:
 
 def completed_zeta_value(c: CurveData, h: int) -> Fraction:
     """Constant value of the completed zeta at an integer h not in {0, 1}."""
-    return completed_zeta_factor(c, 0, h).value.as_fraction()
+    return zeta_factors(c, 0, h).const  # at k = 0 there are no atoms
 
 
 def artin_zeta_value(c: CurveData, h: int) -> Fraction:

@@ -10,6 +10,12 @@ q^g P(1/q)/(q-1) instead; that convention is exactly what the iterated
 residues of the full-rank period produce once each residue's 1/log q is
 cancelled, and it is cross-checked by the residues module.
 
+Every summand is kept as a curve.FactorProduct (a constant, a power of
+u and powers of the atoms 1 - c u^m and P(c u^m)); the period lifts each
+numerator to the common denominator of all summands and reduces the
+sum once.  Single terms, the f and g factors and the products over root
+keys expand their factor multisets the same way, with one reduction each.
+
 Multiplying the period by the minimal normalization product, the
 positive max-difference exponents over h >= 2, yields the group zeta,
 which satisfies the exact functional equation s -> -c_p - s, i.e.
@@ -30,7 +36,14 @@ from .algebra import (
     substitute,
 )
 from .certificate import Certificate
-from .curve import CurveData, completed_zeta_factor, zeta_special_residue
+from .curve import (
+    CurveData,
+    FactorProduct,
+    expand_sum,
+    line_factor,
+    zeta_factors,
+    zeta_special_residue,
+)
 from .errors import DomainError, ValidationError
 from .rootsys import (
     CountTable,
@@ -60,21 +73,47 @@ def _root_key(rs: RootSystem, pd: ParabolicData, idx: int) -> tuple[int, int]:
     return (rs.weight_pairing(pd.p0, idx), rs.coroot_height(idx))
 
 
-def _rational_factor(c: CurveData, k: int, h: int) -> RationalFunction:
-    """1 / (1 - u^k q^{1-h}) as a reduced rational function of u."""
-    q = Fraction(c.q)
-    one = RationalFunction.const(1, "u")
-    mono = RationalFunction.const(q ** (1 - h), "u").mul_monomial(k)
-    return one / (one - mono)
-
-
-def _zeta_num_factor(c: CurveData, k: int, h: int) -> RationalFunction:
+def _zeta_num_factors(c: CurveData, k: int, h: int) -> FactorProduct:
     """Completed zeta factor, stripped to its special value at (0, 1)."""
     if (k, h) == (0, 1):
-        return RationalFunction.const(zeta_special_residue(c), "u")
+        return FactorProduct(zeta_special_residue(c))
     if k == 0 and h == 0:
         raise ValidationError("unexpected pole argument (0,0) in a numerator")
-    return completed_zeta_factor(c, k, h).value
+    return zeta_factors(c, k, h)
+
+
+def _rational_factors(
+    c: CurveData, rs: RootSystem, pd: ParabolicData, w: WeylElement
+) -> FactorProduct:
+    """prod over (w^{-1}Delta) \\ Delta_p of 1/(1 - u^k q^{1-h})."""
+    winv = w.inverse()
+    term = FactorProduct(Fraction(1))
+    p0 = pd.p0
+    for s_idx in rs.simple_indices():
+        pre = winv.apply(s_idx)
+        coords = rs.roots[pre]
+        if coords[p0] == 0 and rs.is_positive(pre) and sum(map(abs, coords)) == 1:
+            continue  # alpha in Delta_p
+        k, h = _root_key(rs, pd, pre)
+        if (k, h) == (0, 1):
+            raise ValidationError("pole clash: Levi simple root in the rational part")
+        term = term * line_factor(Fraction(c.q) ** (1 - h), k) ** -1
+    return term
+
+
+def _weyl_factors(
+    c: CurveData,
+    rs: RootSystem,
+    W: WeylGroup,
+    pd: ParabolicData,
+    w: WeylElement,
+) -> FactorProduct:
+    """The single-w summand of the period, factored."""
+    term = _rational_factors(c, rs, pd, w)
+    for idx in W.inversion_set(w):
+        k, h = _root_key(rs, pd, idx)
+        term = term * _zeta_num_factors(c, k, h) * zeta_factors(c, k, h + 1) ** -1
+    return term
 
 
 def weyl_term(
@@ -85,12 +124,7 @@ def weyl_term(
     w: WeylElement,
 ) -> RationalFunction:
     """The single-w summand of the period."""
-    term = rational_part(c, rs, W, pd, w)
-    for idx in W.inversion_set(w):
-        k, h = _root_key(rs, pd, idx)
-        term = term * _zeta_num_factor(c, k, h)
-        term = term / completed_zeta_factor(c, k, h + 1).value
-    return term
+    return _weyl_factors(c, rs, W, pd, w).expand(c)
 
 
 def rational_part(
@@ -101,29 +135,27 @@ def rational_part(
     w: WeylElement,
 ) -> RationalFunction:
     """prod over (w^{-1}Delta) \\ Delta_p of 1/(1 - u^k q^{1-h})."""
-    winv = w.inverse()
-    term = RationalFunction.const(1, "u")
-    p0 = pd.p0
-    for s_idx in rs.simple_indices():
-        pre = winv.apply(s_idx)
-        coords = rs.roots[pre]
-        if coords[p0] == 0 and rs.is_positive(pre) and sum(map(abs, coords)) == 1:
-            continue  # alpha in Delta_p
-        k, h = _root_key(rs, pd, pre)
-        if (k, h) == (0, 1):
-            raise ValidationError("pole clash: Levi simple root in the rational part")
-        term = term * _rational_factor(c, k, h)
-    return term
+    return _rational_factors(c, rs, pd, w).expand(c)
 
 
 def period_gp(
     c: CurveData, rs: RootSystem, W: WeylGroup, pd: ParabolicData
 ) -> RationalFunction:
-    """The period of (G, P): the closed Weyl-subset sum, exact in u."""
-    total = RationalFunction.const(0, "u")
-    for w in pd.weyl_subset:
-        total = total + weyl_term(c, rs, W, pd, w)
-    return total
+    """The period of (G, P): the closed Weyl-subset sum, exact in u.
+
+    Every term stays factored; the sum is reduced once.
+    """
+    return expand_sum(
+        c, [_weyl_factors(c, rs, W, pd, w) for w in pd.weyl_subset]
+    )
+
+
+def _zeta_product(c: CurveData, exponents: dict) -> FactorProduct:
+    """prod over (k, h) of the completed zeta at k*s + h to its exponent."""
+    prod = FactorProduct(Fraction(1))
+    for (k, h), e in sorted(exponents.items()):
+        prod = prod * zeta_factors(c, k, h) ** e
+    return prod
 
 
 def group_zeta(
@@ -145,10 +177,8 @@ def group_zeta(
         omega = iterated_residue(period_full(c, rs, W), pd)
     else:
         raise DomainError(f"unknown route {route!r}")
-    zeta = omega
     exponents = table.normalization_exponents()
-    for (k, h), m in sorted(exponents.items()):
-        zeta = zeta * completed_zeta_factor(c, k, h).value ** m
+    zeta = omega * _zeta_product(c, exponents).expand(c)
     return GroupZetaResult(zeta, omega, exponents, pd.c_p, route, c, rs, pd)
 
 
@@ -206,27 +236,26 @@ def omega_D_decompose(
     cert = Certificate(
         f"global decomposition {rs.type_label}{rs.rank} p={pd.p}"
     )
-    clearing = RationalFunction.const(1, "u")
+    clearing = FactorProduct(Fraction(1))
     for idx in range(rs.n_positive):
         k, h = _root_key(rs, pd, idx)
-        clearing = clearing * completed_zeta_factor(c, k, h + 1).value
-    alt = RationalFunction.const(1, "u")
+        clearing = clearing * zeta_factors(c, k, h + 1)
+    clearing = clearing.expand(c)
+    alt = FactorProduct(Fraction(1))
     for idx in range(rs.n_positive, len(rs.roots)):
         k, h = _root_key(rs, pd, idx)
-        alt = alt * completed_zeta_factor(c, k, h).value
-    cert.record("clearing product: two forms agree", clearing == alt)
+        alt = alt * zeta_factors(c, k, h)
+    cert.record("clearing product: two forms agree", clearing == alt.expand(c))
 
     M = table.max_diff
     N = table.global_counts
     _, kmax = table.k_range
     _, hmax = table.h_range
-    den = RationalFunction.const(1, "u")
-    for k in range(0, kmax + 1):
-        for h in range(2, hmax + 2):
-            e = N.get((k, h - 1), 0) - M.get((k, h), 0)
-            if e == 0:
-                continue
-            den = den * completed_zeta_factor(c, k, h).value ** e
+    den = _zeta_product(c, {
+        (k, h): N.get((k, h - 1), 0) - M.get((k, h), 0)
+        for k in range(0, kmax + 1)
+        for h in range(2, hmax + 2)
+    }).expand(c)
     omega_global = clearing * z.omega
     cert.record(
         "zeta * denominator = clearing * period",
@@ -273,12 +302,12 @@ def g_factor(
     stripped value per such root.
     """
     winv = w.inverse()
-    term = RationalFunction.const(1, "u")
+    term = FactorProduct(Fraction(1))
     for neg in range(rs.n_positive, len(rs.roots)):
         pre = winv.apply(neg)
         k, h = _root_key(rs, pd, pre)
-        term = term * _zeta_num_factor(c, k, h)
-    return term
+        term = term * _zeta_num_factors(c, k, h)
+    return term.expand(c)
 
 
 def fg_involution_check(

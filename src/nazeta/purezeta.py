@@ -148,6 +148,12 @@ def mass_reformulated(c: CurveData, r: int) -> Fraction:
     return q ** ((c.g - 1) * r * (r - 1) // 2) * sum_part
 
 
+# How far mass_digits_estimate may run over a mass's true size.  On
+# masses of 500 digits or more, Weil and synthetic numerators up to
+# r = 40, the ratio measured at most 1.44 (trace zero at q = 10^6, 10^9).
+MASS_DIGITS_SLACK = 1.5
+
+
 def mass_digits_estimate(c: CurveData, r: int) -> float:
     """Decimal digits of the rank-r mass's numerator or denominator, from above.
 
@@ -155,8 +161,10 @@ def mass_digits_estimate(c: CurveData, r: int) -> float:
     numerator coefficients with a common denominator delta, or with a
     sum of absolute values |P|_1 above q^g, add about r times the log of
     the excess.  On Weil and synthetic numerators up to r = 40 the
-    estimate measured 2 to 40 % above the larger of the two true sizes,
-    never below; it is cheap, so callers can refuse a mass before
+    estimate measured above the larger of the two true sizes, never
+    below, and within MASS_DIGITS_SLACK of it once that size reaches 500
+    digits; it is cheap, so callers can refuse a mass that is surely too
+    long (estimate over MASS_DIGITS_SLACK times the limit) before
     computing it.
     """
     check_mass_rank(r)

@@ -62,6 +62,19 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["agree"] is True
 
+    def test_printable_mass_near_the_limit_is_computed(self, tmp_path):
+        # the digit estimate reads 4,308 here, over the 4,300-digit limit,
+        # but the mass has 3,285 digits
+        curve = _write(
+            tmp_path, "c.json", {"genus": 1, "q": 10**9, "point_counts": [10**9 + 1]}
+        )
+        out = tmp_path / "mass.json"
+        code = main(["mass", "--curve", curve, "--r", "29", "--json-out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["agree"] is True
+        assert len(payload["composition_sum"].split("/")[1]) == 3285
+
     @pytest.mark.parametrize("a1", ["5", "1e200"])
     def test_failed_weil_check_exits_1(self, a1, tmp_path):
         curve = _write(

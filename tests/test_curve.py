@@ -121,6 +121,29 @@ class TestCompletedZeta:
                 b = completed_zeta_factor(curve, -k, 1 - h).value
                 assert a == b, (k, h)
 
+    @pytest.mark.parametrize("curve", [
+        elliptic_curve(2, 3),
+        elliptic_curve(3, 4),
+        curve_from_numerator(2, 2, GENUS2_P.coeffs),
+    ])
+    def test_against_the_definition(self, curve):
+        # q^{(g-1)h} U^{-(g-1)} P(U q^{-h}) / ((1 - U q^{-h})(1 - U q^{1-h}))
+        # at U = u^k; a negative k exercises the folding of u^{-m}
+        q, g = F(curve.q), curve.g
+        for k in range(-5, 6):
+            for h in range(-6, 7):
+                if k == 0 and h in (0, 1):
+                    continue
+                f = completed_zeta_factor(curve, k, h).value
+                for u in (F(5, 7), F(11, 13)):
+                    U = u**k
+                    x = U * q**-h
+                    p_x = sum(a * x**i for i, a in enumerate(curve.P.coeffs))
+                    expected = q ** ((g - 1) * h) * U ** (1 - g) * p_x / (
+                        (1 - x) * (1 - U * q ** (1 - h))
+                    )
+                    assert f.evaluate(u) == expected, (k, h, u)
+
     def test_simple_pole_at_one(self):
         zf = completed_zeta_factor(elliptic_curve(2, 3), 1, 1)
         assert zf.value.den.evaluate(1) == 0

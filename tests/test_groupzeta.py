@@ -1,10 +1,12 @@
 """Group zeta assembly, functional equations, zeros, uniformity."""
 
 import dataclasses
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import nazeta.algebra
 import nazeta.groupzeta
 
 from nazeta.algebra import Poly, RationalFunction
@@ -29,7 +31,12 @@ from nazeta.groupzeta import (
     uniformity_match,
 )
 from nazeta.purezeta import elliptic_rank2_inputs, pure_zeta, zagier_beta
-from nazeta.rootsys import build_root_system, enumerate_weyl, parabolic_data
+from nazeta.rootsys import (
+    SUPPORTED,
+    build_root_system,
+    enumerate_weyl,
+    parabolic_data,
+)
 
 E23 = elliptic_curve(2, 3)
 GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
@@ -42,6 +49,62 @@ def pair(label, rank, p):
 
 
 A1 = pair("A", 1, 1)
+
+POINTS = (F(5, 7), F(11, 13))
+
+
+def scalar_zeta(c, k, h, u):
+    """Completed zeta at k*s + h, evaluated at u from its definition:
+    q^{(g-1)h} U^{-(g-1)} P(U q^{-h}) / ((1 - U q^{-h})(1 - U q^{1-h})),
+    U = u^k."""
+    q, U = F(c.q), u**k
+    x = U * q**-h
+    p_x = sum(a * x**i for i, a in enumerate(c.P.coeffs))
+    return q ** ((c.g - 1) * h) * U ** (1 - c.g) * p_x / (
+        (1 - x) * (1 - U * q ** (1 - h))
+    )
+
+
+def scalar_period(c, rs, W, pd, u):
+    """Oracle: the Weyl-subset sum at the point u, one Fraction per factor.
+
+    Each w contributes 1/(1 - u^k q^{1-h}) over the simple roots alpha
+    with w^{-1} alpha outside the Levi simple roots, and Z(k, h)/Z(k, h+1)
+    over its inversion set, Z(0, 1) being the stripped value
+    q^g P(1/q)/(q-1); (k, h) = (<lambda_p, beta^vee>, ht beta^vee).
+    """
+    q = F(c.q)
+    stripped = q**c.g * sum(a * q**-i for i, a in enumerate(c.P.coeffs)) / (q - 1)
+    simples = rs.simple_indices()
+    levi = {s for j, s in enumerate(simples) if j != pd.p0}
+
+    def key(idx):
+        return rs.weight_pairing(pd.p0, idx), rs.coroot_height(idx)
+
+    total = F(0)
+    for w in pd.weyl_subset:
+        winv = w.inverse()
+        term = F(1)
+        for s in simples:
+            beta = winv.apply(s)
+            if beta not in levi:
+                k, h = key(beta)
+                term /= 1 - u**k * q ** (1 - h)
+        for idx in W.inversion_set(w):
+            k, h = key(idx)
+            num = stripped if (k, h) == (0, 1) else scalar_zeta(c, k, h, u)
+            term *= num / scalar_zeta(c, k, h + 1, u)
+        total += term
+    return total
+
+
+SMALL_PAIRS = [
+    (label, rank, p)
+    for label, ranks in SUPPORTED.items()
+    for rank in ranks
+    if rank <= 4
+    for p in range(1, rank + 1)
+]
 
 
 class TestRankOnePair:
@@ -88,15 +151,49 @@ class TestRankOnePair:
 
 
 class TestPeriodStructure:
-    def test_summand_per_surviving_element(self):
+    @pytest.mark.parametrize(
+        "label,p,size", [("A", 1, 5), ("B", 1, 6), ("G2", 2, 8)]
+    )
+    def test_summand_per_surviving_element(self, label, p, size):
         from nazeta.groupzeta import weyl_term
 
-        rs, W, pd = pair("A", 2, 1)
+        rs, W, pd = pair(label, 2, p)
         total = RationalFunction.const(0, "u")
         for w in pd.weyl_subset:
             total = total + weyl_term(E23, rs, W, pd, w)
         assert total == period_gp(E23, rs, W, pd)
-        assert len(pd.weyl_subset) == 5
+        assert len(pd.weyl_subset) == size
+
+    @pytest.mark.parametrize("label,rank,p", SMALL_PAIRS + [("A", 5, 3)])
+    def test_against_the_scalar_sum(self, label, rank, p):
+        rs, W, pd = pair(label, rank, p)
+        curves = (GENUS2,) if rank == 5 else (E23, GENUS2)
+        for curve in curves:
+            omega = period_gp(curve, rs, W, pd)
+            for u in POINTS:
+                assert omega.evaluate(u) == scalar_period(curve, rs, W, pd, u)
+
+    def test_one_reduction_per_period(self, monkeypatch):
+        rs, W, pd = pair("A", 5, 3)
+        calls = []
+        gcd = nazeta.algebra.poly_gcd
+
+        def counted(a, b):
+            calls.append((a.degree, b.degree))
+            return gcd(a, b)
+
+        def refuse(*args):
+            raise AssertionError("period_gp expanded a factor or term alone")
+
+        monkeypatch.setattr(nazeta.algebra, "poly_gcd", counted)
+        monkeypatch.setattr(nazeta.groupzeta, "weyl_term", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nazeta") and hasattr(module, "completed_zeta_factor"):
+                monkeypatch.setattr(module, "completed_zeta_factor", refuse)
+        omega = period_gp(GENUS2, rs, W, pd)
+        assert len(calls) <= 1
+        for u in POINTS:
+            assert omega.evaluate(u) == scalar_period(GENUS2, rs, W, pd, u)
 
 
 class TestFunctionalEquation:

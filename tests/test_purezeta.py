@@ -24,6 +24,7 @@ from nazeta.curve import (
 )
 from nazeta.errors import CapabilityError, DomainError, ValidationError
 from nazeta.purezeta import (
+    MASS_DIGITS_SLACK,
     PureZetaInputs,
     bundle_counts,
     clifford_validate,
@@ -245,10 +246,14 @@ class TestMassRecurrences:
                 digits = max(len(str(abs(m.numerator))), len(str(m.denominator)))
                 assert digits <= mass_digits_estimate(c, r), (c, r)
         # not so loose that it refuses printable masses of real curves
-        for c, r in ((GENUS2, 40), (elliptic_curve(10**9, 10**9 + 1), 20)):
+        for c, r in (
+            (GENUS2, 40),
+            (elliptic_curve(10**9, 10**9 + 1), 20),
+            (curve_from_numerator(1, 3, [1, 10**30, 3]), 40),
+        ):
             m = zagier_beta(c, r, 0)
             digits = max(len(str(abs(m.numerator))), len(str(m.denominator)))
-            assert mass_digits_estimate(c, r) <= 1.5 * digits
+            assert mass_digits_estimate(c, r) <= MASS_DIGITS_SLACK * digits
 
 
 class TestPureZeta:
