@@ -64,7 +64,7 @@ from .purezeta import (
 from .residues import (
     SymbolicWeight,
     iterated_residue,
-    period_full,
+    residue_period,
     residue_route_equivalence,
 )
 from .rootsys import (

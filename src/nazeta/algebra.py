@@ -198,9 +198,6 @@ class Poly:
             acc = acc * z + complex(c)
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly.from_list([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def shift(self, a: Rat) -> "Poly":
         """Return p(x + a), expanded by synthetic Taylor division."""
         a = _frac(a)
@@ -230,15 +227,6 @@ class Poly:
         for i, a in enumerate(self.coeffs):
             out[i * d] += a * ci
             ci *= c
-        return Poly.from_list(out)
-
-    def reversed_coeffs(self, upto: int) -> "Poly":
-        """Return x^upto * p(1/x); requires upto >= degree."""
-        if upto < self.degree:
-            raise DomainError("reversal length below degree")
-        out = [Fraction(0)] * (upto + 1)
-        for i, a in enumerate(self.coeffs):
-            out[upto - i] = a
         return Poly.from_list(out)
 
     def __str__(self) -> str:

@@ -172,9 +172,9 @@ def group_zeta(
     if route == "formula2":
         omega = period_gp(c, rs, W, pd)
     elif route == "residue-engine":
-        from .residues import iterated_residue, period_full
+        from .residues import residue_period
 
-        omega = iterated_residue(period_full(c, rs, W), pd)
+        omega = residue_period(c, rs, W, pd)
     else:
         raise DomainError(f"unknown route {route!r}")
     exponents = table.normalization_exponents()
@@ -277,16 +277,6 @@ def omega_D_decompose(
 # ---------------------------------------------------------------------------
 
 
-def f_factor(
-    c: CurveData,
-    rs: RootSystem,
-    W: WeylGroup,
-    pd: ParabolicData,
-    w: WeylElement,
-) -> RationalFunction:
-    return rational_part(c, rs, W, pd, w)
-
-
 def g_factor(
     c: CurveData,
     rs: RootSystem,
@@ -328,7 +318,7 @@ def fg_involution_check(
     perms = {w.perm for w in pd.weyl_subset}
     total = RationalFunction.const(0, "u")
     for w in pd.weyl_subset:
-        fw = f_factor(c, rs, W, pd, w)
+        fw = rational_part(c, rs, W, pd, w)
         gw = g_factor(c, rs, W, pd, w)
         total = total + fw * gw
         where = _describe(rs, w)
@@ -336,7 +326,7 @@ def fg_involution_check(
         if partner.perm not in perms:
             cert.record("involution stays in the Weyl subset", False, w=where)
             continue
-        fp = f_factor(c, rs, W, pd, partner)
+        fp = rational_part(c, rs, W, pd, partner)
         gp = g_factor(c, rs, W, pd, partner)
         cert.record("f involution", fe_substitution(fw, q, cp) == fp, w=where)
         cert.record("g involution", fe_substitution(gw, q, cp) == gp, w=where)

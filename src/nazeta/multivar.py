@@ -1,11 +1,16 @@
-"""Sparse multivariate Laurent polynomials and their fractions.
+"""Sparse multivariate Laurent polynomials, products of atoms, and the
+residue operator -Res_{u_j=1}[f/u_j].
 
 Monomials are integer exponent tuples (negative exponents allowed), one
-slot per variable, capped at four variables.  A fraction keeps its
-numerator and denominator with shared monomial factors removed and the
-denominator scaled so its lexicographically-leading coefficient is 1.
-Full multivariate gcd is deliberately not attempted; equality is decided
-by cross-multiplication, which is all the residue computations need.
+slot per variable, at most four variables.  An AtomProduct is a sparse
+numerator times atoms p(c u^k), k an exponent vector, never expanded;
+the residue operator maps such products to such products, so iterated
+residues are expanded once, when the sum is collapsed to one variable.
+
+The whole-fraction path (MultiRationalFunction, residue_at_one by trial
+division of x_j - 1) has no production caller: it is the oracle the
+factored operator is tested against.  Without a multivariate gcd, its
+``equal`` decides equality by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -33,15 +38,12 @@ class LaurentPoly:
     def make(nvars: int, terms: Mapping[Monomial, Rat]) -> "LaurentPoly":
         if not 1 <= nvars <= MAX_VARS:
             raise CapabilityError(f"supported variable counts are 1..{MAX_VARS}")
-        clean = {}
+        clean: dict[Monomial, Fraction] = {}
         for mono, c in terms.items():
-            c = _frac(c)
             if len(mono) != nvars:
                 raise DomainError("monomial arity mismatch")
-            if c != 0:
-                clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + c
-        items = tuple(sorted((m, c) for m, c in clean.items() if c != 0))
-        return LaurentPoly(nvars, items)
+            clean[tuple(mono)] = clean.get(tuple(mono), 0) + _frac(c)
+        return LaurentPoly(nvars, tuple(sorted((m, c) for m, c in clean.items() if c)))
 
     @staticmethod
     def const(nvars: int, c: Rat) -> "LaurentPoly":
@@ -49,18 +51,13 @@ class LaurentPoly:
 
     @staticmethod
     def var(nvars: int, j: int, power: int = 1) -> "LaurentPoly":
-        mono = [0] * nvars
-        mono[j] = power
-        return LaurentPoly.make(nvars, {tuple(mono): 1})
-
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
+        return LaurentPoly.make(nvars, {tuple(power * (k == j) for k in range(nvars)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = self.as_dict()
+        out = dict(self.terms)
         for m, c in other.terms:
             out[m] = out.get(m, Fraction(0)) + c
         return LaurentPoly.make(self.nvars, out)
@@ -80,47 +77,19 @@ class LaurentPoly:
         return LaurentPoly.make(self.nvars, out)
 
     def scale(self, c: Rat) -> "LaurentPoly":
-        c = _frac(c)
-        if c == 0:
-            return LaurentPoly.make(self.nvars, {})
-        return LaurentPoly(self.nvars, tuple((m, k * c) for m, k in self.terms))
+        return LaurentPoly.make(self.nvars, {m: k * c for m, k in self.terms})
 
     def mul_monomial(self, mono: Monomial, c: Rat = 1) -> "LaurentPoly":
-        c = _frac(c)
-        return LaurentPoly.make(
-            self.nvars,
-            {
-                tuple(a + b for a, b in zip(m, mono)): k * c
-                for m, k in self.terms
-            },
-        )
-
-    def leading_coeff(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[-1][1]
+        shifted = {tuple(a + b for a, b in zip(m, mono)): k * c for m, k in self.terms}
+        return LaurentPoly.make(self.nvars, shifted)
 
     def degree_in(self, j: int) -> tuple[int, int]:
         """(min, max) exponent of variable j; (0, 0) for the zero poly."""
-        if not self.terms:
-            return (0, 0)
-        es = [m[j] for m, _ in self.terms]
-        return (min(es), max(es))
+        es = [m[j] for m, _ in self.terms] or [0]
+        return min(es), max(es)
 
     def uses_var(self, j: int) -> bool:
         return any(m[j] != 0 for m, _ in self.terms)
-
-    def derivative(self, j: int) -> "LaurentPoly":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            e = m[j]
-            if e == 0:
-                continue
-            m2 = list(m)
-            m2[j] = e - 1
-            m2 = tuple(m2)
-            out[m2] = out.get(m2, Fraction(0)) + c * e
-        return LaurentPoly.make(self.nvars, out)
 
     def eval_var(self, j: int, value: Rat) -> "LaurentPoly":
         """Substitute a nonzero rational for variable j."""
@@ -129,54 +98,30 @@ class LaurentPoly:
             raise DomainError("Laurent substitution needs a nonzero value")
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms:
-            m2 = list(m)
-            e = m2[j]
-            m2[j] = 0
-            m2 = tuple(m2)
-            out[m2] = out.get(m2, Fraction(0)) + c * value**e
+            rest = m[:j] + (0,) + m[j + 1 :]
+            out[rest] = out.get(rest, 0) + c * value ** m[j]
         return LaurentPoly.make(self.nvars, out)
 
     def divide_linear_at_one(self, j: int) -> "LaurentPoly | None":
-        """Exact quotient by (x_j - 1), or None when not divisible."""
-        lo, _ = self.degree_in(j)
-        shifted = self.mul_monomial(
-            tuple(-lo if k == j else 0 for k in range(self.nvars))
-        )
-        # synthetic division by (x_j - 1) on the x_j-graded pieces
-        pieces: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in shifted.terms:
-            e = m[j]
-            rest = tuple(0 if k == j else v for k, v in enumerate(m))
-            pieces.setdefault(e, {})[rest] = c
-        if not pieces:
-            return LaurentPoly.make(self.nvars, {})
-        top = max(pieces)
-        carry: dict[Monomial, Fraction] = {}
-        quot: dict[Monomial, Fraction] = {}
-        for e in range(top, 0, -1):
-            coeff = dict(carry)
-            for rest, c in pieces.get(e, {}).items():
-                coeff[rest] = coeff.get(rest, Fraction(0)) + c
-            coeff = {m: c for m, c in coeff.items() if c != 0}
-            for rest, c in coeff.items():
-                m = list(rest)
-                m[j] = e - 1
-                quot[tuple(m)] = c
-            carry = coeff
-        rem = dict(carry)
-        for rest, c in pieces.get(0, {}).items():
-            rem[rest] = rem.get(rest, Fraction(0)) + c
-        if any(c != 0 for c in rem.values()):
+        """Exact quotient by (x_j - 1), or None when not divisible.
+
+        p = sum_e p_e x_j^e is divisible iff sum_e p_e = 0, and then the
+        quotient is sum_e p_e (x_j^e - 1)/(x_j - 1), each a geometric sum.
+        """
+        if not self.eval_var(j, 1).is_zero():
             return None
-        return LaurentPoly.make(self.nvars, quot).mul_monomial(
-            tuple(lo if k == j else 0 for k in range(self.nvars))
-        )
+        quot: dict[Monomial, Fraction] = {}
+        for m, c in self.terms:
+            e = m[j]
+            for i in range(e) if e > 0 else range(e, 0):
+                mono = m[:j] + (i,) + m[j + 1 :]
+                quot[mono] = quot.get(mono, 0) + (c if e > 0 else -c)
+        return LaurentPoly.make(self.nvars, quot)
 
     def to_univariate(self, j: int) -> tuple[Poly, int]:
         """Express as x_j^shift * poly(x_j); requires support only on x_j."""
-        for k in range(self.nvars):
-            if k != j and self.uses_var(k):
-                raise DomainError("Laurent polynomial is not univariate")
+        if any(self.uses_var(k) for k in range(self.nvars) if k != j):
+            raise DomainError("Laurent polynomial is not univariate")
         if not self.terms:
             return Poly.zero(), 0
         lo, hi = self.degree_in(j)
@@ -198,20 +143,14 @@ class MultiRationalFunction:
         if den.is_zero():
             raise DomainError("zero denominator")
         if num.is_zero():
-            return MultiRationalFunction(
-                LaurentPoly.make(num.nvars, {}),
-                LaurentPoly.const(num.nvars, 1),
-            )
+            return MultiRationalFunction(num, LaurentPoly.const(num.nvars, 1))
         # strip shared monomial content: align minimal exponents to zero
-        shift = []
-        for j in range(num.nvars):
-            lo_n, _ = num.degree_in(j)
-            lo_d, _ = den.degree_in(j)
-            shift.append(-min(lo_n, lo_d))
-        shift_t = tuple(shift)
-        num = num.mul_monomial(shift_t)
-        den = den.mul_monomial(shift_t)
-        lc = den.leading_coeff()
+        shift = tuple(
+            -min(num.degree_in(j)[0], den.degree_in(j)[0]) for j in range(num.nvars)
+        )
+        num = num.mul_monomial(shift)
+        den = den.mul_monomial(shift)
+        lc = den.terms[-1][1]  # the lexicographically leading coefficient
         if lc != 1:
             num = num.scale(1 / lc)
             den = den.scale(1 / lc)
@@ -219,44 +158,21 @@ class MultiRationalFunction:
 
     @staticmethod
     def const(nvars: int, c: Rat) -> "MultiRationalFunction":
-        return MultiRationalFunction.make(
-            LaurentPoly.const(nvars, c), LaurentPoly.const(nvars, 1)
-        )
+        return MultiRationalFunction.from_poly(LaurentPoly.const(nvars, c))
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "MultiRationalFunction":
         return MultiRationalFunction.make(p, LaurentPoly.const(p.nvars, 1))
 
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __add__(self, other: "MultiRationalFunction") -> "MultiRationalFunction":
-        return MultiRationalFunction.make(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
-
-    def __neg__(self) -> "MultiRationalFunction":
-        return MultiRationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "MultiRationalFunction") -> "MultiRationalFunction":
-        return self + (-other)
+        num = self.num * other.den + other.num * self.den
+        return MultiRationalFunction.make(num, self.den * other.den)
 
     def __mul__(self, other: "MultiRationalFunction") -> "MultiRationalFunction":
-        return MultiRationalFunction.make(
-            self.num * other.num, self.den * other.den
-        )
-
-    def __truediv__(self, other: "MultiRationalFunction") -> "MultiRationalFunction":
-        if other.is_zero():
-            raise DomainError("division by zero function")
-        return MultiRationalFunction.make(
-            self.num * other.den, self.den * other.num
-        )
+        return MultiRationalFunction.make(self.num * other.num, self.den * other.den)
 
     def equal(self, other: "MultiRationalFunction") -> bool:
         return (self.num * other.den - other.num * self.den).is_zero()
@@ -276,29 +192,11 @@ class MultiRationalFunction:
         return num[0] / den[0]
 
     def to_univariate(self, j: int, var: str = "u") -> RationalFunction:
-        """Collapse to a univariate rational function in variable j."""
+        """Collapse to a univariate rational function in variable j, reduced once."""
         num, sn = self.num.to_univariate(j)
         den, sd = self.den.to_univariate(j)
-        f = RationalFunction.make(num, den, var)
-        return f.mul_monomial(sn - sd)
-
-
-def _taylor_coeffs_at_one(
-    p: LaurentPoly, j: int, upto: int
-) -> list[LaurentPoly]:
-    """Coefficients of (x_j - 1)^0..upto of p, which must be x_j-polynomial."""
-    lo, _ = p.degree_in(j)
-    if lo < 0:
-        raise DomainError("Taylor shift requires nonnegative x_j exponents")
-    out = [dict() for _ in range(upto + 1)]
-    for mono, c in p.terms:
-        e = mono[j]
-        rest = tuple(0 if k == j else v for k, v in enumerate(mono))
-        binom = 1
-        for i in range(0, min(e, upto) + 1):
-            out[i][rest] = out[i].get(rest, Fraction(0)) + c * binom
-            binom = binom * (e - i) // (i + 1)
-    return [LaurentPoly.make(p.nvars, d) for d in out]
+        up, down = Poly.monomial(max(sn - sd, 0)), Poly.monomial(max(sd - sn, 0))
+        return RationalFunction.make(num * up, den * down, var)
 
 
 def residue_at_one(f: MultiRationalFunction, j: int) -> MultiRationalFunction:
@@ -306,36 +204,183 @@ def residue_at_one(f: MultiRationalFunction, j: int) -> MultiRationalFunction:
 
     The pole order m at x_j = 1 is found by exact division of (x_j - 1)
     powers out of the denominator; the (m-1)-st Laurent coefficient is
-    then extracted by an exact Taylor shift and series quotient.
+    then extracted by a Taylor shift and an exact series quotient.
     Returns the zero function when f is regular there.
     """
-    n = f.nvars
-    num = f.num.mul_monomial(tuple(-1 if k == j else 0 for k in range(n)))
-    den = f.den
-    order = 0
-    while True:
-        q = den.divide_linear_at_one(j)
-        if q is None:
-            break
-        den = q
-        order += 1
+    n = f.num.nvars
+    den, order = f.den, 0
+    while (quot := den.divide_linear_at_one(j)) is not None:
+        den, order = quot, order + 1
     if order == 0:
         return MultiRationalFunction.const(n, 0)
-    # clear negative x_j powers with a common monomial, leaving f unchanged
-    lo = min(num.degree_in(j)[0], den.degree_in(j)[0], 0)
-    if lo < 0:
-        clear = tuple(-lo if k == j else 0 for k in range(n))
-        num = num.mul_monomial(clear)
-        den = den.mul_monomial(clear)
-    a = _taylor_coeffs_at_one(num, j, order - 1)
-    e = _taylor_coeffs_at_one(den, j, order - 1)
-    if e[0].is_zero():
-        raise DomainError("residue regularization failed")
-    e0 = MultiRationalFunction.from_poly(e[0])
-    coeffs: list[MultiRationalFunction] = []
-    for m in range(order):
-        acc = MultiRationalFunction.from_poly(a[m])
-        for i in range(1, m + 1):
-            acc = acc - MultiRationalFunction.from_poly(e[i]) * coeffs[m - i]
-        coeffs.append(acc / e0)
-    return -coeffs[order - 1]
+    a = _taylor(f.num, j, order - 1, shift=-1)
+    e = _taylor(den, j, order - 1)
+    # t^k coefficient of a/e is C_k / e_0^(k+1), with
+    # C_k = e_0^k a_k - sum_{i=1}^k e_i e_0^(i-1) C_(k-i)
+    e0_pows = [LaurentPoly.const(n, 1)]
+    for _ in range(order):
+        e0_pows.append(e0_pows[-1] * e[0])
+    C: list[LaurentPoly] = []
+    for k in range(order):
+        acc = e0_pows[k] * a[k]
+        for i in range(1, k + 1):
+            acc = acc - e[i] * e0_pows[i - 1] * C[k - i]
+        C.append(acc)
+    return MultiRationalFunction.make(-C[-1], e0_pows[order])
+
+
+# ---------------------------------------------------------------------------
+# Factored products and their residues
+# ---------------------------------------------------------------------------
+
+# (p, c, k) stands for p(c u^k) = sum_d p_d c^d u^{d k}, k != 0
+Atom = tuple[Poly, Fraction, Monomial]
+LINE = Poly.of(1, -1)  # the atom 1 - c u^k
+
+
+@dataclass(frozen=True)
+class AtomProduct:
+    """num * prod atom^e over a multiset of atoms, never expanded."""
+
+    num: LaurentPoly
+    atoms: tuple[tuple[Atom, int], ...] = ()
+
+    @staticmethod
+    def atom(nvars: int, p: Poly, c: Rat, k: Monomial, e: int = 1) -> "AtomProduct":
+        """p(c u^k)^e; a constant when k is zero."""
+        if not any(k):
+            return AtomProduct(LaurentPoly.const(nvars, p.evaluate(_frac(c)) ** e))
+        return AtomProduct(LaurentPoly.const(nvars, 1), (((p, _frac(c), k), e),))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __mul__(self, other: "AtomProduct") -> "AtomProduct":
+        exps = dict(self.atoms)
+        for atom, e in other.atoms:
+            exps[atom] = exps.get(atom, 0) + e
+        if len(other.num.terms) == 1:  # a monomial factor only shifts
+            return _product(self.num.mul_monomial(*other.num.terms[0]), exps)
+        return _product(self.num * other.num, exps)
+
+
+def _product(num: LaurentPoly, exps: dict) -> AtomProduct:
+    atoms = () if num.is_zero() else tuple((a, e) for a, e in exps.items() if e)
+    return AtomProduct(num, atoms)
+
+
+def _atom_poly(nvars: int, atom: Atom) -> LaurentPoly:
+    p, c, k = atom
+    return LaurentPoly.make(
+        nvars, {tuple(d * x for x in k): a * c**d for d, a in enumerate(p.coeffs)}
+    )
+
+
+def _times_atoms(num: LaurentPoly, exps: dict) -> LaurentPoly:
+    """num * prod atom^e for exponents e >= 0, expanded."""
+    for atom, e in exps.items():
+        for _ in range(e):
+            num = num * _atom_poly(num.nvars, atom)
+    return num
+
+
+def _binom(x: int, i: int) -> int:
+    """The t^i coefficient of (1 + t)^x, for any integer x."""
+    out = 1
+    for r in range(i):
+        out = out * (x - r) // (r + 1)
+    return out
+
+
+def _taylor(p: LaurentPoly, j: int, upto: int, shift: int = 0) -> list[LaurentPoly]:
+    """Coefficients of t^0..t^upto of u_j^shift * p at u_j = 1 + t."""
+    out: list[dict] = [{} for _ in range(upto + 1)]
+    for mono, c in p.terms:
+        rest = mono[:j] + (0,) + mono[j + 1 :]
+        for i, coeffs in enumerate(out):
+            coeffs[rest] = coeffs.get(rest, 0) + c * _binom(mono[j] + shift, i)
+    return [LaurentPoly.make(p.nvars, d) for d in out]
+
+
+def _mul_series(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]:
+    zero = LaurentPoly.make(a[0].nvars, {})
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), zero) for k in range(len(a))]
+
+
+def _power_series(a: list[LaurentPoly], e: int, r: int) -> list[LaurentPoly]:
+    """(a_0 + S)^e / a_0^(e-r) = sum_{k<=r} C(e,k) a_0^(r-k) S^k, truncated."""
+    one, zero = LaurentPoly.const(a[0].nvars, 1), a[0] - a[0]
+    s = [zero] + a[1:]
+    a0_pows = [one]
+    for _ in range(r):
+        a0_pows.append(a0_pows[-1] * a[0])
+    s_k, out = [one] + [zero] * (len(a) - 1), [zero] * len(a)
+    for k in range(r + 1):
+        w = a0_pows[r - k].scale(_binom(e, k))
+        out = [o + x * w for o, x in zip(out, s_k)]
+        s_k = _mul_series(s_k, s)
+    return out
+
+
+def residue_at_one_factored(f: AtomProduct, j: int) -> AtomProduct:
+    """R_j[f] = -Res_{u_j=1}[f/u_j] on a factored product, kept factored.
+
+    In t = u_j - 1 an atom in u_j alone is t^v times a unit, and these
+    atoms bound the pole order m (an overcount is harmless: the t^(m-1)
+    coefficient of the regular rest is read off; m <= 0 gives zero).
+    Any other atom a = a_0 + S(t) enters as a_0^(e-r) times a truncated
+    binomial series, so the result is a numerator times the atoms a_0,
+    which are the atoms with u_j set to 1.
+    """
+    n = f.num.nvars
+    val = {}  # atom in u_j alone -> its order of vanishing at u_j = 1
+    for atom, _ in f.atoms:
+        if not any(x for i, x in enumerate(atom[2]) if i != j):
+            a = _taylor(_atom_poly(n, atom), j, len(atom[0].coeffs))
+            val[atom] = next(i for i, x in enumerate(a) if not x.is_zero())
+    top = -1 - sum(val.get(atom, 0) * e for atom, e in f.atoms)
+    if top < 0 or f.is_zero():
+        return AtomProduct(LaurentPoly.make(n, {}))
+    scalar, exps = Fraction(-1), {}
+    series = _taylor(f.num, j, top, shift=-1)
+    for atom, e in f.atoms:
+        p, c, k = atom
+        if not k[j]:
+            exps[atom] = exps.get(atom, 0) + e
+            continue
+        v = val.get(atom, 0)
+        a = _taylor(_atom_poly(n, atom), j, v + top)[v:]
+        r = top if e < 0 else min(top, e)
+        if atom in val:
+            scalar *= a[0].terms[0][1] ** (e - r)
+        else:
+            low = (p, c, k[:j] + (0,) + k[j + 1 :])
+            exps[low] = exps.get(low, 0) + e - r
+        if r:
+            series = _mul_series(series, _power_series(a, e, r))
+    return _product(series[top].scale(scalar), exps)
+
+
+def collapse_sum(
+    terms: Iterable[AtomProduct], j: int, var: str = "u"
+) -> RationalFunction:
+    """The sum of products in u_j alone, as one reduced rational function.
+
+    The common denominator takes each atom to its highest power over the
+    terms; every numerator is lifted to it and the sum is reduced once.
+    """
+    terms = [t for t in terms if not t.is_zero()]
+    if not terms:
+        return RationalFunction.const(0, var)
+    den: dict[Atom, int] = {}
+    for t in terms:
+        for atom, e in t.atoms:
+            den[atom] = max(den.get(atom, 0), -e)
+    total = LaurentPoly.make(terms[0].num.nvars, {})
+    for t in terms:
+        exps = dict(den)
+        for atom, e in t.atoms:
+            exps[atom] += e
+        total = total + _times_atoms(t.num, exps)
+    one = LaurentPoly.const(total.nvars, 1)
+    return MultiRationalFunction.make(total, _times_atoms(one, den)).to_univariate(j, var)

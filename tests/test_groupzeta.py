@@ -19,7 +19,6 @@ from nazeta.groupzeta import (
     UniformityMatch,
     UniformityNotFound,
     edge_residue,
-    f_factor,
     fe_check_group,
     fe_substitution,
     fg_involution_check,
@@ -28,6 +27,7 @@ from nazeta.groupzeta import (
     group_zeta_zeros,
     omega_D_decompose,
     period_gp,
+    rational_part,
     uniformity_match,
 )
 from nazeta.purezeta import elliptic_rank2_inputs, pure_zeta, zagier_beta
@@ -265,10 +265,10 @@ class TestInvolution:
         u = RationalFunction.variable("u")
         z1 = completed_zeta_factor(E23, 1, 1).value
         z2 = completed_zeta_factor(E23, 1, 2).value
-        fid = f_factor(E23, rs, W, pd, W.identity)
+        fid = rational_part(E23, rs, W, pd, W.identity)
         gid = g_factor(E23, rs, W, pd, W.identity)
         assert fid * gid == z2 / (one - u)
-        fw0 = f_factor(E23, rs, W, pd, W.longest)
+        fw0 = rational_part(E23, rs, W, pd, W.longest)
         gw0 = g_factor(E23, rs, W, pd, W.longest)
         assert fw0 * gw0 == z1 / (one - RationalFunction.const(4, "u") / u)
 
@@ -421,6 +421,21 @@ class TestRouteEquivalence:
         zb = group_zeta(E23, rs, W, pd, route="residue-engine")
         assert za.zeta == zb.zeta
         assert zb.route == "residue-engine"
+
+    @pytest.mark.parametrize(
+        "label,rank,p",
+        [
+            (label, rank, p)
+            for label, ranks in SUPPORTED.items()
+            for rank in ranks
+            if rank <= 3
+            for p in range(1, rank + 1)
+        ],
+    )
+    def test_engine_period_on_every_pair_up_to_rank_3(self, label, rank, p):
+        rs, W, pd = pair(label, rank, p)
+        z = group_zeta(E23, rs, W, pd, route="residue-engine")
+        assert z.omega == period_gp(E23, rs, W, pd)
 
 
 class TestAllSupportedPairs:

@@ -1,31 +1,53 @@
 """Iterated residues against the closed Weyl-subset formula."""
 
+import sys
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nazeta.residues
 from nazeta.curve import curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.groupzeta import period_gp
-from nazeta.multivar import LaurentPoly, MultiRationalFunction, residue_at_one
+from nazeta.multivar import (
+    LINE,
+    AtomProduct,
+    LaurentPoly,
+    MultiRationalFunction,
+    collapse_sum,
+    residue_at_one,
+    residue_at_one_factored,
+)
 from nazeta.algebra import Poly
 from nazeta.residues import (
+    RANK_CAP,
     SymbolicWeight,
     iterated_residue,
-    period_full,
+    residue_period,
     residue_route_equivalence,
     weyl_term_full,
 )
 from nazeta.rootsys import build_root_system, enumerate_weyl, parabolic_data
 
 E23 = elliptic_curve(2, 3)
+GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, -1, 2) * Poly.of(1, 1, 2)).coeffs)
 
 
 def pair(label, rank, p):
     rs = build_root_system(label, rank)
     W = enumerate_weyl(rs)
     return rs, W, parabolic_data(rs, W, p)
+
+
+def product_value(f, point):
+    """A factored product evaluated atom by atom, from the atom's meaning."""
+    mono = lambda m: prod(F(x) ** e for x, e in zip(point, m))  # noqa: E731
+    value = sum(c * mono(m) for m, c in f.num.terms)
+    for (p, c, k), e in f.atoms:
+        value *= p.evaluate(c * mono(k)) ** e
+    return value
 
 
 class TestResidueOperator:
@@ -60,6 +82,114 @@ class TestResidueOperator:
         assert residue_at_one(f, 0).equal(MultiRationalFunction.from_poly(u1))
 
 
+def product(nvars, num, atoms):
+    """num (monomial -> coefficient) times atoms ((p, c, k), e)."""
+    f = AtomProduct(LaurentPoly.make(nvars, num))
+    for (p, c, k), e in atoms:
+        f = f * AtomProduct.atom(nvars, p, c, k, e)
+    return f
+
+
+def expand(f):
+    """A factored product as one sparse fraction, from the atom's meaning."""
+    n = f.num.nvars
+    num, den = f.num, LaurentPoly.const(n, 1)
+    for (p, c, k), e in f.atoms:
+        terms = {tuple(d * x for x in k): a * c**d for d, a in enumerate(p.coeffs)}
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * LaurentPoly.make(n, terms)
+            else:
+                den = den * LaurentPoly.make(n, terms)
+    return MultiRationalFunction.make(num, den)
+
+
+def agrees_with_oracle(f, j):
+    factored = residue_at_one_factored(f, j)
+    assert expand(factored).equal(residue_at_one(expand(f), j))
+    return factored
+
+
+P = E23.P  # 1 + 2x^2
+NUM2 = {(0, 0): 1, (1, 1): -2, (-1, 2): F(1, 3)}
+NUM3 = {(0, 0, 0): 2, (1, 0, -1): 1, (0, 2, 1): -1}
+
+
+class TestFactoredResidue:
+    """The factored R_j against the whole-fraction oracle."""
+
+    CASES = {
+        "simple pole": (2, 0, [((LINE, 1, (1, 0)), -1), ((LINE, F(1, 2), (1, 1)), -1)]),
+        "order 2": (2, 0, [((LINE, 1, (1, 0)), -2), ((P, F(1, 2), (1, 1)), -1)]),
+        "order 3": (
+            3,
+            1,
+            [((LINE, 1, (0, 1, 0)), -1), ((LINE, 1, (0, 2, 0)), -2),
+             ((LINE, 2, (1, 1, 0)), -1), ((P, F(1, 4), (0, 1, 1)), 1)],
+        ),
+        "1 - u_j^2": (2, 1, [((LINE, 1, (0, 2)), -1), ((LINE, 1, (1, 1)), -1)]),
+        "c != 1 only": (2, 0, [((LINE, 2, (1, 0)), -2), ((LINE, 1, (1, 1)), -1)]),
+        "regular": (3, 2, [((LINE, 1, (1, 1, 1)), -2), ((P, 3, (0, 0, 1)), -1)]),
+        "zero cancels the pole": (2, 0, [((LINE, 1, (1, 0)), -1), ((LINE, 1, (2, 0)), 1)]),
+        "negative exponents": (2, 0, [((LINE, 1, (-1, 0)), -2), ((LINE, 3, (-1, -1)), -1)]),
+        "atom free of u_j": (3, 0, [((LINE, 1, (1, 0, 0)), -1), ((P, 2, (0, 1, 1)), -2)]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_named_case(self, name):
+        n, j, atoms = self.CASES[name]
+        f = product(n, NUM2 if n == 2 else NUM3, atoms)
+        r = agrees_with_oracle(f, j)
+        if name in ("c != 1 only", "regular", "zero cancels the pole"):
+            assert r.is_zero()
+        else:
+            assert not r.is_zero()
+        assert all(k[j] == 0 for (_, _, k), _ in r.atoms)
+        assert all(m[j] == 0 for m, _ in r.num.terms)
+
+    def test_iterated_in_three_variables(self):
+        n, j, atoms = self.CASES["order 3"]
+        f = product(n, NUM3, atoms + [((LINE, 1, (1, 0, 0)), -2)])
+        once = agrees_with_oracle(f, j)
+        agrees_with_oracle(once, 0)
+        assert not residue_at_one_factored(once, 0).is_zero()
+
+    def test_linearity_on_a_sum_of_two_products(self):
+        f1 = product(2, NUM2, self.CASES["order 2"][2])
+        f2 = product(2, {(0, 1): 5}, self.CASES["simple pole"][2])
+        lhs = residue_at_one(expand(f1) + expand(f2), 0)
+        rhs = (
+            expand(residue_at_one_factored(f1, 0))
+            + expand(residue_at_one_factored(f2, 0))
+        )
+        assert lhs.equal(rhs)
+
+    def test_collapse_sums_over_the_common_denominator(self):
+        f1 = product(1, {(1,): 2}, [((LINE, 1, (1,)), -1), ((P, F(1, 2), (1,)), -2)])
+        f2 = product(1, {(-1,): 1}, [((P, F(1, 2), (1,)), -1), ((LINE, 3, (2,)), 1)])
+        expected = expand(f1) + expand(f2)
+        assert collapse_sum([f1, f2], 0) == expected.to_univariate(0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_products(self, data):
+        n = data.draw(st.sampled_from([2, 3]), "nvars")
+        j = data.draw(st.integers(0, n - 1), "j")
+        alone = tuple(int(i == j) for i in range(n))
+        pole = st.tuples(st.just(LINE), st.just(F(1)), st.sampled_from([alone, tuple(2 * x for x in alone)]))
+        vector = st.tuples(*[st.integers(-1, 2)] * n).filter(any)
+        atom = st.tuples(st.sampled_from([LINE, P]), st.sampled_from([F(1), F(1, 2), F(2), F(1, 3)]), vector)
+        poles = data.draw(st.lists(st.tuples(pole, st.integers(-3, -1)), max_size=2), "poles")
+        others = data.draw(
+            st.lists(st.tuples(atom, st.integers(-2, 2).filter(bool)), max_size=2), "atoms"
+        )
+        num = data.draw(
+            st.dictionaries(st.tuples(*[st.integers(-1, 2)] * n), st.integers(-3, 3), min_size=1, max_size=3),
+            "numerator",
+        )
+        agrees_with_oracle(product(n, num, poles + others), j)
+
+
 class TestSymbolicWeight:
     def test_pairings(self):
         rs = build_root_system("A", 2)
@@ -70,38 +200,41 @@ class TestSymbolicWeight:
 
 
 class TestFullPeriod:
-    def test_a1_matches_definition(self):
-        rs = build_root_system("A", 1)
-        W = enumerate_weyl(rs)
-        pd = parabolic_data(rs, W, 1)
-        full = period_full(E23, rs, W)
-        assert full.to_univariate(0, "u") == period_gp(E23, rs, W, pd)
-
-    def test_summand_count_is_weyl_order(self):
-        rs = build_root_system("A", 2)
-        W = enumerate_weyl(rs)
-        terms = [weyl_term_full(E23, rs, W, w) for w in W.elements]
-        assert len(terms) == 6
-        total = MultiRationalFunction.const(2, 0)
-        for t in terms:
-            total = total + t
-        assert total.equal(period_full(E23, rs, W))
-
     def test_specialization_consistency(self):
+        # each factored summand agrees with its expansion at a point
         rs = build_root_system("A", 2)
         W = enumerate_weyl(rs)
-        full = period_full(E23, rs, W)
         point = [F(1, 8), F(1, 4)]
-        total = sum(
-            weyl_term_full(E23, rs, W, w).evaluate(point) for w in W.elements
-        )
-        assert full.evaluate(point) == total
+        for w in W.elements:
+            term = weyl_term_full(E23, rs, W, w)
+            assert product_value(term, point) == expand(term).evaluate(point)
 
     def test_rank_cap(self):
-        rs = build_root_system("A", 4)
-        W = enumerate_weyl(rs)
+        rs, W, pd = pair("A", RANK_CAP + 1, 2)
         with pytest.raises(CapabilityError):
-            period_full(E23, rs, W)
+            residue_period(E23, rs, W, pd)
+        with pytest.raises(CapabilityError):
+            residue_route_equivalence(E23, rs, W, pd)
+
+
+class TestIndependence:
+    @pytest.mark.parametrize("label,p", [("A", 1), ("A", 2), ("B", 1), ("B", 2)])
+    def test_oracle_never_builds_closed_factors(self, label, p, monkeypatch):
+        rs, W, pd = pair(label, 2, p)
+        expected = period_gp(E23, rs, W, pd)
+
+        def refuse(*args):
+            raise AssertionError("the residue oracle used a closed-side factor")
+
+        for name, module in list(sys.modules.items()):
+            for attr in ("zeta_factors", "completed_zeta_factor"):
+                if name.startswith("nazeta") and hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        residues = [
+            iterated_residue(weyl_term_full(E23, rs, W, w), pd) for w in W.elements
+        ]
+        assert collapse_sum(residues, pd.p0) == expected
+        assert residue_period(E23, rs, W, pd) == expected
 
 
 class TestRouteEquivalence:
@@ -114,6 +247,17 @@ class TestRouteEquivalence:
             c for c in cert.checks if c["identity"] == "non-surviving term vanishes"
         ]
         assert len(vanish) == 1  # exactly one excluded Weyl element
+
+    @pytest.mark.parametrize(
+        "curve,label,rank,p",
+        [(E23, "B", 3, 1), (E23, "C", 3, 2), (GENUS2, "A", 3, 2), (E23, "A", 4, 2)],
+        ids=["E-B3-1", "E-C3-2", "G-A3-2", "E-A4-2"],
+    )
+    def test_large_certificates(self, curve, label, rank, p):
+        rs, W, pd = pair(label, rank, p)
+        cert = residue_route_equivalence(curve, rs, W, pd)
+        assert cert.passed
+        assert len(cert.checks) == len(W) + 1
 
     def test_mismatch_records_every_failing_check(self, monkeypatch):
         exact = nazeta.residues.weyl_term
@@ -140,28 +284,21 @@ class TestRouteEquivalence:
         cert = residue_route_equivalence(g2, rs, W, pd)
         assert cert.passed
 
-    def test_full_sum_residue(self):
-        rs, W, pd = pair("A", 2, 1)
-        full = period_full(E23, rs, W)
-        assert iterated_residue(full, pd) == period_gp(E23, rs, W, pd)
-
     def test_order_override_must_skip_kept(self):
         rs, W, pd = pair("A", 2, 1)
-        full = period_full(E23, rs, W)
+        term = weyl_term_full(E23, rs, W, W.identity)
         with pytest.raises(DomainError):
-            iterated_residue(full, pd, order=(0, 1))
+            iterated_residue(term, pd, order=(0, 1))
 
     def test_order_experiment_rank3(self):
         # the stated order and its reverse agree term by term for A_3
         rs, W, pd = pair("A", 3, 2)
         closed = period_gp(E23, rs, W, pd)
-        total_fwd = None
-        total_rev = None
+        fwd, rev = [], []
         for w in W.elements:
             term = weyl_term_full(E23, rs, W, w)
-            fwd = iterated_residue(term, pd, order=(0, 2))
-            rev = iterated_residue(term, pd, order=(2, 0))
-            total_fwd = fwd if total_fwd is None else total_fwd + fwd
-            total_rev = rev if total_rev is None else total_rev + rev
-        assert total_fwd == closed
-        assert total_rev == closed
+            fwd.append(iterated_residue(term, pd, order=(0, 2)))
+            rev.append(iterated_residue(term, pd, order=(2, 0)))
+            assert collapse_sum(fwd[-1:], pd.p0) == collapse_sum(rev[-1:], pd.p0)
+        assert collapse_sum(fwd, pd.p0) == closed
+        assert collapse_sum(rev, pd.p0) == closed
