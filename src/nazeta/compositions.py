@@ -6,7 +6,6 @@ completed Riemann values for lattices; the engine below is shared and
 only the scalar type changes.  A summand's weight depends only on
 adjacent parts, so the engine runs a recurrence over prefix sums in
 O(r^3) scalar operations instead of visiting the 2^(r-1) compositions.
-``compositions`` still lists them, for the small-rank reduction probe.
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ from typing import Callable, TypeVar
 from .errors import CapabilityError, DomainError
 
 S = TypeVar("S")
-
-# the enumeration builds 2^(r-1) tuples in one list
-COMPOSITION_RANK_CAP = 16
 
 # the mass recurrences are polynomial in r; at the cap the exact masses
 # of small curves take under a second
@@ -31,27 +27,6 @@ def check_mass_rank(r: int) -> None:
         raise DomainError("rank must be >= 1")
     if r > MASS_RANK_CAP:
         raise CapabilityError(f"masses are computed up to rank r = {MASS_RANK_CAP}")
-
-
-def compositions(r: int) -> list[tuple[int, ...]]:
-    """All 2^(r-1) ordered tuples of positive integers summing to r."""
-    if r < 1:
-        raise DomainError("compositions need r >= 1")
-    if r > COMPOSITION_RANK_CAP:
-        raise CapabilityError(
-            f"compositions are enumerated up to r = {COMPOSITION_RANK_CAP}"
-        )
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for first in range(1, remaining + 1):
-            extend(prefix + (first,), remaining - first)
-
-    extend((), r)
-    return out
 
 
 def parabolic_mass_sum(

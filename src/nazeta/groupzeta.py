@@ -13,8 +13,11 @@ cancelled, and it is cross-checked by the residues module.
 Every summand is kept as a curve.FactorProduct (a constant, a power of
 u and powers of the atoms 1 - c u^m and P(c u^m)); the period lifts each
 numerator to the common denominator of all summands and reduces the
-sum once.  Single terms, the f and g factors and the products over root
-keys expand their factor multisets the same way, with one reduction each.
+sum once.  Single terms and the products over root keys expand their
+factor multisets the same way, with one reduction each.  The involution
+certificate builds each element's factored f and g once, expands each
+once for the substitution identities, and reduces the sum of the f*g
+products once.
 
 Multiplying the period by the minimal normalization product, the
 positive max-difference exponents over h >= 2, yields the group zeta,
@@ -46,7 +49,6 @@ from .curve import (
 )
 from .errors import DomainError, ValidationError
 from .rootsys import (
-    CountTable,
     ParabolicData,
     RootSystem,
     WeylElement,
@@ -127,17 +129,6 @@ def weyl_term(
     return _weyl_factors(c, rs, W, pd, w).expand(c)
 
 
-def rational_part(
-    c: CurveData,
-    rs: RootSystem,
-    W: WeylGroup,
-    pd: ParabolicData,
-    w: WeylElement,
-) -> RationalFunction:
-    """prod over (w^{-1}Delta) \\ Delta_p of 1/(1 - u^k q^{1-h})."""
-    return _rational_factors(c, rs, pd, w).expand(c)
-
-
 def period_gp(
     c: CurveData, rs: RootSystem, W: WeylGroup, pd: ParabolicData
 ) -> RationalFunction:
@@ -164,11 +155,8 @@ def group_zeta(
     W: WeylGroup,
     pd: ParabolicData,
     route: str = "formula2",
-    table: CountTable | None = None,
 ) -> GroupZetaResult:
     """Period times the minimal normalization product of zeta factors."""
-    if table is None:
-        table = count_tables(rs, W, pd)
     if route == "formula2":
         omega = period_gp(c, rs, W, pd)
     elif route == "residue-engine":
@@ -177,7 +165,7 @@ def group_zeta(
         omega = residue_period(c, rs, W, pd)
     else:
         raise DomainError(f"unknown route {route!r}")
-    exponents = table.normalization_exponents()
+    exponents = count_tables(rs, W, pd).normalization_exponents()
     zeta = omega * _zeta_product(c, exponents).expand(c)
     return GroupZetaResult(zeta, omega, exponents, pd.c_p, route, c, rs, pd)
 
@@ -215,13 +203,7 @@ class Decomposition:
     certificate: Certificate
 
 
-def omega_D_decompose(
-    c: CurveData,
-    rs: RootSystem,
-    W: WeylGroup,
-    pd: ParabolicData,
-    z: GroupZetaResult | None = None,
-) -> Decomposition:
+def omega_D_decompose(z: GroupZetaResult, W: WeylGroup) -> Decomposition:
     """Split the group zeta as (clearing * period) / denominator.
 
     The clearing factor multiplies the completed zeta at (k, h+1) over
@@ -230,8 +212,7 @@ def omega_D_decompose(
     together with both reflection identities and the exact equation
     zeta * denominator = clearing * period.
     """
-    if z is None:
-        z = group_zeta(c, rs, W, pd)
+    c, rs, pd = z.curve, z.rs, z.pd
     table = count_tables(rs, W, pd)
     cert = Certificate(
         f"global decomposition {rs.type_label}{rs.rank} p={pd.p}"
@@ -277,13 +258,9 @@ def omega_D_decompose(
 # ---------------------------------------------------------------------------
 
 
-def g_factor(
-    c: CurveData,
-    rs: RootSystem,
-    W: WeylGroup,
-    pd: ParabolicData,
-    w: WeylElement,
-) -> RationalFunction:
+def _g_factors(
+    c: CurveData, rs: RootSystem, pd: ParabolicData, w: WeylElement
+) -> FactorProduct:
     """Product of (stripped) completed zeta factors over w^{-1}Phi^-.
 
     Levi simple roots in w^{-1}Phi^- sit at the pole argument (0, 1) and
@@ -297,40 +274,45 @@ def g_factor(
         pre = winv.apply(neg)
         k, h = _root_key(rs, pd, pre)
         term = term * _zeta_num_factors(c, k, h)
-    return term.expand(c)
+    return term
 
 
 def fg_involution_check(
-    c: CurveData, rs: RootSystem, W: WeylGroup, pd: ParabolicData
+    z: GroupZetaResult, W: WeylGroup, decomp: Decomposition
 ) -> Certificate:
     """Certify the w -> w_0 w w_p involution and the sum identity.
 
     For every w in the Weyl subset both substitution identities
     f_w(-c_p-s) = f_{w_0 w w_p}(s) and g_w(-c_p-s) = g_{w_0 w w_p}(s)
-    must hold exactly, and the clearing-times-period function must equal
-    sum_w f_w g_w.  An involution partner outside the Weyl subset is a
-    recorded failure, like a failed identity.
+    must hold exactly, and sum_w f_w g_w, reduced once from the factored
+    products, must equal the decomposition's clearing * period.  Each
+    f_w and g_w is factored and expanded once; a partner is looked up.
+    An involution partner outside the Weyl subset is a recorded
+    failure, like a failed identity.
     """
+    c, rs, pd = z.curve, z.rs, z.pd
     cert = Certificate(
         f"involution structure {rs.type_label}{rs.rank} p={pd.p}"
     )
     q, cp = c.q, pd.c_p
-    perms = {w.perm for w in pd.weyl_subset}
-    total = RationalFunction.const(0, "u")
+    factored = {
+        w.perm: (_rational_factors(c, rs, pd, w), _g_factors(c, rs, pd, w))
+        for w in pd.weyl_subset
+    }
+    expanded = {
+        perm: (f.expand(c), g.expand(c)) for perm, (f, g) in factored.items()
+    }
     for w in pd.weyl_subset:
-        fw = rational_part(c, rs, W, pd, w)
-        gw = g_factor(c, rs, W, pd, w)
-        total = total + fw * gw
+        fw, gw = expanded[w.perm]
         where = _describe(rs, w)
         partner = W.longest.compose(w).compose(pd.levi_longest)
-        if partner.perm not in perms:
+        if partner.perm not in expanded:
             cert.record("involution stays in the Weyl subset", False, w=where)
             continue
-        fp = rational_part(c, rs, W, pd, partner)
-        gp = g_factor(c, rs, W, pd, partner)
+        fp, gp = expanded[partner.perm]
         cert.record("f involution", fe_substitution(fw, q, cp) == fp, w=where)
         cert.record("g involution", fe_substitution(gw, q, cp) == gp, w=where)
-    decomp = omega_D_decompose(c, rs, W, pd)
+    total = expand_sum(c, [f * g for f, g in factored.values()])
     cert.record(
         "sum of f*g equals clearing * period", total == decomp.omega_global
     )

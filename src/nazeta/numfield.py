@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .compositions import compositions, parabolic_mass_sum
+from .compositions import parabolic_mass_sum
 from .errors import DomainError
 
 
@@ -106,76 +106,44 @@ def volume_table(max_rank: int = 5) -> VolumeTable:
 # Parabolic-reduction identity probe
 # ---------------------------------------------------------------------------
 
-KS_CONVENTIONS = (
-    "prefix",
-    "prefix_suffix_shared",
-    "prefix_suffix_full",
-    "proper_prefix_suffix",
-)
-
-
-def _chain_denominator(comp: tuple[int, ...], convention: str) -> float:
-    prefix = []
-    acc = 0
-    for n in comp:
-        acc += n
-        prefix.append(acc)
-    suffix = []
-    acc = 0
-    for n in reversed(comp):
-        acc += n
-        suffix.append(acc)
-    total = prefix[-1]
-    if convention == "prefix":
-        out = 1.0
-        for v in prefix:
-            out *= v
-        return out
-    if convention == "prefix_suffix_shared":
-        out = 1.0
-        for v in prefix:
-            out *= v
-        for v in suffix[:-1]:
-            out *= v
-        return out
-    if convention == "prefix_suffix_full":
-        out = 1.0
-        for v in prefix:
-            out *= v
-        for v in suffix:
-            out *= v
-        return out
-    if convention == "proper_prefix_suffix":
-        out = 1.0
-        for v in prefix[:-1]:
-            out *= v
-        for v in suffix[:-1]:
-            out *= v
-        return out
-    raise DomainError(f"unknown convention {convention!r}")
+# convention -> (cut weight c * (r - c) rather than c, power of r in the
+# constant): a composition's denominator chain is r^power times the
+# weights of its cut points, the prefix sums c in 1..r-1
+KS_CONVENTIONS = {
+    "prefix": (False, 1),
+    "prefix_suffix_shared": (True, 1),
+    "prefix_suffix_full": (True, 2),
+    "proper_prefix_suffix": (True, 0),
+}
 
 
 def ks_identity_probe(r: int, convention: str | None = None) -> dict:
     """Compare composition sums of moduli volumes against the Siegel volume.
 
     The denominator chain of the identity admits several readings
-    (especially for single-part compositions); each enumerated
-    convention is evaluated and its absolute deviation from
-    siegel_volume(r) reported.  Nothing is asserted; the caller reads
-    the table.
+    (especially for single-part compositions); each convention is
+    evaluated and its absolute deviation from siegel_volume(r) reported.
+    Since a chain factors over cut points, the sum over compositions is
+    the O(r^2) recurrence S[s] = v(s) + sum_{0<t<s} S[t] v(s-t) / weight(t)
+    over prefix sums.  Nothing is asserted; the caller reads the table.
     """
     if r < 1 or r > 5:
         raise DomainError("probe supports r in 1..5")
+    if convention is not None and convention not in KS_CONVENTIONS:
+        raise DomainError(f"unknown convention {convention!r}")
     conventions = KS_CONVENTIONS if convention is None else (convention,)
     target = siegel_volume(r)
+    volumes = [None] + [moduli_volume(n) for n in range(1, r + 1)]
     rows = {}
     for conv in conventions:
-        total = 0.0
-        for comp in compositions(r):
-            term = 1.0
-            for n in comp:
-                term *= moduli_volume(n)
-            total += term / _chain_denominator(comp, conv)
+        suffix, power = KS_CONVENTIONS[conv]
+        S = [None]  # S[s]: compositions of s, each weighted at its cuts
+        for s in range(1, r + 1):
+            acc = volumes[s]
+            for t in range(1, s):
+                acc += S[t] * volumes[s - t] / (t * (r - t) if suffix else t)
+            S.append(acc)
+        total = S[r] / r**power
         rows[conv] = {
             "value": total,
             "deviation": abs(total - target),

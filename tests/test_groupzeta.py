@@ -7,10 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 import nazeta.algebra
+import nazeta.curve
 import nazeta.groupzeta
 
 from nazeta.algebra import Poly, RationalFunction
 from nazeta.curve import (
+    FactorProduct,
     completed_zeta_factor,
     curve_from_numerator,
     elliptic_curve,
@@ -22,12 +24,10 @@ from nazeta.groupzeta import (
     fe_check_group,
     fe_substitution,
     fg_involution_check,
-    g_factor,
     group_zeta,
     group_zeta_zeros,
     omega_D_decompose,
     period_gp,
-    rational_part,
     uniformity_match,
 )
 from nazeta.purezeta import elliptic_rank2_inputs, pure_zeta, zagier_beta
@@ -233,7 +233,7 @@ class TestDecomposition:
     def test_a1_trivial_denominator(self):
         rs, W, pd = A1
         z = group_zeta(E23, rs, W, pd)
-        dec = omega_D_decompose(E23, rs, W, pd, z)
+        dec = omega_D_decompose(z, W)
         assert dec.denominator == RationalFunction.const(1, "u")
         assert dec.clearing == completed_zeta_factor(E23, 1, 2).value
         assert dec.omega_global == z.zeta
@@ -241,7 +241,7 @@ class TestDecomposition:
     def test_a2_nontrivial(self):
         rs, W, pd = pair("A", 2, 1)
         z = group_zeta(E23, rs, W, pd)
-        dec = omega_D_decompose(E23, rs, W, pd, z)
+        dec = omega_D_decompose(z, W)
         assert dec.denominator != RationalFunction.const(1, "u")
         assert z.zeta * dec.denominator == dec.omega_global
         assert dec.certificate.passed
@@ -250,12 +250,17 @@ class TestDecomposition:
         rs, W, pd = pair("A", 2, 1)
         z = group_zeta(E23, rs, W, pd)
         bad = dataclasses.replace(z, zeta=z.zeta.scale(F(1001, 1000)))
-        cert = omega_D_decompose(E23, rs, W, pd, bad).certificate
+        cert = omega_D_decompose(bad, W).certificate
         assert not cert.passed
         assert [c["identity"] for c in cert.failures()] == [
             "zeta * denominator = clearing * period"
         ]
         assert len(cert.checks) == 4
+
+
+def involution_certificate(c, rs, W, pd):
+    z = group_zeta(c, rs, W, pd)
+    return fg_involution_check(z, W, omega_D_decompose(z, W))
 
 
 class TestInvolution:
@@ -265,11 +270,15 @@ class TestInvolution:
         u = RationalFunction.variable("u")
         z1 = completed_zeta_factor(E23, 1, 1).value
         z2 = completed_zeta_factor(E23, 1, 2).value
-        fid = rational_part(E23, rs, W, pd, W.identity)
-        gid = g_factor(E23, rs, W, pd, W.identity)
+
+        def f_and_g(w):
+            f = nazeta.groupzeta._rational_factors(E23, rs, pd, w)
+            g = nazeta.groupzeta._g_factors(E23, rs, pd, w)
+            return f.expand(E23), g.expand(E23)
+
+        fid, gid = f_and_g(W.identity)
         assert fid * gid == z2 / (one - u)
-        fw0 = rational_part(E23, rs, W, pd, W.longest)
-        gw0 = g_factor(E23, rs, W, pd, W.longest)
+        fw0, gw0 = f_and_g(W.longest)
         assert fw0 * gw0 == z1 / (one - RationalFunction.const(4, "u") / u)
 
     @pytest.mark.parametrize(
@@ -278,21 +287,50 @@ class TestInvolution:
     )
     def test_full_certificates(self, label, rank, p):
         rs, W, pd = pair(label, rank, p)
-        cert = fg_involution_check(E23, rs, W, pd)
+        cert = involution_certificate(E23, rs, W, pd)
         assert cert.passed
         per_w = [c for c in cert.checks if c["identity"] == "f involution"]
         assert len(per_w) == len(pd.weyl_subset)
 
+    @pytest.mark.parametrize("curve", [E23, GENUS2], ids=["E23", "genus2"])
+    @pytest.mark.parametrize("label,rank,p", [("A", 2, 1), ("A", 3, 2)])
+    def test_single_pass_on_the_callers_results(
+        self, monkeypatch, curve, label, rank, p
+    ):
+        rs, W, pd = pair(label, rank, p)
+        z = group_zeta(curve, rs, W, pd)
+        decomp = omega_D_decompose(z, W)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("the involution check rebuilt a result")
+
+        for name in ("group_zeta", "period_gp", "omega_D_decompose", "count_tables"):
+            monkeypatch.setattr(nazeta.groupzeta, name, rebuild)
+        calls = []
+        exact = nazeta.curve.expand_sum
+
+        def counted(c, terms):
+            calls.append(len(terms))
+            return exact(c, terms)
+
+        monkeypatch.setattr(nazeta.curve, "expand_sum", counted)
+        monkeypatch.setattr(nazeta.groupzeta, "expand_sum", counted)
+        cert = fg_involution_check(z, W, decomp)
+        assert cert.passed
+        # f and g expanded once per element, the f*g sum reduced once
+        assert len(calls) <= 2 * len(pd.weyl_subset) + 1
+        assert calls[-1] == len(pd.weyl_subset)
+
     def test_perturbed_g_factor_records_every_failure(self, monkeypatch):
         rs, W, pd = pair("A", 2, 1)
-        exact = nazeta.groupzeta.g_factor
+        exact = nazeta.groupzeta._g_factors
 
-        def perturbed(c, rs, W, pd, w):
-            g = exact(c, rs, W, pd, w)
-            return g.scale(F(1001, 1000)) if w == W.identity else g
+        def perturbed(c, rs, pd, w):
+            g = exact(c, rs, pd, w)
+            return g * FactorProduct(F(1001, 1000)) if w == W.identity else g
 
-        monkeypatch.setattr(nazeta.groupzeta, "g_factor", perturbed)
-        cert = fg_involution_check(E23, rs, W, pd)
+        monkeypatch.setattr(nazeta.groupzeta, "_g_factors", perturbed)
+        cert = involution_certificate(E23, rs, W, pd)
         failed = [c["identity"] for c in cert.failures()]
         # the identity and its partner w_0 w_p both see the bad factor
         assert failed == [
@@ -306,7 +344,7 @@ class TestInvolution:
         cut = dataclasses.replace(
             pd, weyl_subset=tuple(w for w in pd.weyl_subset if w != partner)
         )
-        cert = fg_involution_check(E23, rs, W, cut)
+        cert = involution_certificate(E23, rs, W, cut)
         leaving = [
             c for c in cert.failures()
             if c["identity"] == "involution stays in the Weyl subset"

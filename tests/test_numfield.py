@@ -5,7 +5,7 @@ import math
 import mpmath
 import pytest
 
-from nazeta.compositions import compositions, parabolic_mass_sum
+from nazeta.compositions import parabolic_mass_sum
 from nazeta.errors import DomainError
 from nazeta.numfield import (
     KS_CONVENTIONS,
@@ -16,6 +16,8 @@ from nazeta.numfield import (
     siegel_volume,
     volume_table,
 )
+
+from composition_oracle import compositions
 
 
 class TestCompletedRiemann:
@@ -110,6 +112,28 @@ class TestReductionProbe:
         probe = ks_identity_probe(2)
         assert probe["conventions"]["prefix"]["deviation"] > 0.1
         assert probe["conventions"]["prefix_suffix_full"]["deviation"] > 0.1
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    @pytest.mark.parametrize("convention", sorted(KS_CONVENTIONS))
+    def test_recurrence_matches_enumeration(self, r, convention):
+        # each composition's chain read off its prefix and suffix sums
+        def chain(comp):
+            prefix = [sum(comp[: i + 1]) for i in range(len(comp))]
+            suffix = [sum(comp[i:]) for i in range(len(comp))][::-1]
+            kept = {
+                "prefix": prefix,
+                "prefix_suffix_shared": prefix + suffix[:-1],
+                "prefix_suffix_full": prefix + suffix,
+                "proper_prefix_suffix": prefix[:-1] + suffix[:-1],
+            }[convention]
+            return math.prod(kept)
+
+        enumerated = sum(
+            math.prod(moduli_volume(n) for n in comp) / chain(comp)
+            for comp in compositions(r)
+        )
+        value = ks_identity_probe(r, convention)["conventions"][convention]["value"]
+        assert value == pytest.approx(enumerated, rel=1e-12)
 
     def test_single_convention_request(self):
         probe = ks_identity_probe(2, convention="prefix")

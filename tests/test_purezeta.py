@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import nazeta.purezeta
 from nazeta.algebra import Poly, RationalFunction, SubstRule, substitute
-from nazeta.compositions import (
-    COMPOSITION_RANK_CAP,
-    MASS_RANK_CAP,
-    compositions,
-    parabolic_mass_sum,
-)
+from nazeta.compositions import MASS_RANK_CAP, parabolic_mass_sum
 from nazeta.curve import (
     artin_zeta,
     artin_zeta_value,
@@ -45,6 +40,8 @@ from nazeta.purezeta import (
     rh_report,
     zagier_beta,
 )
+
+from composition_oracle import COMPOSITION_RANK_CAP, compositions
 
 GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
 
