@@ -14,6 +14,7 @@ from .algebra import (
     RationalFunction,
     SubstRule,
     poly_complex_roots,
+    roots_on_circle,
     series_log_coefficients,
     substitute,
 )

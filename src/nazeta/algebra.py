@@ -8,9 +8,10 @@ coefficient 1; that makes equality of values a plain structural
 comparison.
 
 Everything here is immutable and side-effect free.  The only
-floating-point code in the module is ``poly_complex_roots``, which backs
-the numeric Riemann-Hypothesis reports; every identity check elsewhere
-stays in exact rationals.
+floating-point code in the module is ``poly_complex_roots``, which serves
+only the root lists of the Riemann-Hypothesis reports: their verdicts
+come from the exact ``roots_on_circle``, and every identity check stays
+in exact rationals.
 """
 
 from __future__ import annotations
@@ -301,6 +302,64 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if g.is_zero():
         return g
     return g.scale(1 / g.leading())
+
+
+# ---------------------------------------------------------------------------
+# Roots on a circle
+# ---------------------------------------------------------------------------
+
+
+def _derivative(p: Poly) -> Poly:
+    return Poly.from_list([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def roots_on_circle(p: Poly, r2: Rat) -> bool:
+    """Whether every complex root z of p has |z|^2 = r2, decided exactly.
+
+    If every root lies on the circle, r2/z is the conjugate root of z, so
+    z^d p(r2/z) = (p_0/p_d) p(z): the symmetry p_i r2^i p_d = p_0 p_{d-i}
+    is necessary and is checked first.  When it holds with d = 2m even
+    and p_0/p_d > 0, p(z)/z^m = h(z + r2/z), and the roots lie on the
+    circle iff every root y of h is real with y^2 <= 4 r2 (otherwise p^2,
+    with the same roots, takes its place).  The roots of
+    H(w) = h(y) h(-y) are the y^2, so a Sturm count of the distinct roots
+    of H in [0, 4 r2] against the degree of its square-free part decides.
+    """
+    r2 = _frac(r2)
+    if r2 <= 0:
+        raise DomainError("the squared radius must be positive")
+    if p.is_zero():
+        raise DomainError("the zero polynomial vanishes everywhere")
+    d = p.degree
+    if d == 0:
+        return True
+    if p[0] == 0:
+        return False
+    if any(p[i] * r2**i * p[d] != p[0] * p[d - i] for i in range(d + 1)):
+        return False
+    if d % 2 or p[0] / p[d] < 0:
+        p, d = p * p, 2 * d
+    m = d // 2
+    # h = p_m + sum_j p_{m+j} T_j(y), with T_j(z + r2/z) = z^j + (r2/z)^j
+    y = Poly.of(0, 1)
+    h, t_prev, t = Poly.constant(p[m]), Poly.constant(2), y
+    for j in range(1, m + 1):
+        h = h + t.scale(p[m + j])
+        t_prev, t = t, y * t - t_prev.scale(r2)
+    h_neg = Poly(tuple(-c if i % 2 else c for i, c in enumerate(h.coeffs)))
+    H = Poly.from_list((h * h_neg).coeffs[::2])
+    s = H.exact_div(poly_gcd(H, _derivative(H)))  # square-free part
+    chain = [s, _derivative(s)]  # Sturm chain, exact remainders
+    while chain[-1].degree > 0:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+
+    def sign_changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (c.evaluate(x) for c in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # distinct roots in (0, 4 r2], plus the root at 0 if there is one
+    inside = sign_changes(Fraction(0)) - sign_changes(4 * r2) + (s[0] == 0)
+    return inside == s.degree
 
 
 # ---------------------------------------------------------------------------

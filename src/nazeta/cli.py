@@ -155,7 +155,6 @@ def cmd_pure(args) -> int:
     report = rh_report(
         result.numerator.scale(1 / alpha0) if alpha0 else result.numerator,
         result.Q,
-        tol=args.tol,
     )
     counts = bundle_counts(result.zeta, alpha0, result.Q, 2 * curve.g)
     payload = {
@@ -212,8 +211,8 @@ def cmd_mixed(args) -> int:
     f = mixed_zeta_rank2(q, n)
     numer = mixed_numerator(q, n)
     identity = partial_rank3_identity_check(q, n)
-    rep_mixed = rh_report(numer, q, tol=args.tol)
-    rep_partial = rh_report(partial_rank3_bracket(q), q, tol=args.tol)
+    rep_mixed = rh_report(numer, q)
+    rep_partial = rh_report(partial_rank3_bracket(q), q)
     payload = {
         "mixed": _rf_json(f),
         "mixed_numerator_over_alpha0": [str(c) for c in numer.coeffs],
@@ -237,7 +236,7 @@ def cmd_group(args) -> int:
     rs, W, pd = _group_data(args.type, args.rank, args.p)
     z = group_zeta(curve, rs, W, pd)
     ok_fe, _ = fe_check_group(z)
-    zeros = group_zeta_zeros(z, tol=args.tol)
+    zeros = group_zeta_zeros(z)
     er = edge_residue(z)
     payload = {
         "zeta": _rf_json(z.zeta),
@@ -342,7 +341,6 @@ def _flag_type(convert, expected: str, accept=lambda value: True):
 
 
 _POSITIVE_INT = _flag_type(int, "a positive integer", lambda v: v >= 1)
-_TOLERANCE = _flag_type(float, "a positive finite number", lambda v: 0 < v < math.inf)
 _RATIONAL = _flag_type(parse_rational, "a rational number")
 _RATIONALS = _flag_type(
     lambda text: [parse_rational(x) for x in text.split(",")],
@@ -361,7 +359,6 @@ FLAGS = {
     "N": dict(required=True, type=_POSITIVE_INT, help="rational point count"),
     "alphas": dict(type=_RATIONALS, help="comma-separated rationals"),
     "beta0": dict(type=_RATIONAL, help="rational mass value"),
-    "tol": dict(type=_TOLERANCE, default=1e-9),
     "json-out": {},
     "csv-out": {},
 }
@@ -369,10 +366,10 @@ FLAGS = {
 # subcommand -> (handler, the flags it reads besides --config)
 COMMANDS = {
     "curve-validate": (cmd_curve_validate, "curve json-out"),
-    "pure": (cmd_pure, "curve r alphas beta0 tol json-out csv-out"),
+    "pure": (cmd_pure, "curve r alphas beta0 json-out csv-out"),
     "mass": (cmd_mass, "curve r json-out"),
-    "mixed": (cmd_mixed, "q N tol json-out"),
-    "group": (cmd_group, "curve type rank p tol json-out csv-out"),
+    "mixed": (cmd_mixed, "q N json-out"),
+    "group": (cmd_group, "curve type rank p json-out csv-out"),
     "residue-compare": (cmd_residue_compare, "curve type rank p json-out"),
     "uniformity": (cmd_uniformity, "curve r alphas beta0 json-out"),
     "numfield": (cmd_numfield, "r json-out"),

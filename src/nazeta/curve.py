@@ -14,7 +14,6 @@ an honest rational number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .algebra import (
     Poly,
     RationalFunction,
     parse_rational,
-    poly_complex_roots,
+    roots_on_circle,
     series_exp,
 )
 from .errors import DomainError, PoleError, ValidationError
@@ -56,23 +55,9 @@ class CurveData:
                     f"i={i}: {lhs} != {rhs}"
                 )
 
-    def weil_numbers_check(self, tol: float = 1e-6) -> bool:
-        """Verify all inverse roots have modulus sqrt(q).
-
-        The Hasse-Weil bound a_i^2 <= C(2g, i)^2 q^i on every coefficient
-        is checked exactly first; it holds whenever the roots are where
-        they should be, and it keeps huge coefficients away from the
-        float root finder.  The roots themselves are then checked
-        numerically.
-        """
-        for i, a in enumerate(self.P.coeffs):
-            if a * a > math.comb(2 * self.g, i) ** 2 * self.q**i:
-                return False
-        target = float(self.q) ** 0.5
-        for z, _ in poly_complex_roots(self.P, tol=1e-10):
-            if abs(abs(z) * target - 1.0) > tol:
-                return False
-        return True
+    def weil_numbers_check(self) -> bool:
+        """Whether every inverse root has modulus sqrt(q), decided exactly."""
+        return roots_on_circle(self.P, Fraction(1, self.q))
 
     def point_counts(self, upto: int) -> list[int]:
         """#X(F_{q^m}) for m = 1..upto, from the zeta series."""

@@ -12,11 +12,14 @@ The mass itself comes in two independently coded routes, the
 composition sum with fractional-part corrections and its reformulation
 through completed zeta values, which must agree exactly.  The module
 also carries the two all-degree counterexample zetas whose zeros leave
-the critical circle, and the numeric Riemann-Hypothesis reports.
+the critical circle, and the Riemann-Hypothesis reports: every verdict
+is decided exactly by ``roots_on_circle``, and floats serve only the
+root lists and their deviations.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +31,7 @@ from .algebra import (
     SubstRule,
     _frac,
     poly_complex_roots,
+    roots_on_circle,
     series_log_coefficients,
     substitute,
 )
@@ -281,8 +285,7 @@ class RHReport:
     roots: tuple[complex, ...]
     deviations: tuple[float, ...]
     verdict: bool
-    tolerance: float
-    exact: bool = False
+    exact = True  # the verdict comes from roots_on_circle, never from floats
 
     def max_deviation(self) -> float:
         return max(self.deviations) if self.deviations else 0.0
@@ -294,32 +297,15 @@ class RHReport:
             "roots": [[z.real, z.imag] for z in self.roots],
             "deviations": list(self.deviations),
             "verdict": "pass" if self.verdict else "fail",
-            "tolerance": self.tolerance,
             "exact": self.exact,
         }
 
 
-def _exact_quadratic_rh(p: Poly, Q: Fraction) -> bool:
-    """Exact critical-circle test for a degree-two numerator.
-
-    Complex pair: both roots sit on |T| = Q^{-1/2} iff the discriminant
-    is negative and constant/leading = 1/Q.  Real roots must be at
-    +-Q^{-1/2} exactly.
-    """
-    p0, p1, p2 = p[0], p[1], p[2]
-    disc = p1 * p1 - 4 * p0 * p2
-    if disc < 0:
-        return p0 * Q == p2
-    if disc == 0:
-        return p1 * p1 * Q == 4 * p2 * p2
-    return p1 == 0 and p0 * Q == -p2
-
-
-def rh_report(p: Poly, Q: Rat, tol: float = 1e-9) -> RHReport:
+def rh_report(p: Poly, Q: Rat) -> RHReport:
     """Locate the T-roots of p and compare their moduli to Q^{-1/2}.
 
-    Degree two gets the exact discriminant decision; any degree gets the
-    numeric root list and deviations | |root| * sqrt(Q) - 1 |.
+    The verdict is the exact test roots_on_circle(p, 1/Q); the numeric
+    root list and the deviations | |root| * sqrt(Q) - 1 | are for display.
     """
     if p.is_zero():
         raise DomainError("cannot report on the zero polynomial")
@@ -328,15 +314,12 @@ def rh_report(p: Poly, Q: Rat, tol: float = 1e-9) -> RHReport:
     roots: list[complex] = []
     devs: list[float] = []
     if p.degree >= 1:
-        for z, mult in poly_complex_roots(p, tol=min(tol, 1e-9)):
+        for z, mult in poly_complex_roots(p):
             for _ in range(mult):
                 roots.append(z)
                 devs.append(abs(abs(z) * sqrtq - 1.0))
-    if p.degree == 2:
-        verdict = _exact_quadratic_rh(p, Q)
-        return RHReport(p, Q, tuple(roots), tuple(devs), verdict, tol, True)
-    verdict = all(d <= tol for d in devs)
-    return RHReport(p, Q, tuple(roots), tuple(devs), verdict, tol, False)
+    verdict = roots_on_circle(p, 1 / Q)
+    return RHReport(p, Q, tuple(roots), tuple(devs), verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -454,34 +437,13 @@ def bundle_counts(
 # ---------------------------------------------------------------------------
 
 
-def _sign_with_sqrt(a: Fraction, b: Fraction, d: Fraction) -> int:
-    """Exact sign of a + b*sqrt(d) for rational a, b and d >= 0."""
-    if d < 0:
-        raise DomainError("negative radicand")
-    if b == 0 or d == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, b * b * d
-    if a > 0:  # b < 0: positive iff a^2 > b^2 d
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
-
-
-def genus2_rh_criterion(
-    alpha0: Rat, alpha2: Rat, beta0: Rat, Q: Rat, tol: float = 1e-9
-):
+def genus2_rh_criterion(alpha0: Rat, alpha2: Rat, beta0: Rat, Q: Rat):
     """Critical-circle test for the genus-two rank-two numerator.
 
     Splits the quartic as alpha(0)(1 - A T + Q T^2)(1 - B T + Q T^2) with
-    A + B = (Q+1) - alpha'(2) and AB = (Q-1) beta'(0) - (Q+1) alpha'(2),
-    then requires A^2 < 4Q and B^2 < 4Q, decided in exact arithmetic.
-    When A, B come out complex the quartic is handed to the numeric
-    report instead.
+    A + B = (Q+1) - alpha'(2) and AB = (Q-1) beta'(0) - (Q+1) alpha'(2).
+    Returns A and B as numbers (complex when the split is) and the exact
+    verdict of roots_on_circle on the quartic at 1/Q.
     """
     alpha0, alpha2, beta0, Q = map(_frac, (alpha0, alpha2, beta0, Q))
     if alpha0 == 0:
@@ -491,21 +453,9 @@ def genus2_rh_criterion(
     s = (Q + 1) - ap
     prod = (Q - 1) * bp - (Q + 1) * ap
     disc = s * s - 4 * prod
-    if disc >= 0:
-        # A = (s + sqrt(disc))/2: test 16Q - s^2 - disc > +-2s sqrt(disc)
-        base = 16 * Q - s * s - disc
-        ok_a = _sign_with_sqrt(base, -2 * s, disc) > 0
-        ok_b = _sign_with_sqrt(base, 2 * s, disc) > 0
-        root = math.sqrt(float(disc))
-        a_val = (float(s) + root) / 2
-        b_val = (float(s) - root) / 2
-        return a_val, b_val, ok_a and ok_b
-    root = complex(0.0, math.sqrt(-float(disc)))
-    a_val = (complex(float(s)) + root) / 2
-    b_val = (complex(float(s)) - root) / 2
-    p = genus2_numerator(alpha0, alpha2, beta0, Q)
-    report = rh_report(p, Q, tol)
-    return a_val, b_val, report.verdict
+    root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
+    verdict = roots_on_circle(genus2_numerator(alpha0, alpha2, beta0, Q), 1 / Q)
+    return (s + root) / 2, (s - root) / 2, verdict
 
 
 def genus2_numerator(

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .algebra import RationalFunction
 from .certificate import Certificate
-from .curve import CurveData
+from .curve import CurveData, expand_sum
 from .errors import CapabilityError, DomainError
-from .groupzeta import weyl_term
+from .groupzeta import _weyl_factors
 from .multivar import LINE, AtomProduct, LaurentPoly
 from .multivar import collapse_sum, residue_at_one_factored
 from .rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
@@ -124,23 +124,24 @@ def residue_route_equivalence(
 
     Checks, exactly: (a) each w outside the surviving subset has
     vanishing iterated residue; (b) each surviving w's iterated residue
-    equals its closed-formula summand; (c) the totals agree.  Every
-    check is recorded, a failed one with the permutation of its w.
+    equals its closed-formula summand; (c) the totals agree, the residues
+    collapsed together against one expand_sum of the closed summands'
+    factored forms.  Every check is recorded, a failed one with the
+    permutation of its w.
     """
     if rs.rank > RANK_CAP:
         raise CapabilityError(f"residue engine capped at rank {RANK_CAP}")
     cert = Certificate(f"residue route {rs.type_label}{rs.rank} p={pd.p}")
     surviving = {w.perm for w in pd.weyl_subset}
-    residues = []
-    closed_total = RationalFunction.const(0, "u")
+    residues, closed_terms = [], []
     for w in W.elements:
         res = iterated_residue(weyl_term_full(c, rs, W, w), pd)
         if w.perm in surviving:
-            closed = weyl_term(c, rs, W, pd, w)
-            ok = collapse_sum([res], pd.p0) == closed
+            closed = _weyl_factors(c, rs, W, pd, w)
+            ok = collapse_sum([res], pd.p0) == closed.expand(c)
             identity = "surviving term matches closed formula"
             residues.append(res)
-            closed_total = closed_total + closed
+            closed_terms.append(closed)
         else:
             ok = res.is_zero()
             identity = "non-surviving term vanishes"
@@ -148,6 +149,6 @@ def residue_route_equivalence(
         cert.record(identity, ok, **witness)
     cert.record(
         "summed residues equal the closed period",
-        collapse_sum(residues, pd.p0) == closed_total,
+        collapse_sum(residues, pd.p0) == expand_sum(c, closed_terms),
     )
     return cert

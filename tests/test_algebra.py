@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nazeta.algebra
 from nazeta.algebra import (
     Poly,
     RationalFunction,
@@ -182,6 +183,38 @@ class TestComplexRoots:
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
             poly_complex_roots(Poly.zero())
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Poly.of(1, 1, 2) * Poly.of(1, -1, 2),
+            Poly.of(1, -3, 2)
+            * Poly.of(1, -2, 2) * Poly.of(1, -1, 2) * Poly.of(1, 0, 2)
+            * Poly.of(1, 1, 2) * Poly.of(1, 2, 2),
+        ],
+        ids=["degree-4", "degree-12"],
+    )
+    def test_companion_fallback(self, p, monkeypatch):
+        # an Aberth run that ends off the roots hands over to the
+        # companion matrix, whose roots must meet the same residual bound
+        monkeypatch.setattr(
+            nazeta.algebra,
+            "_aberth",
+            lambda coeffs, tol: [complex(k + 3, 1) for k in range(len(coeffs) - 1)],
+        )
+        calls = []
+        companion = nazeta.algebra._companion_roots
+        monkeypatch.setattr(
+            nazeta.algebra,
+            "_companion_roots",
+            lambda q: calls.append(q.degree) or companion(q),
+        )
+        roots = poly_complex_roots(p, tol=1e-9)
+        assert calls == [p.degree]
+        assert sum(m for _, m in roots) == p.degree
+        for z, _ in roots:
+            scale = sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
+            assert abs(p.evaluate_complex(z)) <= 1e-9 * scale
 
 
 class TestMultivariate:

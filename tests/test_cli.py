@@ -17,6 +17,7 @@ import nazeta.acceptance
 import nazeta.cli
 import nazeta.residues
 from nazeta.cli import EXIT_INPUT, EXIT_MATH_FAIL, EXIT_OK, main
+from nazeta.curve import FactorProduct
 
 
 GENUS2_SPEC = {"genus": 2, "q": 2, "numerator_coeffs": ["1", "0", "4", "0", "4"]}
@@ -89,6 +90,16 @@ class TestExitCodes:
         code = main(["curve-validate", "--curve", curve, "--json-out", str(out)])
         assert code == EXIT_MATH_FAIL
         assert json.loads(out.read_text())["weil_check"] is False
+
+    def test_weil_check_with_a_quadruple_root(self, tmp_path):
+        # P = (1-2T)^4 over q = 4: every inverse root is 2 = sqrt(q)
+        curve = _write(tmp_path, "c.json", {
+            "genus": 2, "q": 4, "numerator_coeffs": ["1", "-8", "24", "-32", "16"],
+        })
+        out = tmp_path / "out.json"
+        code = main(["curve-validate", "--curve", curve, "--json-out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["weil_check"] is True
 
     def test_mass_never_enumerates_compositions(self, tmp_path):
         # the enumeration lives in the tests as an oracle; no library
@@ -279,6 +290,7 @@ class TestMalformedInput:
             (None, {"r": True}, ["mass"]),
             (None, {"r": [2]}, ["mass"]),
             (None, [1], ["mass"]),
+            # --tol is gone: any value of it is an unknown flag
             (None, None, GROUP_A1 + ["--tol", "-1"]),
             (None, None, GROUP_A1 + ["--tol", "0"]),
             (None, None, GROUP_A1 + ["--tol", "nan"]),
@@ -356,19 +368,16 @@ class TestConfigPrecedence:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["rank"] == 3
 
-    def test_tol_reaches_both_rh_reports(self, tmp_path):
-        cfg = _write(tmp_path, "cfg.json", {"tol": 0.5})
-        out = tmp_path / "mixed.json"
-        argv = ["mixed", "--q", "2", "--N", "3", "--json-out", str(out)]
+    def test_explicit_flag_beats_config(self, elliptic_file, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", {"r": 3})
+        out = tmp_path / "mass.json"
+        argv = ["mass", "--curve", elliptic_file, "--json-out", str(out)]
         assert main(argv + ["--config", cfg]) == EXIT_OK
-        data = json.loads(out.read_text())
-        assert data["mixed_rh"]["tolerance"] == 0.5
-        assert data["partial_rh"]["tolerance"] == 0.5
-        # an explicit flag beats the config, wherever it stands
-        assert main(argv + ["--tol", "0.25", "--config", cfg]) == EXIT_OK
-        data = json.loads(out.read_text())
-        assert data["mixed_rh"]["tolerance"] == 0.25
-        assert data["partial_rh"]["tolerance"] == 0.25
+        assert json.loads(out.read_text())["rank"] == 3
+        # wherever it stands
+        for extra in (["--r", "4", "--config", cfg], ["--config", cfg, "--r", "4"]):
+            assert main(argv + extra) == EXIT_OK
+            assert json.loads(out.read_text())["rank"] == 4
 
     def test_config_supplies_required_flags(self, elliptic_file, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {
@@ -379,20 +388,20 @@ class TestConfigPrecedence:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["c_p"] == "2"
 
-    def test_builtin_default_when_neither_is_given(self, tmp_path):
-        out = tmp_path / "mixed.json"
-        main(["mixed", "--q", "2", "--N", "3", "--json-out", str(out)])
-        assert json.loads(out.read_text())["mixed_rh"]["tolerance"] == 1e-9
+    def test_builtin_default_when_neither_is_given(self, elliptic_file, tmp_path):
+        out = tmp_path / "mass.json"
+        main(["mass", "--curve", elliptic_file, "--json-out", str(out)])
+        assert json.loads(out.read_text())["rank"] == 2
 
 
 @pytest.fixture
 def residue_fault(monkeypatch):
     """Scale every closed-formula Weyl term seen by the residue oracle."""
-    exact = nazeta.residues.weyl_term
+    exact = nazeta.residues._weyl_factors
     monkeypatch.setattr(
         nazeta.residues,
-        "weyl_term",
-        lambda *args: exact(*args).scale(Fraction(1001, 1000)),
+        "_weyl_factors",
+        lambda *args: exact(*args) * FactorProduct(Fraction(1001, 1000)),
     )
 
 

@@ -357,7 +357,7 @@ class TestZeros:
         for q in (2, 3, 4, 5):
             for n in (q, q + 1, q + 2):
                 z = group_zeta(elliptic_curve(q, n), *A1)
-                rep = group_zeta_zeros(z, tol=1e-9)
+                rep = group_zeta_zeros(z)
                 assert rep.verdict, (q, n)
                 assert rep.center_modulus == pytest.approx(float(q))
 

@@ -346,6 +346,15 @@ class TestRHReport:
                 assert rep.verdict and rep.exact
                 assert (n - 2) ** 2 < 4 * Q
 
+    def test_double_root_of_a_genus2_numerator(self):
+        # 2 (1-2T)^2 (1 + 5T/2 + 4T^2): the float deviation of the double
+        # root is about 2e-9, but every root is on |T| = 1/2
+        p = genus2_numerator(2, 7, 5, 4)
+        assert p == Poly.of(1, -2) ** 2 * Poly.of(2, 5, 8)
+        rep = rh_report(p, 4)
+        assert rep.verdict and rep.exact
+        assert rep.to_json()["verdict"] == "pass"
+
 
 class TestMixedZeta:
     def test_numerator_from_sum_definition(self):
@@ -394,7 +403,7 @@ class TestPartialRank3:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_rh_fails(self, q):
-        rep = rh_report(partial_rank3_bracket(q), q, tol=1e-3)
+        rep = rh_report(partial_rank3_bracket(q), q)
         assert not rep.verdict
         assert rep.max_deviation() > 1e-3
 
@@ -453,14 +462,22 @@ class TestGenus2Criterion:
         _, _, verdict = genus2_rh_criterion(1, F(11), F(1), F(4))
         assert not verdict
 
-    def test_complex_split_falls_back(self):
-        # choose alpha', beta' so A, B are complex conjugates
+    def test_complex_split_decided_exactly(self):
+        # choose alpha', beta' so A, B are complex conjugates: the verdict
+        # is still the exact test, the same as the report's
         Q = F(4)
         a0, a2, b0 = F(1), F(1), F(40)
         A, B, verdict = genus2_rh_criterion(a0, a2, b0, Q)
-        assert isinstance(A, complex)
+        assert isinstance(A, complex) and B == A.conjugate()
         rep = rh_report(genus2_numerator(a0, a2, b0, Q), Q)
-        assert verdict == rep.verdict
+        assert not verdict and not rep.verdict
+
+    def test_boundary_split_passes(self):
+        # (1-2T)^2 (1-2T+4T^2): A = 4 sits on the boundary A^2 = 4Q, and
+        # its double root 1/2 is on the circle
+        assert genus2_numerator(1, -1, 1, 4) == Poly.of(1, -2) ** 2 * Poly.of(1, -2, 4)
+        A, B, verdict = genus2_rh_criterion(1, -1, 1, 4)
+        assert {A, B} == {4.0, 2.0} and verdict
 
     def test_alpha0_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nazeta.residues
-from nazeta.curve import curve_from_numerator, elliptic_curve
+from nazeta.curve import FactorProduct, curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.groupzeta import period_gp
 from nazeta.multivar import (
@@ -260,11 +260,11 @@ class TestRouteEquivalence:
         assert len(cert.checks) == len(W) + 1
 
     def test_mismatch_records_every_failing_check(self, monkeypatch):
-        exact = nazeta.residues.weyl_term
+        exact = nazeta.residues._weyl_factors
         monkeypatch.setattr(
             nazeta.residues,
-            "weyl_term",
-            lambda *args: exact(*args).scale(F(1001, 1000)),
+            "_weyl_factors",
+            lambda *args: exact(*args) * FactorProduct(F(1001, 1000)),
         )
         rs, W, pd = pair("A", 2, 1)
         cert = residue_route_equivalence(E23, rs, W, pd)

@@ -1,0 +1,95 @@
+"""Exact critical-circle verdicts, and their agreement with the float roots."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from nazeta.acceptance import hasse_range
+from nazeta.algebra import Poly, roots_on_circle
+from nazeta.curve import curve_from_numerator, elliptic_curve
+from nazeta.errors import DomainError
+from nazeta.groupzeta import group_zeta, group_zeta_zeros
+from nazeta.purezeta import (
+    elliptic_rank2_inputs,
+    mixed_numerator,
+    partial_rank3_bracket,
+    pure_zeta,
+    rh_report,
+)
+from nazeta.rootsys import build_root_system, enumerate_weyl, parabolic_data
+
+E23 = elliptic_curve(2, 3)
+GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
+
+# every supported (type, rank, p), A5 at p = 3 only to keep the suite fast
+GROUP_PAIRS = (
+    [("A", n, p) for n in range(1, 5) for p in range(1, n + 1)]
+    + [("A", 5, 3)]
+    + [(t, n, p) for t in "BC" for n in (2, 3) for p in range(1, n + 1)]
+    + [("G2", 2, 1), ("G2", 2, 2)]
+)
+
+
+def float_verdict(deviations) -> bool:
+    return all(d <= 1e-6 for d in deviations)
+
+
+class TestRootsOnCircle:
+    def test_asymmetric_numerator_fails(self):
+        # 1 + T + 3T^2: constant/leading is not the squared radius
+        assert not roots_on_circle(Poly.of(1, 1, 3), F(1, 2))
+
+    def test_root_at_zero_fails(self):
+        assert not roots_on_circle(Poly.of(0, 1, 1), 1)
+
+    def test_odd_degree(self):
+        assert roots_on_circle(Poly.of(1, -2), F(1, 4))
+        assert not roots_on_circle(Poly.of(1, -2), F(1, 2))
+        # symmetric at 4 with p_0/p_d > 0; the roots 3 +- sqrt(5) are off it
+        assert not roots_on_circle(Poly.of(2, 1) * Poly.of(4, -6, 1), 4)
+
+    def test_antisymmetric_case(self):
+        # T^2 - 4 = (T - 2)(T + 2): p_0/p_d < 0, decided through its square
+        assert roots_on_circle(Poly.of(-4, 0, 1), 4)
+        # (T - 2)^3 (T + 2): even degree, p_0/p_d < 0, every root on the circle
+        assert roots_on_circle(Poly.of(-4, 0, 1) * Poly.of(-2, 1) ** 2, 4)
+
+    def test_constant_has_no_roots(self):
+        assert roots_on_circle(Poly.of(3), 2)
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(DomainError):
+            roots_on_circle(Poly.zero(), 1)
+        with pytest.raises(DomainError):
+            roots_on_circle(Poly.of(1, 1), 0)
+
+
+class TestAgreementWithFloatRoots:
+    """The exact verdict against 'every float root within 1e-6'."""
+
+    @pytest.mark.parametrize(
+        "label,rank,p", GROUP_PAIRS, ids=[f"{t}-{n}-{p}" for t, n, p in GROUP_PAIRS]
+    )
+    def test_group_zetas(self, label, rank, p):
+        rs = build_root_system(label, rank)
+        W = enumerate_weyl(rs)
+        pd = parabolic_data(rs, W, p)
+        for curve in (E23, GENUS2):
+            rep = group_zeta_zeros(group_zeta(curve, rs, W, pd))
+            assert rep.verdict == float_verdict(rep.deviations)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_mixed_and_partial_numerators(self, q):
+        for p in (mixed_numerator(q, q + 1), partial_rank3_bracket(q)):
+            rep = rh_report(p, q)
+            assert rep.verdict == float_verdict(rep.deviations)
+        # RH holds for the mixed numerator at q in {2, 3} only
+        assert rh_report(mixed_numerator(q, q + 1), q).verdict == (q in (2, 3))
+
+    def test_elliptic_rank2_grid(self):
+        for q in range(2, 17):
+            for n in hasse_range(q):
+                curve = elliptic_curve(q, n)
+                z = pure_zeta(curve, elliptic_rank2_inputs(curve))
+                rep = rh_report(z.numerator, z.Q)
+                assert rep.verdict == float_verdict(rep.deviations)
