@@ -20,7 +20,6 @@ from .algebra import (
 )
 from .curve import (
     CurveData,
-    ZetaFactor,
     artin_zeta,
     completed_zeta_factor,
     curve_from_numerator,
@@ -63,7 +62,6 @@ from .purezeta import (
     zagier_beta,
 )
 from .residues import (
-    SymbolicWeight,
     iterated_residue,
     residue_period,
     residue_route_equivalence,

@@ -7,11 +7,16 @@ pair of polynomials with the denominator normalized to leading
 coefficient 1; that makes equality of values a plain structural
 comparison.
 
+The two monomial substitutions of the functional equations and the
+reparametrizations, u -> c/u and u -> c*v^d, act coefficientwise and
+reduce once.
+
 Everything here is immutable and side-effect free.  The only
 floating-point code in the module is ``poly_complex_roots``, which serves
-only the root lists of the Riemann-Hypothesis reports: their verdicts
-come from the exact ``roots_on_circle``, and every identity check stays
-in exact rationals.
+the root lists of the Riemann-Hypothesis reports and the pole lines the
+uniformity matcher prunes its candidates with; no verdict rests on it.
+RH verdicts come from the exact ``roots_on_circle``, and every identity
+check stays in exact rationals.
 """
 
 from __future__ import annotations
@@ -530,9 +535,9 @@ class PoleEvaluation(DomainError):
 
 @dataclass(frozen=True)
 class SubstRule:
-    """Monomial substitution x -> c/x, x -> c*x, or x -> c*v^d."""
+    """Monomial substitution x -> c/x or x -> c*v^d (d = 1 scales x)."""
 
-    kind: str  # "recip" | "scale" | "power"
+    kind: str  # "recip" | "power"
     c: Fraction
     d: int = 1
     new_var: str | None = None
@@ -540,10 +545,6 @@ class SubstRule:
     @staticmethod
     def reciprocal(c: Rat) -> "SubstRule":
         return SubstRule("recip", _frac(c))
-
-    @staticmethod
-    def scaling(c: Rat) -> "SubstRule":
-        return SubstRule("scale", _frac(c))
 
     @staticmethod
     def power(c: Rat, d: int, new_var: str = "v") -> "SubstRule":
@@ -558,12 +559,6 @@ def substitute(f: RationalFunction, rule: SubstRule) -> RationalFunction:
     """
     if rule.c == 0:
         raise DomainError("substitution constant must be nonzero")
-    if rule.kind == "scale":
-        return RationalFunction.make(
-            f.num.compose_monomial(rule.c, 1),
-            f.den.compose_monomial(rule.c, 1),
-            f.var,
-        )
     if rule.kind == "recip":
         # x^m * p(c/x) has coefficient p_{m-i} c^{m-i} at x^i
         m = max(f.num.degree, f.den.degree, 0)
@@ -648,7 +643,12 @@ def series_exp(cs: Sequence[Fraction], order: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _aberth(coeffs: list[complex], tol: float, max_iter: int = 400):
+# Sweep limit of the Aberth iteration; a run that has not settled by then
+# is judged by the residual bound and may hand over to the companion matrix.
+ABERTH_SWEEPS = 400
+
+
+def _aberth(coeffs: list[complex]):
     n = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
@@ -670,7 +670,7 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int = 400):
         radius * cmath.exp(2j * cmath.pi * (k + 0.35) / n + 0.4j)
         for k in range(n)
     ]
-    for _ in range(max_iter):
+    for _ in range(ABERTH_SWEEPS):
         moved = 0.0
         for i in range(n):
             pi = p(zs[i])
@@ -717,7 +717,7 @@ def poly_complex_roots(
     reduced = Poly(tuple(p.coeffs[low:]))
     if reduced.degree >= 1:
         coeffs = [complex(c) for c in reduced.coeffs]
-        zs = _aberth(coeffs, tol)
+        zs = _aberth(coeffs)
         if not _residuals_ok(reduced, zs, tol):
             zs = _companion_roots(reduced)
             if not _residuals_ok(reduced, zs, tol):

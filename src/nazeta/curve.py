@@ -7,9 +7,10 @@ q^{(g-1)s} P(q^{-s}) / ((1-q^{-s})(1-q^{1-s})) at any integer-linear
 argument k*s + h is a constant times a power of u = q^{-s} times powers
 of the atoms 1 - c u^m and P(c u^m), m >= 1 (a FactorProduct); products
 of such factors stay factored until one expansion into a reduced
-rational function of u.  The residue at s = 1 is kept in "stripped"
-form, multiplied by log q, so that every special value in the system is
-an honest rational number.
+rational function of u; completed_zeta_factor returns that function
+itself.  The residue at s = 1 is kept in "stripped" form, multiplied by
+log q, so that every special value in the system is an honest rational
+number.
 """
 
 from __future__ import annotations
@@ -249,18 +250,9 @@ def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
     return RationalFunction.make(total * Poly.monomial(max(low, 0)), den, "u")
 
 
-@dataclass(frozen=True)
-class ZetaFactor:
-    """The completed zeta at argument k*s + h, as a function of u."""
-
-    k: int
-    h: int
-    value: RationalFunction
-
-
-def completed_zeta_factor(c: CurveData, k: int, h: int) -> ZetaFactor:
+def completed_zeta_factor(c: CurveData, k: int, h: int) -> RationalFunction:
     """Completed zeta at k*s + h in the variable u = q^{-s}, reduced."""
-    return ZetaFactor(k, h, zeta_factors(c, k, h).expand(c))
+    return zeta_factors(c, k, h).expand(c)
 
 
 def zeta_special_residue(c: CurveData) -> Fraction:

@@ -49,7 +49,7 @@ from .curve import (
     zeta_factors,
     zeta_special_residue,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .rootsys import (
     ParabolicData,
     RootSystem,
@@ -81,8 +81,6 @@ def _zeta_num_factors(c: CurveData, k: int, h: int) -> FactorProduct:
     """Completed zeta factor, stripped to its special value at (0, 1)."""
     if (k, h) == (0, 1):
         return FactorProduct(zeta_special_residue(c))
-    if k == 0 and h == 0:
-        raise ValidationError("unexpected pole argument (0,0) in a numerator")
     return zeta_factors(c, k, h)
 
 
@@ -97,10 +95,8 @@ def _rational_factors(
         pre = winv.apply(s_idx)
         coords = rs.roots[pre]
         if coords[p0] == 0 and rs.is_positive(pre) and sum(map(abs, coords)) == 1:
-            continue  # alpha in Delta_p
+            continue  # alpha in Delta_p, the only roots with key (0, 1)
         k, h = _root_key(rs, pd, pre)
-        if (k, h) == (0, 1):
-            raise ValidationError("pole clash: Levi simple root in the rational part")
         term = term * line_factor(Fraction(c.q) ** (1 - h), k) ** -1
     return term
 
@@ -406,33 +402,15 @@ def edge_residue(z: GroupZetaResult) -> EdgeResidue:
         order += 1
     if order == 0:
         return EdgeResidue(Fraction(0), 0)
-    # Laurent coefficients around u0 via exact Taylor shifts
-    num_s = num.shift(u0)
-    den_s = den.shift(u0)
-    series_len = order
-    inv = _series_inverse(den_s, series_len)
-    coeffs = []
-    for j in range(series_len):
-        acc = Fraction(0)
-        for i in range(j + 1):
-            acc += num_s[i] * inv[j - i]
-        coeffs.append(acc)
+    # Laurent coefficients around u0: the series in eps = u - u0 of the
+    # quotient with the pole removed, by exact Taylor shifts (the series
+    # needs only a nonzero constant term of the shifted denominator)
+    shifted = RationalFunction(num.shift(u0), den.shift(u0), f.var)
+    coeffs = shifted.series(order - 1)
     # f = sum_j coeffs[j] eps^{j - order}; residue = coeffs[order-1]
     if order == 1:
         return EdgeResidue(-coeffs[0], 1)
     return EdgeResidue(None, order, tuple(-c for c in coeffs))
-
-
-def _series_inverse(p: Poly, order: int) -> list[Fraction]:
-    if p[0] == 0:
-        raise DomainError("series inverse needs a unit constant term")
-    out = [1 / p[0]]
-    for k in range(1, order):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc -= p[j] * out[k - j]
-        out.append(acc / p[0])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,21 +463,25 @@ def _q_power_fraction(q: int, b: Fraction) -> Fraction | None:
     return None
 
 
+# The search grid of uniformity_match: slopes a = +-n/d with n, d up to
+# these bounds, offsets b = j/(2d) with |b| <= OFFSET_SPAN.
+SLOPE_NUM_MAX = 3
+SLOPE_DEN_MAX = 3
+OFFSET_SPAN = 8
+
+
 def uniformity_match(
-    pure_completed_u: RationalFunction,
-    z: GroupZetaResult,
-    max_num: int = 3,
-    max_den: int = 3,
-    b_halfspan: int = 8,
+    pure_completed_u: RationalFunction, z: GroupZetaResult
 ) -> UniformityMatch | UniformityNotFound:
     """Search for (a, b, c) with pure(s) = c * group(a s + b), exactly.
 
     Candidate slopes a are signed fractions with numerator and
-    denominator bounded by the grid parameters; offsets b run over the
-    half-integer grid refined by 1/denominator(a).  Candidates are
-    narrowed by matching the Re(s) pole lines numerically, then c is
-    fixed by evaluation at a sample point and the full identity is
-    verified exactly under the reparametrization t = v^{denominator(a)}.
+    denominator bounded by SLOPE_NUM_MAX and SLOPE_DEN_MAX; offsets b run
+    over the half-integer grid refined by 1/denominator(a), up to
+    OFFSET_SPAN.  Candidates are narrowed by matching the Re(s) pole
+    lines numerically, then c is fixed by evaluation at a sample point
+    and the full identity is verified exactly under the
+    reparametrization t = v^{denominator(a)}.
     Candidates whose q^{-b} is irrational cannot be expressed in exact
     rationals and are recorded as skipped.
     """
@@ -509,8 +491,8 @@ def uniformity_match(
     tried: list[tuple[Fraction, Fraction]] = []
     skipped: list[tuple[Fraction, Fraction]] = []
     candidates: list[Fraction] = []
-    for den in range(1, max_den + 1):
-        for num in range(1, max_num + 1):
+    for den in range(1, SLOPE_DEN_MAX + 1):
+        for num in range(1, SLOPE_NUM_MAX + 1):
             for sign in (1, -1):
                 a = Fraction(sign * num, den)
                 if a not in candidates:
@@ -518,7 +500,7 @@ def uniformity_match(
     for a in candidates:
         d = a.denominator
         bstep = Fraction(1, 2 * d)
-        for j in range(-2 * d * b_halfspan, 2 * d * b_halfspan + 1):
+        for j in range(-2 * d * OFFSET_SPAN, 2 * d * OFFSET_SPAN + 1):
             b = j * bstep
             if not _lines_match(pure_lines, group_lines, a, b):
                 continue

@@ -244,12 +244,14 @@ def pure_zeta(c: CurveData, inputs: PureZetaInputs) -> PureZetaResult:
 
 
 def pure_numerator(z: RationalFunction, Q: Fraction) -> Poly:
-    """Recover the degree-2g numerator of a pure zeta over (1-T)(1-QT)."""
-    den = Poly.of(1, -1) * Poly.from_list([1, -Q])
-    prod = z * RationalFunction.from_poly(den, z.var)
-    if prod.den.degree != 0:
+    """Recover the degree-2g numerator of a pure zeta over (1-T)(1-QT).
+
+    z is reduced, so it has that denominator iff z.den divides it.
+    """
+    cofactor, rem = (Poly.of(1, -1) * Poly.from_list([1, -Q])).divmod(z.den)
+    if not rem.is_zero():
         raise DomainError("function does not have the pure-zeta denominator")
-    return prod.num.scale(1 / prod.den[0])
+    return z.num * cofactor
 
 
 def fe_check_pure(
@@ -403,13 +405,14 @@ def partial_rank3_identity_check(q: int, n_points: int) -> bool:
 
 
 def bundle_counts(
-    z: RationalFunction, alpha0: Rat, Q: Rat, upto: int, tol: float = 1e-8
+    z: RationalFunction, alpha0: Rat, Q: Rat, upto: int
 ) -> list[Fraction]:
     """Counts N(m) = m [T^m] log(Z/alpha0) for m = 1..upto.
 
-    Cross-checked against 1 + Q^m - sum_i omega_i^m with the omega_i the
-    numeric inverse roots of the numerator; disagreement beyond the
-    relative tolerance raises.
+    Cross-checked exactly against 1 + Q^m - s_m, where s_m is the m-th
+    power sum of the inverse roots omega_i of the numerator
+    p = 1 + p_1 T + ... = prod (1 - omega_i T), by Newton's identities
+    s_m = -m p_m - sum_{j<m} p_j s_{m-j}; any disagreement raises.
     """
     alpha0 = _frac(alpha0)
     Q = _frac(Q)
@@ -419,15 +422,15 @@ def bundle_counts(
     cs = series_log_coefficients(normalized, upto)
     counts = [m * cs[m - 1] for m in range(1, upto + 1)]
     p = pure_numerator(normalized, Q)
-    omegas: list[complex] = []
-    for root, mult in poly_complex_roots(p, tol=1e-10):
-        omegas.extend([1 / root] * mult)
+    sums: list[Fraction] = []
     for m in range(1, upto + 1):
-        alt = 1 + float(Q) ** m - sum(w**m for w in omegas).real
-        ref = float(counts[m - 1])
-        if abs(alt - ref) > tol * max(1.0, abs(ref)):
+        s_m = -m * p[m] - sum(p[j] * sums[m - j - 1] for j in range(1, m))
+        sums.append(s_m)
+        alt = 1 + Q**m - s_m
+        if alt != counts[m - 1]:
             raise ValidationError(
-                f"count N({m}) disagrees between series ({ref}) and roots ({alt})"
+                f"count N({m}) disagrees between series ({counts[m - 1]}) "
+                f"and Newton power sums ({alt})"
             )
     return counts
 

@@ -3,7 +3,8 @@ closed Weyl-subset formula.
 
 The full period lives in variables u_1..u_n, one per simple root,
 through lambda = rho + sum s_j lambda_j and u_j = q^{-s_j}.  A pairing
-<lambda, alpha^vee> = h + sum k_j s_j turns a completed zeta factor into
+<lambda, alpha^vee> = h + sum k_j s_j, with k the coroot coordinates of
+alpha and h its coroot height, turns a completed zeta factor into
 q^{(g-1)h} U^{-(g-1)} P(q^{-h} U) / ((1 - q^{-h} U)(1 - q^{1-h} U)) with
 U = prod u_j^{k_j}, kept as atoms (multivar.AtomProduct) built from root
 data and the curve's P alone, never from the closed side.
@@ -18,7 +19,6 @@ the sum of the summands' residues, expanded once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import RationalFunction
@@ -31,21 +31,6 @@ from .multivar import collapse_sum, residue_at_one_factored
 from .rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
 
 RANK_CAP = 4
-
-
-@dataclass(frozen=True)
-class SymbolicWeight:
-    """Pairing data of lambda = rho + sum s_j lambda_j against a coroot.
-
-    ``pairing(idx)`` is (k, h) with <lambda, alpha^vee> = h + sum_j k_j s_j.
-    """
-
-    rs: RootSystem
-
-    def pairing(self, root_idx: int) -> tuple[tuple[int, ...], int]:
-        rs = self.rs
-        ks = tuple(rs.weight_pairing(j, root_idx) for j in range(rs.rank))
-        return ks, rs.coroot_height(root_idx)
 
 
 def _zeta_hat_atoms(
@@ -71,16 +56,16 @@ def weyl_term_full(
 ) -> AtomProduct:
     """One Weyl summand of the full period in u_1..u_n, factored."""
     n = rs.rank
-    sw = SymbolicWeight(rs)
     q = Fraction(c.q)
     term = AtomProduct(LaurentPoly.const(n, 1))
     winv = w.inverse()
     for s_idx in rs.simple_indices():
-        ks, h = sw.pairing(winv.apply(s_idx))
+        beta = winv.apply(s_idx)
+        ks, h = rs.coroot_coords[beta], rs.coroot_height(beta)
         # <w lambda - rho, alpha^vee> = <lambda, beta^vee> - 1
         term = term * AtomProduct.atom(n, LINE, q ** (1 - h), ks, -1)
     for idx in W.inversion_set(w):
-        ks, h = sw.pairing(idx)
+        ks, h = rs.coroot_coords[idx], rs.coroot_height(idx)
         term = term * _zeta_hat_atoms(c, n, ks, h) * _zeta_hat_atoms(c, n, ks, h + 1, -1)
     return term
 

@@ -22,7 +22,7 @@ zeta normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .certificate import Certificate
@@ -74,6 +74,21 @@ def _dot(u: Vector, v: Vector) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _inner(gram, u, v) -> Fraction:
+    """(u, v) for u, v in simple-root coordinates."""
+    n = len(gram)
+    return sum(
+        u[i] * v[j] * gram[i][j] for i in range(n) for j in range(n) if u[i] and v[j]
+    )
+
+
+def _reflect(cartan, coords: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i(v) in simple-root coordinates: v - <v, alpha_i^vee> alpha_i."""
+    out = list(coords)
+    out[i] -= sum(c * x for c, x in zip(cartan[i], coords))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Roots, coroots and weights of a split simple group."""
@@ -116,24 +131,10 @@ class RootSystem:
 
     def pairing_with_coroot(self, v: Vector, root_idx: int) -> Fraction:
         """<v, alpha^vee> for v in simple-root coordinates."""
-        alpha = self.roots[root_idx]
-        av = Fraction(0)
-        # (v, alpha)
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            av += vi * sum(alpha[j] * self.gram[i][j] for j in range(self.rank))
-        aa = self.root_norm2(root_idx)
-        return 2 * av / aa
+        return 2 * self.inner(v, self.roots[root_idx]) / self.root_norm2(root_idx)
 
     def root_norm2(self, idx: int) -> Fraction:
-        alpha = self.roots[idx]
-        return sum(
-            alpha[i] * alpha[j] * self.gram[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if alpha[i] and alpha[j]
-        )
+        return self.inner(self.roots[idx], self.roots[idx])
 
     def weight_pairing(self, p: int, root_idx: int) -> int:
         """<lambda_p, alpha^vee>, the p-th coroot coordinate."""
@@ -152,11 +153,7 @@ class RootSystem:
         return tuple(total)
 
     def inner(self, u: Vector, v: Vector) -> Fraction:
-        return sum(
-            u[i] * v[j] * self.gram[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return _inner(self.gram, u, v)
 
     def coroot_vector(self, idx: int) -> Vector:
         """alpha^vee = 2 alpha/(alpha,alpha) in simple-root coordinates."""
@@ -183,21 +180,14 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         tuple(int(2 * gram[i][j] / gram[i][i]) for j in range(rank))
         for i in range(rank)
     )
-    # reflection closure on simple-root coordinates:
-    # s_i(v)_coords = coords - <v, alpha_i^vee> e_i
-    def reflect(coords: tuple[int, ...], i: int) -> tuple[int, ...]:
-        pairing = sum(cartan[i][j] * coords[j] for j in range(rank))
-        out = list(coords)
-        out[i] -= pairing
-        return tuple(out)
-
+    # reflection closure on simple-root coordinates
     frontier = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
     roots = set(frontier) | {tuple(-x for x in r) for r in frontier}
     while frontier:
         nxt = set()
         for r in frontier:
             for i in range(rank):
-                img = reflect(r, i)
+                img = _reflect(cartan, r, i)
                 if img not in roots:
                     roots.add(img)
                     nxt.add(img)
@@ -209,17 +199,9 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
     ordered = tuple(positives + [tuple(-x for x in r) for r in positives])
 
     # coroot coordinates: alpha^vee = sum_j c_j (alpha_j,alpha_j)/(alpha,alpha) alpha_j^vee
-    def norm2(coords):
-        return sum(
-            coords[i] * coords[j] * gram[i][j]
-            for i in range(rank)
-            for j in range(rank)
-            if coords[i] and coords[j]
-        )
-
     coroot_coords = []
     for r in ordered:
-        aa = norm2(r)
+        aa = _inner(gram, r, r)
         cc = []
         for j in range(rank):
             val = Fraction(r[j]) * gram[j][j] / aa
@@ -338,64 +320,45 @@ class WeylGroup:
             if not rs.is_positive(w.apply(i))
         ]
 
-    def matrix(self, w: WeylElement) -> list[list[Fraction]]:
-        """Action on simple-root coordinates; columns are images of simples."""
+    def act_vector(self, w: WeylElement, v: Vector) -> Vector:
+        """w v in simple-root coordinates: sum_j v_j w(alpha_j)."""
         rs = self.rs
         cols = [rs.roots[w.apply(s)] for s in rs.simple_indices()]
-        return [
-            [Fraction(cols[j][i]) for j in range(rs.rank)]
-            for i in range(rs.rank)
-        ]
-
-    def act_vector(self, w: WeylElement, v: Vector) -> Vector:
-        mat = self.matrix(w)
         return tuple(
-            sum(mat[i][j] * v[j] for j in range(self.rs.rank))
-            for i in range(self.rs.rank)
+            sum(cols[j][i] * v[j] for j in range(rs.rank)) for i in range(rs.rank)
         )
 
 
-def enumerate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
-    """Close the simple reflections under composition (BFS on permutations)."""
-    n_roots = len(rs.roots)
-    simple_perms = []
-    for i in range(rs.rank):
-        perm = []
-        for r in rs.roots:
-            pairing = sum(rs.cartan[i][j] * r[j] for j in range(rs.rank))
-            img = list(r)
-            img[i] -= pairing
-            perm.append(rs.root_index(tuple(img)))
-        simple_perms.append(WeylElement(tuple(perm)))
-    ident = WeylElement(tuple(range(n_roots)))
+def _closure(ident: WeylElement, gens) -> tuple[WeylElement, ...]:
+    """The group generated by ``gens``, by BFS on permutations from ``ident``."""
     seen = {ident.perm: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            for s in simple_perms:
+            for s in gens:
                 cand = s.compose(w)
                 if cand.perm not in seen:
-                    if len(seen) >= cap:
-                        raise CapabilityError(
-                            f"Weyl enumeration cap {cap} exceeded"
-                        )
+                    if len(seen) >= WEYL_CAP:
+                        raise CapabilityError(f"Weyl enumeration cap {WEYL_CAP} exceeded")
                     seen[cand.perm] = cand
                     nxt.append(cand)
         frontier = nxt
-    elements = tuple(seen.values())
+    return tuple(seen.values())
 
-    def inv_count(w: WeylElement) -> int:
-        return sum(
-            1
-            for i in range(rs.n_positive)
-            if not rs.is_positive(w.apply(i))
-        )
 
-    longest = max(elements, key=inv_count)
-    if inv_count(longest) != rs.n_positive:
+def enumerate_weyl(rs: RootSystem) -> WeylGroup:
+    """Close the simple reflections under composition."""
+    simple_perms = tuple(
+        WeylElement(tuple(rs.root_index(_reflect(rs.cartan, r, i)) for r in rs.roots))
+        for i in range(rs.rank)
+    )
+    ident = WeylElement(tuple(range(len(rs.roots))))
+    W = WeylGroup(rs, _closure(ident, simple_perms), simple_perms, ident, ident)
+    longest = max(W.elements, key=W.length)
+    if W.length(longest) != rs.n_positive:
         raise ValidationError("longest element has wrong length")
-    return WeylGroup(rs, elements, tuple(simple_perms), ident, longest)
+    return replace(W, longest=longest)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +372,6 @@ class ParabolicData:
 
     rs: RootSystem
     p: int  # 1-based index of the removed simple root
-    levi_root_indices: tuple[int, ...]  # Phi_p inside the ambient root list
     rho_p: Vector
     c_p: int
     weyl_subset: tuple[WeylElement, ...]  # {w : w Delta_p in Delta u Phi^-}
@@ -425,12 +387,7 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
     if not 1 <= p <= rs.rank:
         raise DomainError(f"parabolic index must be in 1..{rs.rank}")
     p0 = p - 1
-    levi = [
-        i
-        for i, r in enumerate(rs.roots)
-        if r[p0] == 0 and any(r)
-    ]
-    levi_pos = [i for i in levi if rs.is_positive(i)]
+    levi_pos = [i for i in range(rs.n_positive) if rs.roots[i][p0] == 0]
     rho_p = tuple(
         sum(Fraction(rs.roots[i][j]) for i in levi_pos) / 2
         for j in range(rs.rank)
@@ -458,25 +415,12 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
 
     # longest element of the Levi Weyl group: generated by s_j, j != p
     gens = [W.simple_reflections[j] for j in range(rs.rank) if j != p0]
-    seen = {W.identity.perm: W.identity}
-    frontier = [W.identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                cand = s.compose(w)
-                if cand.perm not in seen:
-                    seen[cand.perm] = cand
-                    nxt.append(cand)
-        frontier = nxt
     levi_pos_set = set(levi_pos)
     w_p = max(
-        seen.values(),
+        _closure(W.identity, gens),
         key=lambda w: len(levi_pos_set & set(W.inversion_set(w))),
     )
-    pd = ParabolicData(
-        rs, p, tuple(levi), rho_p, c_p, tuple(subset), w_p
-    )
+    pd = ParabolicData(rs, p, rho_p, c_p, tuple(subset), w_p)
     _validate_parabolic(pd, W)
     return pd
 

@@ -99,16 +99,18 @@ class TestSubstitution:
         assert g == RationalFunction.make(Poly.of(1, 0, 1), Poly.of(1, 0, -1), "t")
 
     def test_substitutions_compose(self):
+        # u -> c*u is the power substitution with d = 1
         f = RationalFunction.make(Poly.of(1, 2, 1), Poly.of(3, 0, 1), "u")
-        one_step = substitute(f, SubstRule.scaling(F(3, 2)))
+        one_step = substitute(f, SubstRule.power(F(3, 2), 1, "u"))
         two_step = substitute(
-            substitute(f, SubstRule.scaling(3)), SubstRule.scaling(F(1, 2))
+            substitute(f, SubstRule.power(3, 1, "u")),
+            SubstRule.power(F(1, 2), 1, "u"),
         )
         assert one_step == two_step
 
     def test_zero_constant_rejected(self):
         with pytest.raises(DomainError):
-            substitute(RationalFunction.variable("u"), SubstRule.scaling(0))
+            substitute(RationalFunction.variable("u"), SubstRule.power(0, 1, "u"))
 
 
 class TestLogSeries:
@@ -200,7 +202,7 @@ class TestComplexRoots:
         monkeypatch.setattr(
             nazeta.algebra,
             "_aberth",
-            lambda coeffs, tol: [complex(k + 3, 1) for k in range(len(coeffs) - 1)],
+            lambda coeffs: [complex(k + 3, 1) for k in range(len(coeffs) - 1)],
         )
         calls = []
         companion = nazeta.algebra._companion_roots

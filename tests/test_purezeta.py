@@ -35,6 +35,7 @@ from nazeta.purezeta import (
     partial_rank3_bracket,
     partial_rank3_identity_check,
     partial_zeta_rank3_elliptic,
+    pure_numerator,
     pure_zeta,
     rank1_inputs,
     rh_report,
@@ -430,11 +431,48 @@ class TestBundleCounts:
         counts = bundle_counts(res.zeta, 3, 4, 4)
         assert counts[0] == 6  # 1 + Q - sum(omega) = 1 + 4 - (-1)
 
-    def test_root_cross_check_within_tolerance(self):
+    def test_series_counts_match_newton_power_sums(self):
         c = elliptic_curve(3, 4)
         res = pure_zeta(c, elliptic_rank2_inputs(c))
-        # would raise if the series and root routes disagreed
-        bundle_counts(res.zeta, 2, 9, 6)
+        # would raise if the series and the power sums disagreed
+        counts = bundle_counts(res.zeta, 2, 9, 6)
+        # 1 + 2T + 9T^2 = (1 - w1 T)(1 - w2 T): s_1 = -2, s_2 = 4 - 18
+        assert counts[:2] == [1 + 9 + 2, 1 + 81 + 14]
+
+    def test_perturbed_series_coefficient_raises(self, monkeypatch):
+        series = nazeta.purezeta.series_log_coefficients
+
+        def perturbed(f, order):
+            cs = series(f, order)
+            cs[2] += F(1, 10**12)  # far below any float tolerance
+            return cs
+
+        monkeypatch.setattr(nazeta.purezeta, "series_log_coefficients", perturbed)
+        c = elliptic_curve(3, 4)
+        res = pure_zeta(c, elliptic_rank2_inputs(c))
+        with pytest.raises(ValidationError, match=r"N\(3\)"):
+            bundle_counts(res.zeta, 2, 9, 6)
+
+
+class TestPureNumerator:
+    def test_elliptic_grid_matches_the_assembled_numerator(self):
+        for q in range(2, 17):
+            for n in hasse_counts(q):
+                c = elliptic_curve(q, n)
+                res = pure_zeta(c, elliptic_rank2_inputs(c))
+                assert pure_numerator(res.zeta, res.Q) == res.numerator
+
+    def test_genus2_matches_the_assembled_numerator(self):
+        res = pure_zeta(GENUS2, PureZetaInputs.make(2, [F(2, 3), F(5)], F(7, 2)))
+        assert res.numerator.degree == 4
+        assert pure_numerator(res.zeta, res.Q) == res.numerator
+
+    def test_other_denominator_rejected(self):
+        z = RationalFunction.make(Poly.one(), Poly.of(1, -3), "T")
+        with pytest.raises(
+            DomainError, match="^function does not have the pure-zeta denominator$"
+        ):
+            pure_numerator(z, F(4))
 
 
 class TestGenus2Criterion:

@@ -23,7 +23,6 @@ from nazeta.multivar import (
 from nazeta.algebra import Poly
 from nazeta.residues import (
     RANK_CAP,
-    SymbolicWeight,
     iterated_residue,
     residue_period,
     residue_route_equivalence,
@@ -188,15 +187,6 @@ class TestFactoredResidue:
             "numerator",
         )
         agrees_with_oracle(product(n, num, poles + others), j)
-
-
-class TestSymbolicWeight:
-    def test_pairings(self):
-        rs = build_root_system("A", 2)
-        sw = SymbolicWeight(rs)
-        # highest root: pairing (1, 1), coroot height 2
-        theta = rs.root_index((1, 1))
-        assert sw.pairing(theta) == ((1, 1), 2)
 
 
 class TestFullPeriod:

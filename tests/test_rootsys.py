@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import nazeta.rootsys
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.rootsys import (
     SUPPORTED,
@@ -61,6 +62,14 @@ class TestRootSystems:
             for i, s in enumerate(rs.simple_indices()):
                 for p in range(rs.rank):
                     assert rs.weight_pairing(p, s) == (1 if p == i else 0)
+
+    def test_highest_root_pairing(self):
+        # <lambda, theta^vee> = h + sum k_j s_j for lambda = rho + sum s_j
+        # lambda_j: k is the coroot coordinate vector, h the coroot height
+        rs = build_root_system("A", 2)
+        theta = rs.root_index((1, 1))
+        assert rs.coroot_coords[theta] == (1, 1)
+        assert rs.coroot_height(theta) == 2
 
     def test_unsupported_rejected(self):
         with pytest.raises(CapabilityError):
@@ -122,9 +131,10 @@ class TestWeylGroup:
                 rhs = W.act_vector(w, rs.coroot_vector(idx))
                 assert lhs == tuple(rhs)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(nazeta.rootsys, "WEYL_CAP", 10)
         with pytest.raises(CapabilityError):
-            enumerate_weyl(build_root_system("A", 5), cap=10)
+            enumerate_weyl(build_root_system("A", 5))
 
 
 class TestParabolicData:
