@@ -1,11 +1,14 @@
 """Exact univariate arithmetic: polynomials and reduced rational functions.
 
-Scalars are ``fractions.Fraction`` throughout.  A polynomial is a dense
+Scalars in the API are ``fractions.Fraction``.  A polynomial is a dense
 tuple of coefficients indexed by degree, trailing zeros stripped, so the
 zero polynomial is the empty tuple.  A rational function is a reduced
 pair of polynomials with the denominator normalized to leading
 coefficient 1; that makes equality of values a plain structural
-comparison.
+comparison.  The reduction itself runs over Z: numerator and denominator
+become a rational content times a primitive integer list, their gcd is
+taken by a primitive pseudo-remainder sequence and divided out exactly,
+and the Fractions of the result are built once.
 
 The two monomial substitutions of the functional equations and the
 reparametrizations, u -> c/u and u -> c*v^d, act coefficientwise and
@@ -251,6 +254,12 @@ class Poly:
         return " + ".join(parts)
 
 
+# A rational polynomial enters the integer kernels as a rational content
+# times a primitive integer coefficient list (FLINT's fmpq_poly layout):
+# products, gcds and exact quotients then run over Z, and Fractions are
+# built once, for the result.
+
+
 def _int_content(ints: Sequence[int]) -> int:
     g = 0
     for v in ints:
@@ -260,13 +269,43 @@ def _int_content(ints: Sequence[int]) -> int:
     return g or 1
 
 
-def _to_int_poly(p: Poly) -> list[int]:
+def _to_int_poly(p: Poly) -> tuple[Fraction, list[int]]:
+    """p as a rational content times a primitive integer list."""
     den = 1
     for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
+        if c.denominator != 1:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     g = _int_content(ints)
-    return [v // g for v in ints]
+    return Fraction(g, den), [v // g for v in ints]
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer coefficient lists."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer lists whose quotient is known to be integral."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = a[i + db] // lb
+        if c:
+            quot[i] = c
+            for j, v in enumerate(b, i):
+                a[j] -= c * v
+    return quot
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -291,6 +330,21 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return [v // g for v in a] if a else []
 
 
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd (up to sign) of nonzero primitive integer lists.
+
+    Computed by the primitive pseudo-remainder sequence; a constant side
+    makes it 1.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    while b:
+        a, b = b, _int_prem(a, b)
+    return a
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd, computed by a primitive remainder sequence over Z."""
     if a.is_zero():
@@ -298,12 +352,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     elif b.is_zero():
         g = a
     else:
-        x, y = _to_int_poly(a), _to_int_poly(b)
-        if len(x) < len(y):
-            x, y = y, x
-        while y:
-            x, y = y, _int_prem(x, y)
-        g = Poly.from_list(x)
+        g = Poly.from_list(_int_gcd(_to_int_poly(a)[1], _to_int_poly(b)[1]))
     if g.is_zero():
         return g
     return g.scale(1 / g.leading())
@@ -395,15 +444,19 @@ class RationalFunction:
             raise DomainError("zero denominator")
         if num.is_zero():
             return RationalFunction(Poly.zero(), Poly.one(), var)
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.leading()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RationalFunction(num, den, var)
+        # by Gauss's lemma the quotients by the primitive gcd are integral
+        cn, a = _to_int_poly(num)
+        cd, b = _to_int_poly(den)
+        g = _int_gcd(a, b)
+        if len(g) > 1:
+            a, b = _int_div_exact(a, g), _int_div_exact(b, g)
+        lead = b[-1]
+        s = cn / (cd * lead)
+        return RationalFunction(
+            Poly(tuple(Fraction(s.numerator * v, s.denominator) for v in a)),
+            Poly(tuple(Fraction(v, lead) for v in b)),
+            var,
+        )
 
     @staticmethod
     def from_poly(p: Poly, var: str = "u") -> "RationalFunction":
@@ -547,7 +600,7 @@ class SubstRule:
         return SubstRule("recip", _frac(c))
 
     @staticmethod
-    def power(c: Rat, d: int, new_var: str = "v") -> "SubstRule":
+    def power(c: Rat, d: int, new_var: str) -> "SubstRule":
         return SubstRule("power", _frac(c), d, new_var)
 
 
@@ -570,7 +623,7 @@ def substitute(f: RationalFunction, rule: SubstRule) -> RationalFunction:
         )
         return RationalFunction.make(num, den, f.var)
     if rule.kind == "power":
-        var = rule.new_var or "v"
+        var = rule.new_var
         if rule.d == 0:
             raise DomainError("power substitution requires d != 0")
         if rule.d > 0:

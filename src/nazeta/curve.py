@@ -5,22 +5,28 @@ Weil numerator P of degree 2g, validated against P(0) = 1 and the
 coefficient symmetry a_{2g-i} = q^{g-i} a_i.  The completed zeta
 q^{(g-1)s} P(q^{-s}) / ((1-q^{-s})(1-q^{1-s})) at any integer-linear
 argument k*s + h is a constant times a power of u = q^{-s} times powers
-of the atoms 1 - c u^m and P(c u^m), m >= 1 (a FactorProduct); products
+of the atoms 1 - c u^m and P(c u^m), m >= 1 (a FactorProduct), where c
+is always a power q^j and an atom is keyed by the integer j; products
 of such factors stay factored until one expansion into a reduced
-rational function of u; completed_zeta_factor returns that function
-itself.  The residue at s = 1 is kept in "stripped" form, multiplied by
-log q, so that every special value in the system is an honest rational
-number.
+rational function of u, which multiplies and sums integer coefficient
+lists and builds Fractions only for the result; completed_zeta_factor
+returns that function itself.  The residue at s = 1 is kept in
+"stripped" form, multiplied by log q, so that every special value in the
+system is an honest rational number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     Poly,
     RationalFunction,
+    _int_content,
+    _int_mul,
+    _to_int_poly,
     parse_rational,
     roots_on_circle,
     series_exp,
@@ -121,8 +127,8 @@ def artin_zeta(c: CurveData) -> RationalFunction:
     return RationalFunction.make(c.P, den, "t")
 
 
-# ("L", c, m) stands for 1 - c u^m and ("P", c, m) for P(c u^m), m >= 1
-Atom = tuple[str, Fraction, int]
+# ("L", j, m) stands for 1 - q^j u^m and ("P", j, m) for P(q^j u^m), m >= 1
+Atom = tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -158,35 +164,47 @@ class FactorProduct:
         return expand_sum(c, [self])
 
 
-def _atom_poly(c: CurveData, atom: Atom) -> Poly:
-    kind, coeff, m = atom
+def _atom_ints(c: CurveData, atom: Atom) -> tuple[Fraction, list[int]]:
+    """The atom's polynomial in y = u^m as content times a primitive list."""
+    kind, j, _ = atom
+    q = c.q
     if kind == "L":
-        return Poly.monomial(m, -coeff) + Poly.one()
-    return c.P.compose_monomial(coeff, m)
+        if j >= 0:
+            return Fraction(1), [1, -(q**j)]
+        return Fraction(1, q**-j), [q**-j, -1]
+    content, ints = _to_int_poly(c.P)
+    n = len(ints) - 1
+    if j >= 0:
+        ints = [v * q ** (i * j) for i, v in enumerate(ints)]
+    else:  # P(q^j y) = q^(jn) sum_i a_i q^(-j(n-i)) y^i
+        ints = [v * q ** (-j * (n - i)) for i, v in enumerate(ints)]
+        content /= q ** (-j * n)
+    g = _int_content(ints)
+    return content * g, [v // g for v in ints]
 
 
-def line_factor(coeff: Fraction, k: int) -> FactorProduct:
-    """1 - coeff * u^k; a negative k folds to 1 - u^{-k}/coeff."""
+def line_factor(q: int, j: int, k: int) -> FactorProduct:
+    """1 - q^j u^k; a negative k folds to 1 - q^-j u^-k."""
     if k > 0:
-        return FactorProduct(Fraction(1), 0, ((("L", coeff, k), 1),))
+        return FactorProduct(Fraction(1), 0, ((("L", j, k), 1),))
     if k < 0:
-        # 1 - c u^{-m} = -c u^{-m} (1 - u^m / c)
-        return FactorProduct(-coeff, k, ((("L", 1 / coeff, -k), 1),))
-    return FactorProduct(1 - coeff)
+        # 1 - q^j u^{-m} = -q^j u^{-m} (1 - q^{-j} u^m)
+        return FactorProduct(-Fraction(q) ** j, k, ((("L", -j, -k), 1),))
+    return FactorProduct(1 - Fraction(q) ** j)
 
 
-def _numerator_factor(c: CurveData, coeff: Fraction, k: int) -> FactorProduct:
-    """P(coeff * u^k); a negative k folds by the coefficient symmetry."""
+def _numerator_factor(c: CurveData, j: int, k: int) -> FactorProduct:
+    """P(q^j u^k); a negative k folds by the coefficient symmetry."""
     if k > 0:
-        return FactorProduct(Fraction(1), 0, ((("P", coeff, k), 1),))
+        return FactorProduct(Fraction(1), 0, ((("P", j, k), 1),))
     if k < 0:
-        # P(x) = q^g x^{2g} P(1/(q x)) at x = coeff u^{-m}
+        # P(x) = q^g x^{2g} P(1/(q x)) at x = q^j u^{-m}
         return FactorProduct(
-            Fraction(c.q) ** c.g * coeff ** (2 * c.g),
+            Fraction(c.q) ** (c.g + 2 * c.g * j),
             2 * c.g * k,
-            ((("P", 1 / (c.q * coeff), -k), 1),),
+            ((("P", -1 - j, -k), 1),),
         )
-    return FactorProduct(c.P.evaluate(coeff))
+    return FactorProduct(c.P.evaluate(Fraction(c.q) ** j))
 
 
 def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
@@ -202,14 +220,13 @@ def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
             f"completed zeta has a pole at the constant argument {h}; "
             "use zeta_special_residue for the stripped value at 1"
         )
-    q = Fraction(c.q)
     g = c.g
-    shift = FactorProduct(q ** ((g - 1) * h), -k * (g - 1))
+    shift = FactorProduct(Fraction(c.q) ** ((g - 1) * h), -k * (g - 1))
     return (
         shift
-        * _numerator_factor(c, q**-h, k)
-        * line_factor(q**-h, k) ** -1
-        * line_factor(q ** (1 - h), k) ** -1
+        * _numerator_factor(c, -h, k)
+        * line_factor(c.q, -h, k) ** -1
+        * line_factor(c.q, 1 - h, k) ** -1
     )
 
 
@@ -217,8 +234,11 @@ def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
     """The reduced sum of factored terms, with a single reduction.
 
     The common denominator takes each atom to its highest power over the
-    terms, and the lowest power of u; each numerator is lifted to it with
-    cached atom powers, and the dense sum is reduced once.
+    terms, and the lowest power of u.  Each numerator is lifted to it as
+    a rational scalar times a product of integer lists (atom powers are
+    built once per call); the scalars are brought to one denominator, the
+    sum is accumulated over Z and converted to Fractions once, for the
+    single reduction.
     """
     terms = [t for t in terms if t.const != 0]
     den_exps: dict[Atom, int] = {}
@@ -227,27 +247,49 @@ def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
             if e < 0 and -e > den_exps.get(atom, 0):
                 den_exps[atom] = -e
     low = min((t.upow for t in terms), default=0)
-    powers: dict[tuple[Atom, int], Poly] = {}
+    powers: dict[tuple[Atom, int], tuple[Fraction, list[int]]] = {}
 
-    def power(atom: Atom, n: int) -> Poly:
+    def power(atom: Atom, n: int) -> tuple[Fraction, list[int]]:
         if (atom, n) not in powers:
-            powers[atom, n] = _atom_poly(c, atom) ** n
+            content, ints = _atom_ints(c, atom)
+            p = [1]
+            for _ in range(n):
+                p = _int_mul(p, ints)
+            m = atom[2]
+            spread = [0] * (m * (len(p) - 1) + 1)
+            spread[::m] = p
+            powers[atom, n] = (content**n, spread)
         return powers[atom, n]
 
-    total = Poly.zero()
+    def lift(
+        scalar: Fraction, ints: list[int], exps: dict[Atom, int]
+    ) -> tuple[Fraction, list[int]]:
+        for atom, n in exps.items():
+            if n:
+                content, p = power(atom, n)
+                scalar *= content
+                ints = _int_mul(ints, p)
+        return scalar, ints
+
+    lifted = []
     for t in terms:
         exps = dict(den_exps)
         for atom, e in t.atoms:
             exps[atom] = exps.get(atom, 0) + e
-        num = Poly.monomial(t.upow - low, t.const)
-        for atom, n in exps.items():
-            if n:
-                num = num * power(atom, n)
-        total = total + num
-    den = Poly.monomial(max(-low, 0))
-    for atom, n in den_exps.items():
-        den = den * power(atom, n)
-    return RationalFunction.make(total * Poly.monomial(max(low, 0)), den, "u")
+        lifted.append(lift(t.const, [0] * (t.upow - low) + [1], exps))
+    common = math.lcm(*(scalar.denominator for scalar, _ in lifted))
+    total = [0] * max((len(p) for _, p in lifted), default=0)
+    for scalar, p in lifted:
+        f = scalar.numerator * (common // scalar.denominator)
+        for i, v in enumerate(p):
+            total[i] += f * v
+    # sum = total / common and the denominator is den_scalar * den
+    den_scalar, den = lift(Fraction(1), [0] * max(-low, 0) + [1], den_exps)
+    num_poly = Poly.from_list(
+        [0] * max(low, 0) + [v * den_scalar.denominator for v in total]
+    )
+    den_poly = Poly.from_list([v * common * den_scalar.numerator for v in den])
+    return RationalFunction.make(num_poly, den_poly, "u")
 
 
 def completed_zeta_factor(c: CurveData, k: int, h: int) -> RationalFunction:

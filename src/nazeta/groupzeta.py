@@ -11,7 +11,7 @@ residues of the full-rank period produce once each residue's 1/log q is
 cancelled, and it is cross-checked by the residues module.
 
 Every summand is kept as a curve.FactorProduct (a constant, a power of
-u and powers of the atoms 1 - c u^m and P(c u^m)); the period lifts each
+u and powers of the atoms 1 - q^j u^m and P(q^j u^m)); the period lifts each
 numerator to the common denominator of all summands and reduces the
 sum once.  Single terms and the products over root keys expand their
 factor multisets the same way, with one reduction each.  The involution
@@ -97,7 +97,7 @@ def _rational_factors(
         if coords[p0] == 0 and rs.is_positive(pre) and sum(map(abs, coords)) == 1:
             continue  # alpha in Delta_p, the only roots with key (0, 1)
         k, h = _root_key(rs, pd, pre)
-        term = term * line_factor(Fraction(c.q) ** (1 - h), k) ** -1
+        term = term * line_factor(c.q, 1 - h, k) ** -1
     return term
 
 

@@ -9,7 +9,6 @@ the scalar type differs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
@@ -33,21 +32,6 @@ def completed_riemann(n: int) -> float:
             mpmath.mpf(n) / 2
         ) * mpmath.zeta(n)
         return float(val)
-
-
-def completed_riemann_series(n: int, terms: int = 20_000) -> float:
-    """Independent oracle: direct Dirichlet series with tail correction.
-
-    Sums k^{-n} for k <= K and adds the Euler-Maclaurin tail
-    K^{1-n}/(n-1) - K^{-n}/2 + n K^{-n-1}/12, then multiplies by the
-    Gamma factor; accurate far beyond 1e-10 for n >= 2.
-    """
-    if n < 2:
-        raise DomainError("series oracle needs n >= 2")
-    zeta = sum(k ** (-float(n)) for k in range(1, terms + 1))
-    K = float(terms)
-    zeta += K ** (1 - n) / (n - 1) - K ** (-n) / 2 + n * K ** (-n - 1) / 12
-    return math.pi ** (-n / 2) * math.gamma(n / 2) * zeta
 
 
 def siegel_volume(r: int) -> float:

@@ -329,29 +329,18 @@ def rh_report(p: Poly, Q: Rat) -> RHReport:
 # ---------------------------------------------------------------------------
 
 
-def mixed_zeta_rank2(
-    q: int,
-    n_points: int,
-    alpha0: Rat | None = None,
-    beta0: Rat | None = None,
-    beta1: Rat | None = None,
-) -> RationalFunction:
+def mixed_zeta_rank2(q: int, n_points: int) -> RationalFunction:
     """Rank-two zeta counting semi-stable bundles of all degrees.
 
     The even degrees contribute alpha(0) + beta(0)(q^2-1)t^2 / D and the
-    odd degrees beta(1)(qt/(1-q^2t^2) - t/(1-t^2)), D = (1-t^2)(1-q^2t^2).
-    With the elliptic defaults the numerator works out to
+    odd degrees beta(1)(qt/(1-q^2t^2) - t/(1-t^2)), D = (1-t^2)(1-q^2t^2),
+    with the elliptic values alpha(0) = beta(1) = N/(q-1) and the closed
+    form of beta(0).  The numerator works out to
     [N/(q-1)] (1 + (q-1)t + (N-2)t^2 + (q-1)q t^3 + q^2 t^4); the middle
     coefficient is pinned by the t^2 count alpha(2) = (q^2-1) beta(0).
     """
-    n = Fraction(n_points)
-    a0 = _frac(alpha0) if alpha0 is not None else n / (q - 1)
-    b0 = (
-        _frac(beta0)
-        if beta0 is not None
-        else elliptic_beta2_closed_form(q, n_points)
-    )
-    b1 = _frac(beta1) if beta1 is not None else n / (q - 1)
+    a0 = b1 = Fraction(n_points, q - 1)
+    b0 = elliptic_beta2_closed_form(q, n_points)
     t = RationalFunction.variable("t")
     one = RationalFunction.const(1, "t")
     t2 = t * t

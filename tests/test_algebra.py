@@ -3,8 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import fraction_oracle
 import nazeta.algebra
 from nazeta.algebra import (
     Poly,
@@ -69,6 +70,33 @@ class TestRationalFunction:
         f = RationalFunction.make(a, d, "u")
         g = RationalFunction.make(b, Poly.of(1, 2), "u")
         assert (f * g) / g == f
+
+    # coefficients with denominators up to 10^30, either sign
+    wide = st.one_of(
+        rationals,
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**30),
+    )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        a=st.lists(wide, max_size=5).map(Poly.from_list),
+        b=st.lists(wide, min_size=1, max_size=5).map(Poly.from_list),
+        f=st.lists(wide, min_size=1, max_size=4).map(Poly.from_list),
+    )
+    @example(a=Poly.zero(), b=Poly.of(1, 2), f=Poly.of(3, 1))  # zero numerator
+    @example(a=Poly.of(1, 2, 3), b=Poly.of(F(-5, 7)), f=Poly.of(2))  # constant den
+    @example(  # negative leading coefficients, a cubic common factor
+        a=Poly.of(1, -3), b=Poly.of(2, 0, -7), f=Poly.of(F(1, 10**30), 0, 1, -4)
+    )
+    def test_make_matches_the_fraction_oracle(self, a, b, f):
+        # num and den share the factor f, of degree 0..3
+        if b.is_zero() or f.is_zero():
+            return
+        num, den = a * f, b * f
+        assert RationalFunction.make(num, den, "T") == fraction_oracle.make(
+            num, den, "T"
+        )
+        assert poly_gcd(num, den) == fraction_oracle.fraction_gcd(num, den)
 
     def test_series_of_geometric(self):
         f = RationalFunction.make(Poly.one(), Poly.of(1, -1), "T")

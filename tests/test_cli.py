@@ -443,19 +443,58 @@ class TestMathematicalFailure:
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def _perfbench_module(name: str):
+    """A benchmark module, loaded read-only from perfbench/."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# workloads imports only the standard library; oracles imports workloads
+# and job the nazeta package, both by plain name
+WORKLOADS = _perfbench_module("workloads")
+SEED1_CURVES = WORKLOADS.curves_for_seed(1)
+GROUP_AND_RESIDUE_JOBS = WORKLOADS.GROUP_SWEEP + WORKLOADS.RESIDUE_ORACLE
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's digest code and its reference digests."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    reference = json.loads((PERFBENCH / "reference_digests.json").read_text())
+    return _perfbench_module("oracles"), reference
+
+
 class TestReportAllGolden:
-    def test_exact_fields_match_the_benchmark_reference(self, monkeypatch, tmp_path):
-        # the benchmark's own digest code, loaded read-only; it imports
-        # its sibling module workloads
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_oracles", PERFBENCH / "oracles.py"
-        )
-        oracles = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(oracles)
-        reference = json.loads((PERFBENCH / "reference_digests.json").read_text())
+    def test_exact_fields_match_the_benchmark_reference(self, bench, tmp_path):
+        oracles, reference = bench
         out = tmp_path / "report.json"
         # criterion 3 carries the two known-red printed claims
         assert main(["report-all", "--json-out", str(out)]) == EXIT_MATH_FAIL
         payload = json.loads(out.read_text())
         assert oracles.digest(payload) == reference["report[]@fixed"]
+
+    @pytest.mark.parametrize(
+        "job",
+        GROUP_AND_RESIDUE_JOBS,
+        ids=[job.key(SEED1_CURVES) for job in GROUP_AND_RESIDUE_JOBS],
+    )
+    def test_seed1_job_matches_the_benchmark_reference(self, bench, job, tmp_path):
+        oracles, reference = bench
+        paths = WORKLOADS.write_curves(SEED1_CURVES, tmp_path)
+        out = tmp_path / "out.json"
+        argv = WORKLOADS.cli_argv(
+            job, paths[job.curve], str(out), str(tmp_path / "out.csv")
+        )
+        if argv is None:  # a library job, run as the benchmark runs it
+            run = _perfbench_module("job").LIBRARY[job.kind]
+            output = run({"curve": paths[job.curve], "params": list(job.params)})
+            payload = json.loads(json.dumps(output))
+        else:
+            assert main(argv) == EXIT_OK
+            payload = json.loads(out.read_text())
+        assert oracles.digest(payload) == reference[job.key(SEED1_CURVES)]

@@ -3,9 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fraction_oracle
 from nazeta.algebra import Poly, RationalFunction, series_exp
 from nazeta.curve import (
+    FactorProduct,
     artin_zeta,
     artin_zeta_value,
     completed_zeta_factor,
@@ -13,6 +16,7 @@ from nazeta.curve import (
     curve_from_numerator,
     curve_from_point_counts,
     elliptic_curve,
+    expand_sum,
     zeta_special_residue,
 )
 from nazeta.errors import DomainError, PoleError, ValidationError
@@ -179,3 +183,36 @@ class TestSpecialResidue:
             lhs = q**curve.g * curve.P.evaluate(1 / q) / (q - 1)
             assert zeta_special_residue(curve) == lhs
             assert lhs == curve.P.evaluate(1) / (q - 1)
+
+
+# atoms ("L", j, m) = 1 - q^j u^m and ("P", j, m) = P(q^j u^m)
+ATOMS = st.tuples(st.sampled_from("LP"), st.integers(-4, 4), st.integers(1, 3))
+FACTORED_TERMS = st.lists(
+    st.builds(
+        FactorProduct,
+        const=st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=9)),
+        upow=st.integers(-4, 4),
+        atoms=st.dictionaries(
+            ATOMS, st.integers(-3, 3).filter(bool), max_size=3
+        ).map(lambda exps: tuple(exps.items())),
+    ),
+    max_size=4,
+)
+
+
+class TestExpandSum:
+    @pytest.mark.parametrize("curve", [
+        elliptic_curve(2, 3),
+        curve_from_numerator(2, 2, GENUS2_P.coeffs),
+        curve_from_numerator(1, 3, [1, F(1, 2), 3]),  # rational coefficients
+    ], ids=["genus-1", "genus-2", "rational"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(terms=FACTORED_TERMS)
+    @example(terms=[])
+    @example(terms=[FactorProduct(F(0), -2, ((("P", 1, 2), -1),))])
+    @example(terms=[
+        FactorProduct(F(3, 2), -3, ((("L", -4, 1), 2), (("P", 4, 3), -1))),
+        FactorProduct(F(-1), 2, ((("P", -4, 1), 3), (("L", 4, 2), -3))),
+    ])
+    def test_matches_the_per_term_fraction_oracle(self, curve, terms):
+        assert expand_sum(curve, terms) == fraction_oracle.expand_sum(curve, terms)
