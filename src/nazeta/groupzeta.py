@@ -453,13 +453,23 @@ def _pole_lines(f: RationalFunction, q: int) -> list[float]:
     return sorted(lines)
 
 
+def _integer_root(n: int, d: int) -> int:
+    """floor(n^(1/d)) for n >= 0, by integer Newton iteration."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d), at least the root
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
+
+
 def _q_power_fraction(q: int, b: Fraction) -> Fraction | None:
     """q^{-b} as an exact rational, or None when it is irrational."""
-    if b.denominator == 1:
-        return Fraction(q) ** (-int(b))
-    root = round(q ** (1.0 / b.denominator))
+    root = _integer_root(q, b.denominator)
     if root**b.denominator == q:
-        return Fraction(root) ** (-int(b * b.denominator))
+        return Fraction(root) ** -b.numerator
     return None
 
 

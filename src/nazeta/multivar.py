@@ -2,27 +2,42 @@
 residue operator -Res_{u_j=1}[f/u_j].
 
 Monomials are integer exponent tuples (negative exponents allowed), one
-slot per variable, at most four variables.  An AtomProduct is a sparse
-numerator times atoms p(c u^k), k an exponent vector, never expanded;
-the residue operator maps such products to such products, so iterated
-residues are expanded once, when the sum is collapsed to one variable.
+slot per variable, at most five variables.  An AtomProduct is a rational
+content times a sparse integer numerator times atoms p(q^j u^k), k an
+exponent vector, keyed ("L", j, k) for p = 1 - x and ("P", j, k) for the
+curve's Weil numerator P, and never expanded; q and P are read from the
+curve passed in.  The residue operator maps such products to such
+products with integer series kernels (one rational content per series),
+so iterated residues are expanded once, when the sum is collapsed to one
+variable over Z.
 
-The whole-fraction path (MultiRationalFunction, residue_at_one by trial
-division of x_j - 1) has no production caller: it is the oracle the
-factored operator is tested against.  Without a multivariate gcd, its
-``equal`` decides equality by cross-multiplication.
+The whole-fraction path (LaurentPoly, MultiRationalFunction,
+residue_at_one by trial division of x_j - 1) has no production caller:
+it is the oracle the factored operator is tested against.  Without a
+multivariate gcd, its ``equal`` decides equality by cross-multiplication.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
-from .algebra import Poly, RationalFunction, Rat, _frac
+from .algebra import (
+    Poly,
+    RationalFunction,
+    Rat,
+    _frac,
+    _int_content,
+    _int_mul,
+    _to_int_poly,
+)
+from .curve import CurveData
 from .errors import CapabilityError, DomainError
 
-MAX_VARS = 4
+MAX_VARS = 5
 
 Monomial = tuple[int, ...]
 
@@ -133,7 +148,7 @@ class LaurentPoly:
 
 @dataclass(frozen=True)
 class MultiRationalFunction:
-    """Fraction of sparse Laurent polynomials in up to four variables."""
+    """Fraction of sparse Laurent polynomials in up to five variables."""
 
     num: LaurentPoly
     den: LaurentPoly
@@ -199,6 +214,14 @@ class MultiRationalFunction:
         return RationalFunction.make(num * up, den * down, var)
 
 
+def _binom(x: int, i: int) -> int:
+    """The t^i coefficient of (1 + t)^x, for any integer x."""
+    out = 1
+    for r in range(i):
+        out = out * (x - r) // (r + 1)
+    return out
+
+
 def residue_at_one(f: MultiRationalFunction, j: int) -> MultiRationalFunction:
     """The operator -Res_{x_j=1}[f / x_j].
 
@@ -213,8 +236,8 @@ def residue_at_one(f: MultiRationalFunction, j: int) -> MultiRationalFunction:
         den, order = quot, order + 1
     if order == 0:
         return MultiRationalFunction.const(n, 0)
-    a = _taylor(f.num, j, order - 1, shift=-1)
-    e = _taylor(den, j, order - 1)
+    a = _laurent_taylor(f.num, j, order - 1, shift=-1)
+    e = _laurent_taylor(den, j, order - 1)
     # t^k coefficient of a/e is C_k / e_0^(k+1), with
     # C_k = e_0^k a_k - sum_{i=1}^k e_i e_0^(i-1) C_(k-i)
     e0_pows = [LaurentPoly.const(n, 1)]
@@ -229,71 +252,10 @@ def residue_at_one(f: MultiRationalFunction, j: int) -> MultiRationalFunction:
     return MultiRationalFunction.make(-C[-1], e0_pows[order])
 
 
-# ---------------------------------------------------------------------------
-# Factored products and their residues
-# ---------------------------------------------------------------------------
-
-# (p, c, k) stands for p(c u^k) = sum_d p_d c^d u^{d k}, k != 0
-Atom = tuple[Poly, Fraction, Monomial]
-LINE = Poly.of(1, -1)  # the atom 1 - c u^k
-
-
-@dataclass(frozen=True)
-class AtomProduct:
-    """num * prod atom^e over a multiset of atoms, never expanded."""
-
-    num: LaurentPoly
-    atoms: tuple[tuple[Atom, int], ...] = ()
-
-    @staticmethod
-    def atom(nvars: int, p: Poly, c: Rat, k: Monomial, e: int = 1) -> "AtomProduct":
-        """p(c u^k)^e; a constant when k is zero."""
-        if not any(k):
-            return AtomProduct(LaurentPoly.const(nvars, p.evaluate(_frac(c)) ** e))
-        return AtomProduct(LaurentPoly.const(nvars, 1), (((p, _frac(c), k), e),))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __mul__(self, other: "AtomProduct") -> "AtomProduct":
-        exps = dict(self.atoms)
-        for atom, e in other.atoms:
-            exps[atom] = exps.get(atom, 0) + e
-        if len(other.num.terms) == 1:  # a monomial factor only shifts
-            return _product(self.num.mul_monomial(*other.num.terms[0]), exps)
-        return _product(self.num * other.num, exps)
-
-
-def _product(num: LaurentPoly, exps: dict) -> AtomProduct:
-    atoms = () if num.is_zero() else tuple((a, e) for a, e in exps.items() if e)
-    return AtomProduct(num, atoms)
-
-
-def _atom_poly(nvars: int, atom: Atom) -> LaurentPoly:
-    p, c, k = atom
-    return LaurentPoly.make(
-        nvars, {tuple(d * x for x in k): a * c**d for d, a in enumerate(p.coeffs)}
-    )
-
-
-def _times_atoms(num: LaurentPoly, exps: dict) -> LaurentPoly:
-    """num * prod atom^e for exponents e >= 0, expanded."""
-    for atom, e in exps.items():
-        for _ in range(e):
-            num = num * _atom_poly(num.nvars, atom)
-    return num
-
-
-def _binom(x: int, i: int) -> int:
-    """The t^i coefficient of (1 + t)^x, for any integer x."""
-    out = 1
-    for r in range(i):
-        out = out * (x - r) // (r + 1)
-    return out
-
-
-def _taylor(p: LaurentPoly, j: int, upto: int, shift: int = 0) -> list[LaurentPoly]:
-    """Coefficients of t^0..t^upto of u_j^shift * p at u_j = 1 + t."""
+def _laurent_taylor(
+    p: LaurentPoly, j: int, upto: int, shift: int = 0
+) -> list[LaurentPoly]:
+    """Coefficients of t^0..t^upto of x_j^shift * p at x_j = 1 + t."""
     out: list[dict] = [{} for _ in range(upto + 1)]
     for mono, c in p.terms:
         rest = mono[:j] + (0,) + mono[j + 1 :]
@@ -302,27 +264,141 @@ def _taylor(p: LaurentPoly, j: int, upto: int, shift: int = 0) -> list[LaurentPo
     return [LaurentPoly.make(p.nvars, d) for d in out]
 
 
-def _mul_series(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]:
-    zero = LaurentPoly.make(a[0].nvars, {})
-    return [sum((a[i] * b[k - i] for i in range(k + 1)), zero) for k in range(len(a))]
+# ---------------------------------------------------------------------------
+# Factored products and their residues, over Z
+# ---------------------------------------------------------------------------
+
+# ("L", j, k) stands for 1 - q^j u^k and ("P", j, k) for P(q^j u^k), k != 0,
+# where q and P are those of the curve passed to the functions below
+Atom = tuple[str, int, Monomial]
+# a sparse integer Laurent polynomial: monomial -> nonzero coefficient
+Terms = dict[Monomial, int]
 
 
-def _power_series(a: list[LaurentPoly], e: int, r: int) -> list[LaurentPoly]:
-    """(a_0 + S)^e / a_0^(e-r) = sum_{k<=r} C(e,k) a_0^(r-k) S^k, truncated."""
-    one, zero = LaurentPoly.const(a[0].nvars, 1), a[0] - a[0]
-    s = [zero] + a[1:]
-    a0_pows = [one]
-    for _ in range(r):
-        a0_pows.append(a0_pows[-1] * a[0])
-    s_k, out = [one] + [zero] * (len(a) - 1), [zero] * len(a)
-    for k in range(r + 1):
-        w = a0_pows[r - k].scale(_binom(e, k))
-        out = [o + x * w for o, x in zip(out, s_k)]
-        s_k = _mul_series(s_k, s)
+@dataclass(frozen=True)
+class AtomProduct:
+    """content * num * prod atom^e over a multiset of atoms, never expanded.
+
+    num is a primitive integer Laurent polynomial as (monomial,
+    coefficient) pairs, with no pairs for the zero product.
+    """
+
+    nvars: int
+    content: Fraction
+    num: tuple[tuple[Monomial, int], ...]
+    atoms: tuple[tuple[Atom, int], ...] = ()
+
+    @staticmethod
+    def make(
+        nvars: int, terms: Mapping[Monomial, Rat], atoms: Mapping[Atom, int]
+    ) -> "AtomProduct":
+        """The product of a rational Laurent polynomial and atom powers."""
+        if not 1 <= nvars <= MAX_VARS:
+            raise CapabilityError(f"supported variable counts are 1..{MAX_VARS}")
+        if any(len(m) != nvars for m in terms):
+            raise DomainError("monomial arity mismatch")
+        for kind, _, k in atoms:
+            if kind not in ("L", "P") or len(k) != nvars or not any(k):
+                raise DomainError(f"malformed atom {(kind, k)}")
+        coeffs = [(tuple(m), _frac(c)) for m, c in terms.items()]
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        ints = {m: c.numerator * (den // c.denominator) for m, c in coeffs}
+        exps = {(kind, j, tuple(k)): e for (kind, j, k), e in atoms.items()}
+        return _product(nvars, Fraction(1, den), ints, exps)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+
+def _product(nvars: int, content: Fraction, num: Terms, exps: dict) -> AtomProduct:
+    """content * num * atoms, with the integer content of num moved out."""
+    num = {m: v for m, v in num.items() if v}
+    if not num or not content:
+        return AtomProduct(nvars, Fraction(0), ())
+    g = _int_content(num.values())
+    if g > 1:
+        num = {m: v // g for m, v in num.items()}
+    atoms = tuple((a, e) for a, e in exps.items() if e)
+    return AtomProduct(nvars, content * g, tuple(num.items()), atoms)
+
+
+def _atom_ints(
+    q: int, P: tuple[Fraction, list[int]], kind: str, j: int
+) -> tuple[Fraction, list[int]]:
+    """p(q^j y) as a rational content times an integer list in y.
+
+    P is the curve's numerator as content times integer list.  Kept apart
+    from curve._atom_ints, so that the residue route shares no expansion
+    code with the closed formula it checks.
+    """
+    if kind == "L":
+        if j >= 0:
+            return Fraction(1), [1, -(q**j)]
+        return Fraction(1, q**-j), [q**-j, -1]
+    content, ints = P
+    if j >= 0:
+        return content, [v * q ** (d * j) for d, v in enumerate(ints)]
+    n = len(ints) - 1  # P(q^j y) = q^(jn) sum_d a_d q^(-j(n-d)) y^d
+    ints = [v * q ** (-j * (n - d)) for d, v in enumerate(ints)]
+    return content / q ** (-j * n), ints
+
+
+def _mul_into(acc: Terms, a: Terms, b: Terms, w: int = 1) -> None:
+    """acc += w * a * b, zero coefficients left in place."""
+    for m1, c1 in a.items():
+        c1 *= w
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def _nonzero(p: Terms) -> Terms:
+    return {m: v for m, v in p.items() if v}
+
+
+def _taylor(p: Terms, j: int, upto: int, shift: int = 0) -> list[Terms]:
+    """Coefficients of t^0..t^upto of u_j^shift * p at u_j = 1 + t."""
+    out: list[Terms] = [{} for _ in range(upto + 1)]
+    for mono, c in p.items():
+        rest, x = mono[:j] + (0,) + mono[j + 1 :], mono[j] + shift
+        for i, coeffs in enumerate(out):  # c = the coefficient times C(x, i)
+            coeffs[rest] = coeffs.get(rest, 0) + c
+            c = c * (x - i) // (i + 1)
+            if not c:
+                break
+    return [_nonzero(d) for d in out]
+
+
+def _mul_series(a: list[Terms], b: list[Terms]) -> list[Terms]:
+    out = []
+    for k in range(len(a)):
+        acc: Terms = {}
+        for i in range(k + 1):
+            _mul_into(acc, a[i], b[k - i])
+        out.append(_nonzero(acc))
     return out
 
 
-def residue_at_one_factored(f: AtomProduct, j: int) -> AtomProduct:
+def _power_series(a: list[Terms], e: int, r: int) -> list[Terms]:
+    """(a_0 + S)^e / a_0^(e-r) = sum_{k<=r} C(e,k) a_0^(r-k) S^k, truncated."""
+    one = {(0,) * len(next(iter(a[0]))): 1}
+    s = [{}] + a[1:]
+    a0_pows = [one]
+    for _ in range(r):
+        acc: Terms = {}
+        _mul_into(acc, a0_pows[-1], a[0])
+        a0_pows.append(acc)
+    s_k, out = [one] + [{}] * (len(a) - 1), [{} for _ in a]
+    for k in range(r + 1):
+        w = _binom(e, k)
+        for o, x in zip(out, s_k):
+            _mul_into(o, x, a0_pows[r - k], w)
+        if k < r:
+            s_k = _mul_series(s_k, s)
+    return [_nonzero(o) for o in out]
+
+
+def residue_at_one_factored(c: CurveData, f: AtomProduct, j: int) -> AtomProduct:
     """R_j[f] = -Res_{u_j=1}[f/u_j] on a factored product, kept factored.
 
     In t = u_j - 1 an atom in u_j alone is t^v times a unit, and these
@@ -330,57 +406,124 @@ def residue_at_one_factored(f: AtomProduct, j: int) -> AtomProduct:
     coefficient of the regular rest is read off; m <= 0 gives zero).
     Any other atom a = a_0 + S(t) enters as a_0^(e-r) times a truncated
     binomial series, so the result is a numerator times the atoms a_0,
-    which are the atoms with u_j set to 1.
+    which are the atoms with u_j set to 1.  Every series is a rational
+    content times integer coefficients.
     """
-    n = f.num.nvars
+    n, P = f.nvars, _to_int_poly(c.P)
+
+    def atom_terms(atom: Atom) -> tuple[Fraction, Terms]:
+        kind, i, k = atom
+        content, ints = _atom_ints(c.q, P, kind, i)
+        return content, {tuple(d * x for x in k): v for d, v in enumerate(ints) if v}
+
     val = {}  # atom in u_j alone -> its order of vanishing at u_j = 1
     for atom, _ in f.atoms:
         if not any(x for i, x in enumerate(atom[2]) if i != j):
-            a = _taylor(_atom_poly(n, atom), j, len(atom[0].coeffs))
-            val[atom] = next(i for i, x in enumerate(a) if not x.is_zero())
+            # a polynomial with s terms vanishes to order < s at 1
+            terms = atom_terms(atom)[1]
+            a = _taylor(terms, j, len(terms))
+            val[atom] = next(i for i, x in enumerate(a) if x)
     top = -1 - sum(val.get(atom, 0) * e for atom, e in f.atoms)
     if top < 0 or f.is_zero():
-        return AtomProduct(LaurentPoly.make(n, {}))
-    scalar, exps = Fraction(-1), {}
-    series = _taylor(f.num, j, top, shift=-1)
+        return _product(n, Fraction(0), {}, {})
+    content, exps = -f.content, {}
+    series = _taylor(dict(f.num), j, top, shift=-1)
     for atom, e in f.atoms:
-        p, c, k = atom
+        kind, i, k = atom
         if not k[j]:
             exps[atom] = exps.get(atom, 0) + e
             continue
         v = val.get(atom, 0)
-        a = _taylor(_atom_poly(n, atom), j, v + top)[v:]
+        ca, terms = atom_terms(atom)
+        a = _taylor(terms, j, v + top)[v:]
         r = top if e < 0 else min(top, e)
+        if r:
+            content *= ca**r
         if atom in val:
-            scalar *= a[0].terms[0][1] ** (e - r)
+            content *= (ca * a[0][(0,) * n]) ** (e - r)
         else:
-            low = (p, c, k[:j] + (0,) + k[j + 1 :])
+            low = (kind, i, k[:j] + (0,) + k[j + 1 :])
             exps[low] = exps.get(low, 0) + e - r
         if r:
             series = _mul_series(series, _power_series(a, e, r))
-    return _product(series[top].scale(scalar), exps)
+    return _product(n, content, series[top], exps)
 
 
 def collapse_sum(
-    terms: Iterable[AtomProduct], j: int, var: str = "u"
+    c: CurveData, terms: Iterable[AtomProduct], j: int, var: str = "u"
 ) -> RationalFunction:
     """The sum of products in u_j alone, as one reduced rational function.
 
     The common denominator takes each atom to its highest power over the
-    terms; every numerator is lifted to it and the sum is reduced once.
+    terms.  Each term is lifted to it as a rational scalar times a power
+    of u_j times an integer list (atom powers are built once per call);
+    the scalars are brought to one denominator, the sum is accumulated
+    over Z and reduced once.  This expansion is kept apart from
+    curve.expand_sum, which the residue route is checked against.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
         return RationalFunction.const(0, var)
+    others = [i for i in range(terms[0].nvars) if i != j]
+    for t in terms:
+        vectors = [m for m, _ in t.num] + [k for (_, _, k), _ in t.atoms]
+        if any(v[i] for v in vectors for i in others):
+            raise DomainError(f"product is not in u_{j} alone")
     den: dict[Atom, int] = {}
     for t in terms:
         for atom, e in t.atoms:
-            den[atom] = max(den.get(atom, 0), -e)
-    total = LaurentPoly.make(terms[0].num.nvars, {})
+            if e < 0 and -e > den.get(atom, 0):
+                den[atom] = -e
+    P = _to_int_poly(c.P)
+    powers: dict[tuple[Atom, int], tuple[Fraction, int, list[int]]] = {}
+
+    def power(atom: Atom, n: int) -> tuple[Fraction, int, list[int]]:
+        """p(q^i u_j^m)^n as content, lowest exponent, integer list."""
+        if (atom, n) not in powers:
+            kind, i, k = atom
+            content, ints = _atom_ints(c.q, P, kind, i)
+            p = [1]
+            for _ in range(n):
+                p = _int_mul(p, ints)
+            m = k[j]
+            spread = [0] * (abs(m) * (len(p) - 1) + 1)
+            spread[:: abs(m)] = p if m > 0 else p[::-1]
+            powers[atom, n] = (content**n, min(m, 0) * (len(p) - 1), spread)
+        return powers[atom, n]
+
+    def lift(
+        scalar: Fraction, lo: int, ints: list[int], exps: dict[Atom, int]
+    ) -> tuple[Fraction, int, list[int]]:
+        for atom, n in exps.items():
+            if n:
+                content, low, p = power(atom, n)
+                scalar, lo, ints = scalar * content, lo + low, _int_mul(ints, p)
+        return scalar, lo, ints
+
+    lifted = []
     for t in terms:
         exps = dict(den)
         for atom, e in t.atoms:
-            exps[atom] += e
-        total = total + _times_atoms(t.num, exps)
-    one = LaurentPoly.const(total.nvars, 1)
-    return MultiRationalFunction.make(total, _times_atoms(one, den)).to_univariate(j, var)
+            exps[atom] = exps.get(atom, 0) + e
+        lo = min(m[j] for m, _ in t.num)
+        ints = [0] * (max(m[j] for m, _ in t.num) - lo + 1)
+        for m, v in t.num:
+            ints[m[j] - lo] = v
+        lifted.append(lift(t.content, lo, ints, exps))
+    common = math.lcm(*(scalar.denominator for scalar, _, _ in lifted))
+    low = min(lo for _, lo, _ in lifted)
+    total = [0] * max(lo - low + len(p) for _, lo, p in lifted)
+    for scalar, lo, p in lifted:
+        f = scalar.numerator * (common // scalar.denominator)
+        for i, v in enumerate(p, lo - low):
+            total[i] += f * v
+    # sum = u_j^low total / common over den_scalar u_j^den_lo den
+    den_scalar, den_lo, den_ints = lift(Fraction(1), 0, [1], den)
+    shift = low - den_lo
+    num_poly = Poly.from_list(
+        [0] * max(shift, 0) + [v * den_scalar.denominator for v in total]
+    )
+    den_poly = Poly.from_list(
+        [0] * max(-shift, 0) + [v * common * den_scalar.numerator for v in den_ints]
+    )
+    return RationalFunction.make(num_poly, den_poly, var)

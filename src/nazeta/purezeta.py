@@ -200,9 +200,11 @@ def elliptic_rank2_inputs(c: CurveData) -> PureZetaInputs:
     """Rank-two inputs for an elliptic curve: alpha(0) = N/(q-1)."""
     if c.g != 1:
         raise DomainError("rank-two provider applies to genus-one curves")
-    n = c.point_counts(1)[0]
-    alpha0 = Fraction(n, c.q - 1)
-    return PureZetaInputs.make(2, [alpha0], elliptic_beta2_closed_form(c.q, n))
+    n = c.q + 1 + c.P[1]  # #X(F_q), the t-coefficient of log Z(t)
+    if n.denominator != 1:
+        raise ValidationError("non-integer point count")
+    beta0 = elliptic_beta2_closed_form(c.q, int(n))
+    return PureZetaInputs.make(2, [n / (c.q - 1)], beta0)
 
 
 def rank1_inputs(c: CurveData) -> PureZetaInputs:

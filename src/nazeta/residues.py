@@ -6,8 +6,9 @@ through lambda = rho + sum s_j lambda_j and u_j = q^{-s_j}.  A pairing
 <lambda, alpha^vee> = h + sum k_j s_j, with k the coroot coordinates of
 alpha and h its coroot height, turns a completed zeta factor into
 q^{(g-1)h} U^{-(g-1)} P(q^{-h} U) / ((1 - q^{-h} U)(1 - q^{1-h} U)) with
-U = prod u_j^{k_j}, kept as atoms (multivar.AtomProduct) built from root
-data and the curve's P alone, never from the closed side.
+U = prod u_j^{k_j}, kept as atoms (multivar.AtomProduct) keyed by their
+q-exponents and built from root data and the curve's q and P alone, never
+from the closed side.
 
 Collapsing all variables but u_p with R_k[f] = -Res_{u_k=1}[f/u_k]
 (log q times the s_k-residue at 0) must reproduce the closed formula
@@ -24,53 +25,48 @@ from fractions import Fraction
 from .algebra import RationalFunction
 from .certificate import Certificate
 from .curve import CurveData, expand_sum
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .groupzeta import _weyl_factors
-from .multivar import LINE, AtomProduct, LaurentPoly
-from .multivar import collapse_sum, residue_at_one_factored
+from .multivar import Atom, AtomProduct, collapse_sum, residue_at_one_factored
 from .rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
-
-RANK_CAP = 4
-
-
-def _zeta_hat_atoms(
-    c: CurveData, nvars: int, ks: tuple[int, ...], h: int, e: int = 1
-) -> AtomProduct:
-    """Completed zeta at h + sum k_j s_j, to the power e = +-1, in atoms.
-
-    q^{(g-1)h} U^{-(g-1)} P(U q^{-h}) / ((1 - U q^{-h})(1 - U q^{1-h}))
-    with U = prod u_j^{k_j}.
-    """
-    q, g = Fraction(c.q), c.g
-    mono = tuple(-(g - 1) * e * k for k in ks)
-    return (
-        AtomProduct(LaurentPoly.make(nvars, {mono: q ** ((g - 1) * h * e)}))
-        * AtomProduct.atom(nvars, c.P, q**-h, ks, e)
-        * AtomProduct.atom(nvars, LINE, q**-h, ks, -e)
-        * AtomProduct.atom(nvars, LINE, q ** (1 - h), ks, -e)
-    )
 
 
 def weyl_term_full(
     c: CurveData, rs: RootSystem, W: WeylGroup, w: WeylElement
 ) -> AtomProduct:
-    """One Weyl summand of the full period in u_1..u_n, factored."""
-    n = rs.rank
-    q = Fraction(c.q)
-    term = AtomProduct(LaurentPoly.const(n, 1))
+    """One Weyl summand of the full period in u_1..u_n, factored.
+
+    The completed zeta at h + sum k_j s_j, to the power e = +-1, is
+    q^{(g-1)h e} U^{-(g-1)e} P(q^{-h} U)^e (1 - q^{-h} U)^{-e}
+    (1 - q^{1-h} U)^{-e} with U = prod u_j^{k_j}.
+    """
+    n, g = rs.rank, c.g
+    exps: dict[Atom, int] = {}
+    qpow, mono = 0, [0] * n
+
+    def zeta_hat(ks: tuple[int, ...], h: int, e: int) -> None:
+        nonlocal qpow
+        qpow += (g - 1) * h * e
+        for i, k in enumerate(ks):
+            mono[i] -= (g - 1) * e * k
+        for atom, a in (("P", -h, ks), e), (("L", -h, ks), -e), (("L", 1 - h, ks), -e):
+            exps[atom] = exps.get(atom, 0) + a
+
     winv = w.inverse()
     for s_idx in rs.simple_indices():
         beta = winv.apply(s_idx)
-        ks, h = rs.coroot_coords[beta], rs.coroot_height(beta)
         # <w lambda - rho, alpha^vee> = <lambda, beta^vee> - 1
-        term = term * AtomProduct.atom(n, LINE, q ** (1 - h), ks, -1)
+        atom = ("L", 1 - rs.coroot_height(beta), rs.coroot_coords[beta])
+        exps[atom] = exps.get(atom, 0) - 1
     for idx in W.inversion_set(w):
         ks, h = rs.coroot_coords[idx], rs.coroot_height(idx)
-        term = term * _zeta_hat_atoms(c, n, ks, h) * _zeta_hat_atoms(c, n, ks, h + 1, -1)
-    return term
+        zeta_hat(ks, h, 1)
+        zeta_hat(ks, h + 1, -1)
+    return AtomProduct.make(n, {tuple(mono): Fraction(c.q) ** qpow}, exps)
 
 
 def iterated_residue(
+    c: CurveData,
     f: AtomProduct,
     pd: ParabolicData,
     order: tuple[int, ...] | None = None,
@@ -81,14 +77,14 @@ def iterated_residue(
     it).  ``order`` (0-based variable indices) overrides the default
     left-to-right order; the kept variable must not appear in it.
     """
-    n = f.num.nvars
+    n = f.nvars
     keep = pd.p0
     if order is None:
         order = tuple(k for k in range(n) if k != keep)
     if keep in order:
         raise DomainError("residue order must skip the kept variable")
     for k in order:
-        f = residue_at_one_factored(f, k)
+        f = residue_at_one_factored(c, f, k)
     return f
 
 
@@ -96,10 +92,10 @@ def residue_period(
     c: CurveData, rs: RootSystem, W: WeylGroup, pd: ParabolicData
 ) -> RationalFunction:
     """The period of (G, P) as the sum of the summands' iterated residues."""
-    if rs.rank > RANK_CAP:
-        raise CapabilityError(f"residue engine capped at rank {RANK_CAP}")
-    residues = [iterated_residue(weyl_term_full(c, rs, W, w), pd) for w in W.elements]
-    return collapse_sum(residues, pd.p0)
+    residues = [
+        iterated_residue(c, weyl_term_full(c, rs, W, w), pd) for w in W.elements
+    ]
+    return collapse_sum(c, residues, pd.p0)
 
 
 def residue_route_equivalence(
@@ -114,16 +110,14 @@ def residue_route_equivalence(
     factored forms.  Every check is recorded, a failed one with the
     permutation of its w.
     """
-    if rs.rank > RANK_CAP:
-        raise CapabilityError(f"residue engine capped at rank {RANK_CAP}")
     cert = Certificate(f"residue route {rs.type_label}{rs.rank} p={pd.p}")
     surviving = {w.perm for w in pd.weyl_subset}
     residues, closed_terms = [], []
     for w in W.elements:
-        res = iterated_residue(weyl_term_full(c, rs, W, w), pd)
+        res = iterated_residue(c, weyl_term_full(c, rs, W, w), pd)
         if w.perm in surviving:
             closed = _weyl_factors(c, rs, W, pd, w)
-            ok = collapse_sum([res], pd.p0) == closed.expand(c)
+            ok = collapse_sum(c, [res], pd.p0) == closed.expand(c)
             identity = "surviving term matches closed formula"
             residues.append(res)
             closed_terms.append(closed)
@@ -134,6 +128,6 @@ def residue_route_equivalence(
         cert.record(identity, ok, **witness)
     cert.record(
         "summed residues equal the closed period",
-        collapse_sum(residues, pd.p0) == expand_sum(c, closed_terms),
+        collapse_sum(c, residues, pd.p0) == expand_sum(c, closed_terms),
     )
     return cert

@@ -451,6 +451,18 @@ class TestUniformity:
         match = uniformity_match(pz.completed.retag("u"), z2)
         assert isinstance(match, UniformityNotFound)
 
+    def test_q_power_root_beyond_float_precision(self):
+        # a float square root of (2^61 - 1)^2 is off by one after rounding
+        q = (2**61 - 1) ** 2
+        assert nazeta.groupzeta._q_power_fraction(q, F(1, 2)) == F(1, 2**61 - 1)
+        assert nazeta.groupzeta._q_power_fraction(q + 2, F(1, 2)) is None
+
+    def test_q_power_root_beyond_float_range(self):
+        q = 3**700  # past the largest float
+        assert nazeta.groupzeta._q_power_fraction(q, F(-3, 2)) == 3**1050
+        assert nazeta.groupzeta._q_power_fraction(q, F(1, 7)) == F(1, 3**100)
+        assert nazeta.groupzeta._q_power_fraction(q, F(1, 3)) is None
+
 
 class TestRouteEquivalence:
     @pytest.mark.parametrize("label,rank,p", [("A", 1, 1), ("A", 2, 1), ("A", 2, 2)])

@@ -12,7 +12,6 @@ from nazeta.curve import FactorProduct, curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.groupzeta import period_gp
 from nazeta.multivar import (
-    LINE,
     AtomProduct,
     LaurentPoly,
     MultiRationalFunction,
@@ -22,7 +21,6 @@ from nazeta.multivar import (
 )
 from nazeta.algebra import Poly
 from nazeta.residues import (
-    RANK_CAP,
     iterated_residue,
     residue_period,
     residue_route_equivalence,
@@ -30,8 +28,10 @@ from nazeta.residues import (
 )
 from nazeta.rootsys import build_root_system, enumerate_weyl, parabolic_data
 
-E23 = elliptic_curve(2, 3)
+E23 = elliptic_curve(2, 3)  # q = 2, P = 1 + 2x^2
+E32 = elliptic_curve(3, 2)  # q = 3, P = 1 - 2x + 3x^2
 GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, -1, 2) * Poly.of(1, 1, 2)).coeffs)
+LINE = Poly.of(1, -1)
 
 
 def pair(label, rank, p):
@@ -40,12 +40,24 @@ def pair(label, rank, p):
     return rs, W, parabolic_data(rs, W, p)
 
 
-def product_value(f, point):
+def atom_poly(c, atom):
+    """The atom (kind, j, k) as a polynomial in x = u^k: p(q^j x)."""
+    kind, j, _ = atom
+    p = LINE if kind == "L" else c.P
+    return Poly.from_list([a * F(c.q) ** (j * d) for d, a in enumerate(p.coeffs)])
+
+
+def numerator(f):
+    """The numerator of a factored product as a rational Laurent polynomial."""
+    return LaurentPoly.make(f.nvars, {m: f.content * v for m, v in f.num})
+
+
+def product_value(c, f, point):
     """A factored product evaluated atom by atom, from the atom's meaning."""
     mono = lambda m: prod(F(x) ** e for x, e in zip(point, m))  # noqa: E731
-    value = sum(c * mono(m) for m, c in f.num.terms)
-    for (p, c, k), e in f.atoms:
-        value *= p.evaluate(c * mono(k)) ** e
+    value = sum(f.content * v * mono(m) for m, v in f.num)
+    for atom, e in f.atoms:
+        value *= atom_poly(c, atom).evaluate(mono(atom[2])) ** e
     return value
 
 
@@ -82,19 +94,22 @@ class TestResidueOperator:
 
 
 def product(nvars, num, atoms):
-    """num (monomial -> coefficient) times atoms ((p, c, k), e)."""
-    f = AtomProduct(LaurentPoly.make(nvars, num))
-    for (p, c, k), e in atoms:
-        f = f * AtomProduct.atom(nvars, p, c, k, e)
-    return f
+    """num (monomial -> coefficient) times atoms ((kind, j, k), e); a key
+    listed twice has its exponents added."""
+    exps = {}
+    for atom, e in atoms:
+        exps[atom] = exps.get(atom, 0) + e
+    return AtomProduct.make(nvars, num, exps)
 
 
-def expand(f):
+def expand(c, f):
     """A factored product as one sparse fraction, from the atom's meaning."""
-    n = f.num.nvars
-    num, den = f.num, LaurentPoly.const(n, 1)
-    for (p, c, k), e in f.atoms:
-        terms = {tuple(d * x for x in k): a * c**d for d, a in enumerate(p.coeffs)}
+    n = f.nvars
+    num, den = numerator(f), LaurentPoly.const(n, 1)
+    for atom, e in f.atoms:
+        k = atom[2]
+        p = atom_poly(c, atom)
+        terms = {tuple(d * x for x in k): a for d, a in enumerate(p.coeffs)}
         for _ in range(abs(e)):
             if e > 0:
                 num = num * LaurentPoly.make(n, terms)
@@ -103,81 +118,86 @@ def expand(f):
     return MultiRationalFunction.make(num, den)
 
 
-def agrees_with_oracle(f, j):
-    factored = residue_at_one_factored(f, j)
-    assert expand(factored).equal(residue_at_one(expand(f), j))
+def agrees_with_oracle(c, f, j):
+    factored = residue_at_one_factored(c, f, j)
+    assert expand(c, factored).equal(residue_at_one(expand(c, f), j))
     return factored
 
 
-P = E23.P  # 1 + 2x^2
 NUM2 = {(0, 0): 1, (1, 1): -2, (-1, 2): F(1, 3)}
 NUM3 = {(0, 0, 0): 2, (1, 0, -1): 1, (0, 2, 1): -1}
 
 
 class TestFactoredResidue:
-    """The factored R_j against the whole-fraction oracle."""
+    """The factored R_j against the whole-fraction oracle, on q = 2."""
 
     CASES = {
-        "simple pole": (2, 0, [((LINE, 1, (1, 0)), -1), ((LINE, F(1, 2), (1, 1)), -1)]),
-        "order 2": (2, 0, [((LINE, 1, (1, 0)), -2), ((P, F(1, 2), (1, 1)), -1)]),
+        "simple pole": (2, 0, [(("L", 0, (1, 0)), -1), (("L", -1, (1, 1)), -1)]),
+        "order 2": (2, 0, [(("L", 0, (1, 0)), -2), (("P", -1, (1, 1)), -1)]),
         "order 3": (
             3,
             1,
-            [((LINE, 1, (0, 1, 0)), -1), ((LINE, 1, (0, 2, 0)), -2),
-             ((LINE, 2, (1, 1, 0)), -1), ((P, F(1, 4), (0, 1, 1)), 1)],
+            [(("L", 0, (0, 1, 0)), -1), (("L", 0, (0, 2, 0)), -2),
+             (("L", 1, (1, 1, 0)), -1), (("P", -2, (0, 1, 1)), 1)],
         ),
-        "1 - u_j^2": (2, 1, [((LINE, 1, (0, 2)), -1), ((LINE, 1, (1, 1)), -1)]),
-        "c != 1 only": (2, 0, [((LINE, 2, (1, 0)), -2), ((LINE, 1, (1, 1)), -1)]),
-        "regular": (3, 2, [((LINE, 1, (1, 1, 1)), -2), ((P, 3, (0, 0, 1)), -1)]),
-        "zero cancels the pole": (2, 0, [((LINE, 1, (1, 0)), -1), ((LINE, 1, (2, 0)), 1)]),
-        "negative exponents": (2, 0, [((LINE, 1, (-1, 0)), -2), ((LINE, 3, (-1, -1)), -1)]),
-        "atom free of u_j": (3, 0, [((LINE, 1, (1, 0, 0)), -1), ((P, 2, (0, 1, 1)), -2)]),
+        "1 - u_j^2": (2, 1, [(("L", 0, (0, 2)), -1), (("L", 0, (1, 1)), -1)]),
+        "c != 1 only": (2, 0, [(("L", 1, (1, 0)), -2), (("L", 0, (1, 1)), -1)]),
+        "regular": (3, 2, [(("L", 0, (1, 1, 1)), -2), (("P", 1, (0, 0, 1)), -1)]),
+        "zero cancels the pole": (2, 0, [(("L", 0, (1, 0)), -1), (("L", 0, (2, 0)), 1)]),
+        "negative exponents": (2, 0, [(("L", 0, (-1, 0)), -2), (("L", 1, (-1, -1)), -1)]),
+        "atom free of u_j": (3, 0, [(("L", 0, (1, 0, 0)), -1), (("P", 1, (0, 1, 1)), -2)]),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_named_case(self, name):
         n, j, atoms = self.CASES[name]
         f = product(n, NUM2 if n == 2 else NUM3, atoms)
-        r = agrees_with_oracle(f, j)
+        r = agrees_with_oracle(E23, f, j)
         if name in ("c != 1 only", "regular", "zero cancels the pole"):
             assert r.is_zero()
         else:
             assert not r.is_zero()
         assert all(k[j] == 0 for (_, _, k), _ in r.atoms)
-        assert all(m[j] == 0 for m, _ in r.num.terms)
+        assert all(m[j] == 0 for m, _ in r.num)
 
     def test_iterated_in_three_variables(self):
         n, j, atoms = self.CASES["order 3"]
-        f = product(n, NUM3, atoms + [((LINE, 1, (1, 0, 0)), -2)])
-        once = agrees_with_oracle(f, j)
-        agrees_with_oracle(once, 0)
-        assert not residue_at_one_factored(once, 0).is_zero()
+        f = product(n, NUM3, atoms + [(("L", 0, (1, 0, 0)), -2)])
+        once = agrees_with_oracle(E23, f, j)
+        agrees_with_oracle(E23, once, 0)
+        assert not residue_at_one_factored(E23, once, 0).is_zero()
 
     def test_linearity_on_a_sum_of_two_products(self):
         f1 = product(2, NUM2, self.CASES["order 2"][2])
         f2 = product(2, {(0, 1): 5}, self.CASES["simple pole"][2])
-        lhs = residue_at_one(expand(f1) + expand(f2), 0)
+        lhs = residue_at_one(expand(E23, f1) + expand(E23, f2), 0)
         rhs = (
-            expand(residue_at_one_factored(f1, 0))
-            + expand(residue_at_one_factored(f2, 0))
+            expand(E23, residue_at_one_factored(E23, f1, 0))
+            + expand(E23, residue_at_one_factored(E23, f2, 0))
         )
         assert lhs.equal(rhs)
 
     def test_collapse_sums_over_the_common_denominator(self):
-        f1 = product(1, {(1,): 2}, [((LINE, 1, (1,)), -1), ((P, F(1, 2), (1,)), -2)])
-        f2 = product(1, {(-1,): 1}, [((P, F(1, 2), (1,)), -1), ((LINE, 3, (2,)), 1)])
-        expected = expand(f1) + expand(f2)
-        assert collapse_sum([f1, f2], 0) == expected.to_univariate(0)
+        f1 = product(1, {(1,): 2}, [(("L", 0, (1,)), -1), (("P", -1, (1,)), -2)])
+        f2 = product(1, {(-1,): 1}, [(("P", -1, (1,)), -1), (("L", 2, (2,)), 1)])
+        expected = expand(E23, f1) + expand(E23, f2)
+        assert collapse_sum(E23, [f1, f2], 0) == expected.to_univariate(0)
+
+    def test_collapse_refuses_other_variables(self):
+        f = product(2, {(0, 1): 1}, [(("L", 0, (1, 0)), -1)])
+        with pytest.raises(DomainError):
+            collapse_sum(E23, [f], 0)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_random_products(self, data):
-        n = data.draw(st.sampled_from([2, 3]), "nvars")
+        c = data.draw(st.sampled_from([E23, E32, GENUS2]), "curve")
+        n = data.draw(st.integers(2, 5), "nvars")
         j = data.draw(st.integers(0, n - 1), "j")
         alone = tuple(int(i == j) for i in range(n))
-        pole = st.tuples(st.just(LINE), st.just(F(1)), st.sampled_from([alone, tuple(2 * x for x in alone)]))
+        pole = st.tuples(st.just("L"), st.just(0), st.sampled_from([alone, tuple(2 * x for x in alone)]))
         vector = st.tuples(*[st.integers(-1, 2)] * n).filter(any)
-        atom = st.tuples(st.sampled_from([LINE, P]), st.sampled_from([F(1), F(1, 2), F(2), F(1, 3)]), vector)
+        atom = st.tuples(st.sampled_from("LP"), st.integers(-2, 1), vector)
         poles = data.draw(st.lists(st.tuples(pole, st.integers(-3, -1)), max_size=2), "poles")
         others = data.draw(
             st.lists(st.tuples(atom, st.integers(-2, 2).filter(bool)), max_size=2), "atoms"
@@ -186,7 +206,37 @@ class TestFactoredResidue:
             st.dictionaries(st.tuples(*[st.integers(-1, 2)] * n), st.integers(-3, 3), min_size=1, max_size=3),
             "numerator",
         )
-        agrees_with_oracle(product(n, num, poles + others), j)
+        agrees_with_oracle(c, product(n, num, poles + others), j)
+
+
+class TestCollapse:
+    """The integer collapse_sum against the whole-fraction expansion."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_sums(self, data):
+        c = data.draw(st.sampled_from([E23, E32, GENUS2]), "curve")
+        n = data.draw(st.integers(1, 5), "nvars")
+        j = data.draw(st.integers(0, n - 1), "j")
+        at = lambda e: tuple(e * (i == j) for i in range(n))  # noqa: E731
+        # a small pool of atoms, so that keys repeat within and across terms
+        pool = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from("LP"), st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2])),
+                min_size=1, max_size=3,
+            ),
+            "pool",
+        )
+        atom = st.sampled_from([(kind, i, at(m)) for kind, i, m in pool])
+        term = st.tuples(
+            st.dictionaries(st.integers(-2, 3).map(at), st.integers(-3, 3), max_size=3),
+            st.lists(st.tuples(atom, st.integers(-2, 2)), max_size=4),
+        )
+        terms = [product(n, num, atoms) for num, atoms in data.draw(st.lists(term, max_size=4), "terms")]
+        expected = MultiRationalFunction.const(n, 0)
+        for t in terms:
+            expected = expected + expand(c, t)
+        assert collapse_sum(c, terms, j) == expected.to_univariate(j)
 
 
 class TestFullPeriod:
@@ -197,14 +247,16 @@ class TestFullPeriod:
         point = [F(1, 8), F(1, 4)]
         for w in W.elements:
             term = weyl_term_full(E23, rs, W, w)
-            assert product_value(term, point) == expand(term).evaluate(point)
+            assert product_value(E23, term, point) == expand(E23, term).evaluate(point)
 
-    def test_rank_cap(self):
-        rs, W, pd = pair("A", RANK_CAP + 1, 2)
+    def test_six_variables_refused(self):
+        # A5 is the largest root system build_root_system returns
         with pytest.raises(CapabilityError):
-            residue_period(E23, rs, W, pd)
+            build_root_system("A", 6)
         with pytest.raises(CapabilityError):
-            residue_route_equivalence(E23, rs, W, pd)
+            LaurentPoly.make(6, {(0,) * 6: 1})
+        with pytest.raises(CapabilityError):
+            AtomProduct.make(6, {(0,) * 6: 1}, {})
 
 
 class TestIndependence:
@@ -221,9 +273,9 @@ class TestIndependence:
                 if name.startswith("nazeta") and hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
         residues = [
-            iterated_residue(weyl_term_full(E23, rs, W, w), pd) for w in W.elements
+            iterated_residue(E23, weyl_term_full(E23, rs, W, w), pd) for w in W.elements
         ]
-        assert collapse_sum(residues, pd.p0) == expected
+        assert collapse_sum(E23, residues, pd.p0) == expected
         assert residue_period(E23, rs, W, pd) == expected
 
 
@@ -248,6 +300,16 @@ class TestRouteEquivalence:
         cert = residue_route_equivalence(curve, rs, W, pd)
         assert cert.passed
         assert len(cert.checks) == len(W) + 1
+
+    def test_a5_certificate(self):
+        rs, W, pd = pair("A", 5, 3)
+        cert = residue_route_equivalence(E32, rs, W, pd)
+        assert all(c["ok"] for c in cert.checks)
+        assert len(cert.checks) == len(W) + 1
+        vanish = [
+            c for c in cert.checks if c["identity"] == "non-surviving term vanishes"
+        ]
+        assert len(vanish) == len(W) - len(pd.weyl_subset)
 
     def test_mismatch_records_every_failing_check(self, monkeypatch):
         exact = nazeta.residues._weyl_factors
@@ -278,7 +340,7 @@ class TestRouteEquivalence:
         rs, W, pd = pair("A", 2, 1)
         term = weyl_term_full(E23, rs, W, W.identity)
         with pytest.raises(DomainError):
-            iterated_residue(term, pd, order=(0, 1))
+            iterated_residue(E23, term, pd, order=(0, 1))
 
     def test_order_experiment_rank3(self):
         # the stated order and its reverse agree term by term for A_3
@@ -287,8 +349,8 @@ class TestRouteEquivalence:
         fwd, rev = [], []
         for w in W.elements:
             term = weyl_term_full(E23, rs, W, w)
-            fwd.append(iterated_residue(term, pd, order=(0, 2)))
-            rev.append(iterated_residue(term, pd, order=(2, 0)))
-            assert collapse_sum(fwd[-1:], pd.p0) == collapse_sum(rev[-1:], pd.p0)
-        assert collapse_sum(fwd, pd.p0) == closed
-        assert collapse_sum(rev, pd.p0) == closed
+            fwd.append(iterated_residue(E23, term, pd, order=(0, 2)))
+            rev.append(iterated_residue(E23, term, pd, order=(2, 0)))
+            assert collapse_sum(E23, fwd[-1:], pd.p0) == collapse_sum(E23, rev[-1:], pd.p0)
+        assert collapse_sum(E23, fwd, pd.p0) == closed
+        assert collapse_sum(E23, rev, pd.p0) == closed
