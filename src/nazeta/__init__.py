@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .algebra import (
     Poly,
     RationalFunction,
-    SubstRule,
     poly_complex_roots,
     roots_on_circle,
     series_log_coefficients,

@@ -10,9 +10,9 @@ become a rational content times a primitive integer list, their gcd is
 taken by a primitive pseudo-remainder sequence and divided out exactly,
 and the Fractions of the result are built once.
 
-The two monomial substitutions of the functional equations and the
-reparametrizations, u -> c/u and u -> c*v^d, act coefficientwise and
-reduce once.
+Every change of variable the identities need, the functional equations'
+u -> c/u as well as the reparametrizations, is the one monomial
+substitution u -> c*v^d: it places coefficients and reduces once.
 
 Everything here is immutable and side-effect free.  The only
 floating-point code in the module is ``poly_complex_roots``, which serves
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import BoundError, CapabilityError, DomainError, NumericError
+from .errors import BoundError, CapabilityError, DomainError, NumericError, PoleError
 
 Rat = Union[Fraction, int]
 
@@ -222,20 +222,6 @@ class Poly:
             out.append(cs[0])
             cs = cs[1:]
             n -= 1
-        return Poly.from_list(out)
-
-    def compose_monomial(self, c: Rat, d: int) -> "Poly":
-        """Return p(c * x^d) for d >= 1."""
-        if d < 1:
-            raise DomainError("compose_monomial requires d >= 1")
-        if d * max(self.degree, 0) > _DEGREE_BOUND:
-            raise BoundError("substitution exponent bound exceeded")
-        c = _frac(c)
-        out = [Fraction(0)] * (self.degree * d + 1 if self.coeffs else 0)
-        ci = Fraction(1)
-        for i, a in enumerate(self.coeffs):
-            out[i * d] += a * ci
-            ci *= c
         return Poly.from_list(out)
 
     def __str__(self) -> str:
@@ -506,17 +492,7 @@ class RationalFunction:
         # cross-reduce before multiplying to keep intermediate degrees down
         a = RationalFunction.make(self.num, other.den, self.var)
         b = RationalFunction.make(other.num, self.den, self.var)
-        return RationalFunction(
-            a.num * b.num, a.den * b.den, self.var
-        )._renormalize()
-
-    def _renormalize(self) -> "RationalFunction":
-        lc = self.den.leading()
-        if lc == 1:
-            return self
-        return RationalFunction(
-            self.num.scale(1 / lc), self.den.scale(1 / lc), self.var
-        )
+        return RationalFunction(a.num * b.num, a.den * b.den, self.var)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
@@ -552,7 +528,7 @@ class RationalFunction:
     def evaluate(self, x: Rat) -> Fraction:
         d = self.den.evaluate(x)
         if d == 0:
-            raise PoleEvaluation(f"evaluation at a pole x={x}")
+            raise PoleError(f"evaluation at a pole x={x}")
         return self.num.evaluate(x) / d
 
     def retag(self, var: str) -> "RationalFunction":
@@ -577,80 +553,37 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
-class PoleEvaluation(DomainError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# Substitution rules
+# Monomial substitution
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubstRule:
-    """Monomial substitution x -> c/x or x -> c*v^d (d = 1 scales x)."""
+def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunction:
+    """Return f(c * v^d) as a reduced function of ``var``, for any d != 0.
 
-    kind: str  # "recip" | "power"
-    c: Fraction
-    d: int = 1
-    new_var: str | None = None
-
-    @staticmethod
-    def reciprocal(c: Rat) -> "SubstRule":
-        return SubstRule("recip", _frac(c))
-
-    @staticmethod
-    def power(c: Rat, d: int, new_var: str) -> "SubstRule":
-        return SubstRule("power", _frac(c), d, new_var)
-
-
-def substitute(f: RationalFunction, rule: SubstRule) -> RationalFunction:
-    """Apply a monomial substitution to the variable of ``f``.
-
-    The result is reduced; composing two substitutions agrees with
+    Coefficient a_i of either part goes to v^(d*i); for d < 0 both parts
+    are multiplied by v^(|d|*m), m the larger of their degrees, so it goes
+    to v^(|d|*(m-i)).  Composing two substitutions agrees with
     substituting their composition.
     """
-    if rule.c == 0:
+    c = _frac(c)
+    if c == 0:
         raise DomainError("substitution constant must be nonzero")
-    if rule.kind == "recip":
-        # x^m * p(c/x) has coefficient p_{m-i} c^{m-i} at x^i
-        m = max(f.num.degree, f.den.degree, 0)
-        num = Poly.from_list(
-            [f.num[m - i] * rule.c ** (m - i) for i in range(m + 1)]
-        )
-        den = Poly.from_list(
-            [f.den[m - i] * rule.c ** (m - i) for i in range(m + 1)]
-        )
-        return RationalFunction.make(num, den, f.var)
-    if rule.kind == "power":
-        var = rule.new_var
-        if rule.d == 0:
-            raise DomainError("power substitution requires d != 0")
-        if rule.d > 0:
-            return RationalFunction.make(
-                f.num.compose_monomial(rule.c, rule.d),
-                f.den.compose_monomial(rule.c, rule.d),
-                var,
-            )
-        d = -rule.d
-        m = max(f.num.degree, f.den.degree, 0)
-        if d * m > _DEGREE_BOUND:
-            raise BoundError("substitution exponent bound exceeded")
-        # clear x^(-d) by multiplying both parts with x^(d*m)
-        num = _laurent_power_sub(f.num, rule.c, d, m)
-        den = _laurent_power_sub(f.den, rule.c, d, m)
-        return RationalFunction.make(num, den, var)
-    raise DomainError(f"unknown substitution kind {rule.kind!r}")
+    if d == 0:
+        raise DomainError("substitution exponent must be nonzero")
+    m = max(f.num.degree, f.den.degree, 0)
+    if abs(d) * m > _DEGREE_BOUND:
+        raise BoundError("substitution exponent bound exceeded")
 
+    def place(p: Poly) -> Poly:
+        out = [Fraction(0)] * (abs(d) * m + 1)
+        ci = Fraction(1)
+        for i, a in enumerate(p.coeffs):
+            out[d * i if d > 0 else -d * (m - i)] = a * ci
+            ci *= c
+        return Poly.from_list(out)
 
-def _laurent_power_sub(p: Poly, c: Fraction, d: int, m: int) -> Poly:
-    # p(c * x^(-d)) * x^(d*m): term a_i c^i x^(d*(m-i))
-    out = [Fraction(0)] * (d * m + 1)
-    ci = Fraction(1)
-    for i, a in enumerate(p.coeffs):
-        out[d * (m - i)] += a * ci
-        ci *= c
-    return Poly.from_list(out)
+    return RationalFunction.make(place(f.num), place(f.den), var)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +613,7 @@ def series_log_coefficients(f: RationalFunction, order: int) -> list[Fraction]:
 
 
 def series_exp(cs: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Series of exp(sum_{m>=1} c_m x^m) through x^order; test oracle."""
+    """Series of exp(sum_{m>=1} c_m x^m) through x^order."""
     out = [Fraction(1)] + [Fraction(0)] * order
     for m in range(1, order + 1):
         acc = Fraction(0)
@@ -785,10 +718,16 @@ def poly_complex_roots(
 
 
 def _companion_roots(p: Poly) -> list[complex]:
-    import numpy as np
+    """Eigenvalues of the companion matrix of p, in double precision."""
+    import mpmath
 
-    cs = [float(c) for c in p.coeffs]
-    return [complex(z) for z in np.roots(list(reversed(cs)))]
+    n, lead = p.degree, p.leading()
+    companion = mpmath.matrix(n, n)
+    for i in range(n):
+        if i:
+            companion[i, i - 1] = 1
+        companion[i, n - 1] = float(-p[i] / lead)
+    return [complex(z) for z in mpmath.eig(companion, left=False, right=False)]
 
 
 def _residuals_ok(p: Poly, zs: Iterable[complex], tol: float) -> bool:

@@ -10,7 +10,7 @@ class ValidationError(DomainError):
 
 
 class PoleError(DomainError):
-    """Evaluation requested at a pole of a zeta factor."""
+    """Evaluation requested at a pole of a rational function."""
 
 
 class CapabilityError(DomainError):

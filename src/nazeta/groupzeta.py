@@ -35,7 +35,6 @@ from fractions import Fraction
 from .algebra import (
     Poly,
     RationalFunction,
-    SubstRule,
     poly_complex_roots,
     roots_on_circle,
     substitute,
@@ -116,17 +115,6 @@ def _weyl_factors(
     return term
 
 
-def weyl_term(
-    c: CurveData,
-    rs: RootSystem,
-    W: WeylGroup,
-    pd: ParabolicData,
-    w: WeylElement,
-) -> RationalFunction:
-    """The single-w summand of the period."""
-    return _weyl_factors(c, rs, W, pd, w).expand(c)
-
-
 def period_gp(
     c: CurveData, rs: RootSystem, W: WeylGroup, pd: ParabolicData
 ) -> RationalFunction:
@@ -175,7 +163,7 @@ def group_zeta(
 
 def fe_substitution(f: RationalFunction, q: int, c_p: int) -> RationalFunction:
     """Apply u -> q^{c_p}/u."""
-    return substitute(f, SubstRule.reciprocal(Fraction(q) ** c_p))
+    return substitute(f, Fraction(q) ** c_p, -1, f.var)
 
 
 def fe_check_group(z: GroupZetaResult) -> tuple[bool, Certificate]:
@@ -489,9 +477,9 @@ def uniformity_match(
     denominator bounded by SLOPE_NUM_MAX and SLOPE_DEN_MAX; offsets b run
     over the half-integer grid refined by 1/denominator(a), up to
     OFFSET_SPAN.  Candidates are narrowed by matching the Re(s) pole
-    lines numerically, then c is fixed by evaluation at a sample point
-    and the full identity is verified exactly under the
-    reparametrization t = v^{denominator(a)}.
+    lines numerically, then c is read off the leading coefficients and
+    the full identity is verified exactly under the reparametrization
+    t = v^{denominator(a)}.
     Candidates whose q^{-b} is irrational cannot be expressed in exact
     rationals and are recorded as skipped.
     """
@@ -547,26 +535,16 @@ def _verify_uniformity(
     d = a.denominator
     n = a.numerator
     # pure side in v with t = v^d; group side with u = q^{-b} v^{n}
-    pure_v = substitute(pure_u, SubstRule.power(1, d, "v"))
+    pure_v = substitute(pure_u, 1, d, "v")
     try:
-        group_v = substitute(z.zeta, SubstRule.power(qb, n, "v"))
+        group_v = substitute(z.zeta, qb, n, "v")
     except DomainError:
         return None
-    sample = Fraction(1, 7)
-    for _ in range(40):
-        try:
-            pv = pure_v.evaluate(sample)
-            gv = group_v.evaluate(sample)
-            if gv != 0:
-                break
-        except DomainError:
-            pass
-        sample += Fraction(1, 13)
-    else:
+    if pure_v.is_zero() or group_v.is_zero():
         return None
-    if pv == 0:
-        return None
-    cval = pv / gv
+    # both sides are reduced with monic denominators, so pure_v = c * group_v
+    # forces c to be the ratio of the leading numerator coefficients
+    cval = pure_v.num.leading() / group_v.num.leading()
     if group_v.scale(cval) == pure_v:
         return UniformityMatch(a, b, cval, True)
     return None

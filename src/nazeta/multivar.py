@@ -450,7 +450,7 @@ def residue_at_one_factored(c: CurveData, f: AtomProduct, j: int) -> AtomProduct
 
 
 def collapse_sum(
-    c: CurveData, terms: Iterable[AtomProduct], j: int, var: str = "u"
+    c: CurveData, terms: Iterable[AtomProduct], j: int
 ) -> RationalFunction:
     """The sum of products in u_j alone, as one reduced rational function.
 
@@ -463,7 +463,7 @@ def collapse_sum(
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
-        return RationalFunction.const(0, var)
+        return RationalFunction.const(0, "u")
     others = [i for i in range(terms[0].nvars) if i != j]
     for t in terms:
         vectors = [m for m, _ in t.num] + [k for (_, _, k), _ in t.atoms]
@@ -526,4 +526,4 @@ def collapse_sum(
     den_poly = Poly.from_list(
         [0] * max(-shift, 0) + [v * common * den_scalar.numerator for v in den_ints]
     )
-    return RationalFunction.make(num_poly, den_poly, var)
+    return RationalFunction.make(num_poly, den_poly, "u")

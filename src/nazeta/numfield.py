@@ -78,7 +78,7 @@ class VolumeTable:
         }
 
 
-def volume_table(max_rank: int = 5) -> VolumeTable:
+def volume_table(max_rank: int) -> VolumeTable:
     return VolumeTable(
         max_rank,
         tuple(siegel_volume(r) for r in range(1, max_rank + 1)),
@@ -101,7 +101,7 @@ KS_CONVENTIONS = {
 }
 
 
-def ks_identity_probe(r: int, convention: str | None = None) -> dict:
+def ks_identity_probe(r: int) -> dict:
     """Compare composition sums of moduli volumes against the Siegel volume.
 
     The denominator chain of the identity admits several readings
@@ -113,14 +113,10 @@ def ks_identity_probe(r: int, convention: str | None = None) -> dict:
     """
     if r < 1 or r > 5:
         raise DomainError("probe supports r in 1..5")
-    if convention is not None and convention not in KS_CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}")
-    conventions = KS_CONVENTIONS if convention is None else (convention,)
     target = siegel_volume(r)
     volumes = [None] + [moduli_volume(n) for n in range(1, r + 1)]
     rows = {}
-    for conv in conventions:
-        suffix, power = KS_CONVENTIONS[conv]
+    for conv, (suffix, power) in KS_CONVENTIONS.items():
         S = [None]  # S[s]: compositions of s, each weighted at its cuts
         for s in range(1, r + 1):
             acc = volumes[s]

@@ -28,7 +28,6 @@ from .algebra import (
     Poly,
     Rat,
     RationalFunction,
-    SubstRule,
     _frac,
     poly_complex_roots,
     roots_on_circle,
@@ -239,7 +238,7 @@ def pure_zeta(c: CurveData, inputs: PureZetaInputs) -> PureZetaResult:
         (Q - 1) * inputs.beta0
     )
     zeta_T = RationalFunction.make(numerator, den, "T")
-    completed = substitute(zeta_T, SubstRule.power(1, r, "t")).mul_monomial(
+    completed = substitute(zeta_T, 1, r, "t").mul_monomial(
         -r * (g - 1)
     )
     return PureZetaResult(zeta_T, completed, numerator, Q, r, g)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .algebra import RationalFunction
 from .certificate import Certificate
 from .curve import CurveData, expand_sum
-from .errors import DomainError
 from .groupzeta import _weyl_factors
 from .multivar import Atom, AtomProduct, collapse_sum, residue_at_one_factored
 from .rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
@@ -66,25 +65,16 @@ def weyl_term_full(
 
 
 def iterated_residue(
-    c: CurveData,
-    f: AtomProduct,
-    pd: ParabolicData,
-    order: tuple[int, ...] | None = None,
+    c: CurveData, f: AtomProduct, pd: ParabolicData
 ) -> AtomProduct:
     """Collapse all variables except u_p by repeated R_k, ascending k.
 
     The result is a factored product in u_p alone (collapse_sum expands
-    it).  ``order`` (0-based variable indices) overrides the default
-    left-to-right order; the kept variable must not appear in it.
+    it).
     """
-    n = f.nvars
-    keep = pd.p0
-    if order is None:
-        order = tuple(k for k in range(n) if k != keep)
-    if keep in order:
-        raise DomainError("residue order must skip the kept variable")
-    for k in order:
-        f = residue_at_one_factored(c, f, k)
+    for k in range(f.nvars):
+        if k != pd.p0:
+            f = residue_at_one_factored(c, f, k)
     return f
 
 

@@ -48,7 +48,11 @@ def atom_poly(c: CurveData, atom: Atom) -> Poly:
     x = Fraction(c.q) ** j
     if kind == "L":
         return Poly.monomial(m, -x) + Poly.one()
-    return c.P.compose_monomial(x, m)
+    # P_i x^i lands on u^(i*m); placed here, not by the library's substitute
+    out = [Fraction(0)] * (m * c.P.degree + 1)
+    for i, a in enumerate(c.P.coeffs):
+        out[i * m] += a * x**i
+    return Poly.from_list(out)
 
 
 def expand(c: CurveData, t: FactorProduct) -> RationalFunction:

@@ -3,14 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracle
 import nazeta.algebra
 from nazeta.algebra import (
     Poly,
     RationalFunction,
-    SubstRule,
     poly_complex_roots,
     poly_gcd,
     series_exp,
@@ -106,11 +105,11 @@ class TestRationalFunction:
 class TestSubstitution:
     def test_reciprocal_example(self):
         f = RationalFunction.make(Poly.one(), Poly.of(1, -1), "u")
-        g = substitute(f, SubstRule.reciprocal(1))
+        g = substitute(f, 1, -1, "u")
         assert g == RationalFunction.make(Poly.of(0, -1), Poly.of(1, -1), "u")
 
     def test_scaled_reciprocal(self):
-        g = substitute(RationalFunction.variable("u"), SubstRule.reciprocal(4))
+        g = substitute(RationalFunction.variable("u"), 4, -1, "u")
         assert g == RationalFunction.make(Poly.of(4), Poly.of(0, 1), "u")
 
     @settings(max_examples=40, deadline=None)
@@ -118,27 +117,41 @@ class TestSubstitution:
     def test_reciprocal_is_involution(self, a, b):
         f = RationalFunction.make(a, b, "u")
         c = F(9, 2)
-        g = substitute(substitute(f, SubstRule.reciprocal(c)), SubstRule.reciprocal(c))
-        assert g == f
+        assert substitute(substitute(f, c, -1, "u"), c, -1, "u") == f
 
     def test_power_substitution(self):
         f = RationalFunction.make(Poly.of(1, 1), Poly.of(1, -1), "T")
-        g = substitute(f, SubstRule.power(1, 2, "t"))
+        g = substitute(f, 1, 2, "t")
         assert g == RationalFunction.make(Poly.of(1, 0, 1), Poly.of(1, 0, -1), "t")
 
     def test_substitutions_compose(self):
         # u -> c*u is the power substitution with d = 1
         f = RationalFunction.make(Poly.of(1, 2, 1), Poly.of(3, 0, 1), "u")
-        one_step = substitute(f, SubstRule.power(F(3, 2), 1, "u"))
-        two_step = substitute(
-            substitute(f, SubstRule.power(3, 1, "u")),
-            SubstRule.power(F(1, 2), 1, "u"),
-        )
+        one_step = substitute(f, F(3, 2), 1, "u")
+        two_step = substitute(substitute(f, 3, 1, "u"), F(1, 2), 1, "u")
         assert one_step == two_step
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        small_polys(nonzero=True),
+        small_polys(nonzero=True),
+        rationals.filter(bool),
+        st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+        rationals.filter(bool),
+    )
+    def test_value_at_substituted_point(self, a, b, c, d, x):
+        f = RationalFunction.make(a, b, "u")
+        y = c * x**d
+        assume(f.den.evaluate(y) != 0)
+        assert substitute(f, c, d, "v").evaluate(x) == f.evaluate(y)
 
     def test_zero_constant_rejected(self):
         with pytest.raises(DomainError):
-            substitute(RationalFunction.variable("u"), SubstRule.power(0, 1, "u"))
+            substitute(RationalFunction.variable("u"), 0, 1, "u")
+
+    def test_zero_exponent_rejected(self):
+        with pytest.raises(DomainError):
+            substitute(RationalFunction.variable("u"), 1, 0, "u")
 
 
 class TestLogSeries:

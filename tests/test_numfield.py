@@ -146,9 +146,5 @@ class TestReductionProbe:
             math.prod(moduli_volume(n) for n in comp) / chain(comp)
             for comp in compositions(r)
         )
-        value = ks_identity_probe(r, convention)["conventions"][convention]["value"]
+        value = ks_identity_probe(r)["conventions"][convention]["value"]
         assert value == pytest.approx(enumerated, rel=1e-12)
-
-    def test_single_convention_request(self):
-        probe = ks_identity_probe(2, convention="prefix")
-        assert list(probe["conventions"]) == ["prefix"]
