@@ -359,7 +359,7 @@ def criterion_9() -> CriterionResult:
     ok = True
     for coeffs in ((1, 1, 4), (-1, 0, 0, 1), (2, -3, 0, 0, 5), (1, 4, 6, 4, 1)):
         p = Poly.of(*coeffs)
-        for z, mult in poly_complex_roots(p, tol=1e-9):
+        for z in poly_complex_roots(p):
             scale = sum(
                 abs(float(cf)) * abs(z) ** i for i, cf in enumerate(p.coeffs)
             )

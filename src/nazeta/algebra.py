@@ -18,8 +18,11 @@ Everything here is immutable and side-effect free.  The only
 floating-point code in the module is ``poly_complex_roots``, which serves
 the root lists of the Riemann-Hypothesis reports and the pole lines the
 uniformity matcher prunes its candidates with; no verdict rests on it.
-RH verdicts come from the exact ``roots_on_circle``, and every identity
-check stays in exact rationals.
+Even there the structure of the roots is exact: a square-free split
+(Yun's algorithm on the exact gcd) gives every multiplicity, and floats
+only refine the simple roots of each factor.  RH verdicts come from the
+exact ``roots_on_circle``, and every identity check stays in exact
+rationals.
 """
 
 from __future__ import annotations
@@ -682,16 +685,46 @@ def _root_scale(p: Poly, z: complex) -> float:
     return sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
 
 
-def poly_complex_roots(
-    p: Poly, tol: float = 1e-9
-) -> list[tuple[complex, int]]:
-    """All complex roots with multiplicities, by Aberth iteration.
+# Residual bound of every root: |f(z)| <= ROOT_TOL * sum_i |f_i| |z|^i for
+# the square-free factor f that z is a root of.
+ROOT_TOL = 1e-10
 
-    Falls back to the companion-matrix eigenvalues when the simultaneous
-    iteration stalls.  Each returned root z satisfies
-    |p(z)| <= tol * sum_i |p_i| |z|^i, and for real input the list is
-    conjugate-symmetric.  Raises NumericError (with partial results
-    attached) if neither method meets the residual bound.
+
+def _squarefree_split(p: Poly) -> list[tuple[Poly, int]]:
+    """The pairs (f_k, k) with p = lead * prod f_k^k, by Yun's algorithm.
+
+    The f_k are nonconstant, square-free and pairwise coprime, so the
+    multiplicity of every root is exact.  A square-free p is returned
+    as [(p, 1)] itself, after one integer gcd of p and p'.
+    """
+    ints = _to_int_poly(p)[1]
+    if len(_int_gcd(ints, [i * v for i, v in enumerate(ints)][1:])) == 1:
+        return [(p, 1)]
+    dp = _derivative(p)
+    c = poly_gcd(p, dp)
+    w, y = p.exact_div(c), dp.exact_div(c)
+    out = []
+    k = 1
+    while w.degree > 0:
+        z = y - _derivative(w)
+        g = poly_gcd(w, z)
+        if g.degree > 0:
+            out.append((g, k))
+        w, y = w.exact_div(g), z.exact_div(g)
+        k += 1
+    return out
+
+
+def poly_complex_roots(p: Poly) -> list[complex]:
+    """All complex roots, each repeated to its multiplicity.
+
+    The multiplicities are exact: p is split into square-free factors,
+    and floats only refine the simple roots of each factor, by Aberth
+    iteration with a fallback to the companion-matrix eigenvalues when
+    the iteration stalls.  Each root meets the ``ROOT_TOL`` residual
+    bound against its factor; repeated roots are equal floats, the list
+    is conjugate-symmetric and sorted by (real, imag).  Raises
+    NumericError if neither method meets the residual bound.
     """
     if p.is_zero() or p.degree < 1:
         raise DomainError("root finding needs a nonzero, nonconstant polynomial")
@@ -702,19 +735,19 @@ def poly_complex_roots(
     roots: list[complex] = [0j] * low
     reduced = Poly(tuple(p.coeffs[low:]))
     if reduced.degree >= 1:
-        coeffs = [complex(c) for c in reduced.coeffs]
-        zs = _aberth(coeffs)
-        if not _residuals_ok(reduced, zs, tol):
-            zs = _companion_roots(reduced)
-            if not _residuals_ok(reduced, zs, tol):
-                raise NumericError(
-                    "root refinement did not reach the residual bound",
-                    partial=zs,
-                )
-        roots.extend(zs)
+        for f, mult in _squarefree_split(reduced):
+            roots.extend(_simple_roots(f) * mult)
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def _simple_roots(p: Poly) -> list[complex]:
+    zs = _aberth([complex(c) for c in p.coeffs])
+    if not _residuals_ok(p, zs):
+        zs = _companion_roots(p)
+        if not _residuals_ok(p, zs):
+            raise NumericError("root refinement did not reach the residual bound")
     # coefficients are rational, hence real: enforce conjugate symmetry
-    roots = _symmetrize_conjugates(roots, tol)
-    return _cluster(roots, tol)
+    return _symmetrize_conjugates(zs)
 
 
 def _companion_roots(p: Poly) -> list[complex]:
@@ -722,6 +755,8 @@ def _companion_roots(p: Poly) -> list[complex]:
     import mpmath
 
     n, lead = p.degree, p.leading()
+    if n == 1:  # mpmath.eig ignores left=False, right=False on a 1x1 matrix
+        return [complex(-p[0] / lead)]
     companion = mpmath.matrix(n, n)
     for i in range(n):
         if i:
@@ -730,21 +765,20 @@ def _companion_roots(p: Poly) -> list[complex]:
     return [complex(z) for z in mpmath.eig(companion, left=False, right=False)]
 
 
-def _residuals_ok(p: Poly, zs: Iterable[complex], tol: float) -> bool:
+def _residuals_ok(p: Poly, zs: Iterable[complex]) -> bool:
     for z in zs:
-        bound = tol * max(_root_scale(p, z), 1e-300)
+        bound = ROOT_TOL * max(_root_scale(p, z), 1e-300)
         if abs(p.evaluate_complex(z)) > bound:
             return False
     return True
 
 
-def _symmetrize_conjugates(roots: list[complex], tol: float) -> list[complex]:
-    eps = max(tol, 1e-12)
+def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
     out: list[complex] = []
     pool = list(roots)
     while pool:
         z = pool.pop()
-        if abs(z.imag) <= eps * (1.0 + abs(z)):
+        if abs(z.imag) <= ROOT_TOL * (1.0 + abs(z)):
             out.append(complex(z.real, 0.0))
             continue
         best, dist = None, math.inf
@@ -758,21 +792,4 @@ def _symmetrize_conjugates(roots: list[complex], tol: float) -> list[complex]:
             out.extend([mean, mean.conjugate()])
         else:
             out.append(z)
-    return out
-
-
-def _cluster(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
-    radius = max(tol, 1e-7)
-    groups: list[list[complex]] = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        for g in groups:
-            if abs(g[0] - z) <= radius * (1.0 + abs(z)) * 10:
-                g.append(z)
-                break
-        else:
-            groups.append([z])
-    out = []
-    for g in groups:
-        center = sum(g) / len(g)
-        out.append((center, len(g)))
     return out

@@ -149,13 +149,12 @@ def _pure_inputs(args, curve) -> PureZetaInputs:
 def cmd_pure(args) -> int:
     curve = _load_curve(args)
     inputs = _pure_inputs(args, curve)
+    alpha0 = inputs.alphas[0]
+    if alpha0 == 0:
+        raise DomainError("alpha(0) must be nonzero")
     result = pure_zeta(curve, inputs)
     ok_fe, cert = fe_check_pure(result.zeta, curve.g, curve.q, inputs.r)
-    alpha0 = inputs.alphas[0]
-    report = rh_report(
-        result.numerator.scale(1 / alpha0) if alpha0 else result.numerator,
-        result.Q,
-    )
+    report = rh_report(result.numerator.scale(1 / alpha0), result.Q)
     counts = bundle_counts(result.zeta, alpha0, result.Q, 2 * curve.g)
     payload = {
         "zeta_T": _rf_json(result.zeta),
@@ -172,7 +171,7 @@ def cmd_pure(args) -> int:
         ln_q = math.log(curve.q**inputs.r)
         rows = [
             (
-                -(math.log(abs(z)) / ln_q) if abs(z) > 0 else -math.inf,
+                -(math.log(abs(z)) / ln_q),
                 math.atan2(z.imag, z.real) / ln_q,
                 abs(z),
                 dev,

@@ -22,12 +22,4 @@ class BoundError(DomainError):
 
 
 class NumericError(RuntimeError):
-    """A floating-point routine failed to converge.
-
-    ``partial`` carries whatever approximations were obtained before the
-    iteration cap was hit.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A floating-point routine failed to converge."""

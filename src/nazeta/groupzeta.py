@@ -345,18 +345,16 @@ def group_zeta_zeros(z: GroupZetaResult) -> GroupZeroReport:
     q = z.curve.q
     center = float(q) ** (float(z.c_p) / 2)
     num = z.zeta.num
-    zeros: list[complex] = []
-    devs: list[float] = []
-    coords: list[tuple[float, float]] = []
-    if num.degree >= 1:
-        lnq = math.log(q)
-        for root, mult in poly_complex_roots(num, tol=1e-10):
-            for _ in range(mult):
-                zeros.append(root)
-                devs.append(abs(abs(root) / center - 1.0))
-                re_s = -math.log(abs(root)) / lnq if root != 0 else math.inf
-                im_s = math.atan2(root.imag, root.real) / lnq
-                coords.append((re_s, im_s))
+    zeros = poly_complex_roots(num) if num.degree >= 1 else []
+    devs = [abs(abs(root) / center - 1.0) for root in zeros]
+    lnq = math.log(q)
+    coords = [
+        (
+            -math.log(abs(root)) / lnq if root != 0 else math.inf,
+            math.atan2(root.imag, root.real) / lnq,
+        )
+        for root in zeros
+    ]
     verdict = roots_on_circle(num, Fraction(q) ** z.c_p)
     return GroupZeroReport(tuple(zeros), tuple(devs), tuple(coords), center, verdict)
 
@@ -430,15 +428,14 @@ class UniformityNotFound:
 
 def _pole_lines(f: RationalFunction, q: int) -> list[float]:
     """Distinct Re(s) values of the poles, from numeric denominator roots."""
-    lines: set[float] = set()
-    lnq = math.log(q)
     if f.den.degree < 1:
         return []
-    for root, _ in poly_complex_roots(f.den, tol=1e-10):
-        if abs(root) < 1e-12:
-            continue
-        lines.add(round(-math.log(abs(root)) / lnq, 6))
-    return sorted(lines)
+    lnq = math.log(q)
+    return sorted({
+        round(-math.log(abs(root)) / lnq, 6)
+        for root in poly_complex_roots(f.den)
+        if abs(root) >= 1e-12
+    })
 
 
 def _integer_root(n: int, d: int) -> int:

@@ -314,13 +314,8 @@ def rh_report(p: Poly, Q: Rat) -> RHReport:
         raise DomainError("cannot report on the zero polynomial")
     Q = _frac(Q)
     sqrtq = math.sqrt(float(Q))
-    roots: list[complex] = []
-    devs: list[float] = []
-    if p.degree >= 1:
-        for z, mult in poly_complex_roots(p):
-            for _ in range(mult):
-                roots.append(z)
-                devs.append(abs(abs(z) * sqrtq - 1.0))
+    roots = poly_complex_roots(p) if p.degree >= 1 else []
+    devs = [abs(abs(z) * sqrtq - 1.0) for z in roots]
     verdict = roots_on_circle(p, 1 / Q)
     return RHReport(p, Q, tuple(roots), tuple(devs), verdict)
 

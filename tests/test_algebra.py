@@ -1,5 +1,7 @@
 """Exact arithmetic kernel: polynomials, fractions, series, roots."""
 
+import cmath
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import fraction_oracle
 import nazeta.algebra
 from nazeta.algebra import (
+    ROOT_TOL,
     Poly,
     RationalFunction,
     poly_complex_roots,
@@ -189,55 +192,125 @@ class TestLogSeries:
             series_log_coefficients(f, 3)
 
 
+def _residual_ok(p, z):
+    scale = sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
+    return abs(p.evaluate_complex(z)) <= ROOT_TOL * max(scale, 1e-300)
+
+
+def _by_position(roots):
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def _check_multiplicities(p, expected, tol):
+    """Each (root, mult) of ``expected`` is found once, repeated exactly
+    mult times, and the list is sorted and conjugate-symmetric."""
+    roots = poly_complex_roots(p)
+    counts = Counter(roots)
+    assert len(roots) == p.degree and len(counts) == len(expected)
+    for z, mult in expected:
+        w = min(counts, key=lambda w: abs(w - z))
+        assert abs(w - z) < tol * (1 + abs(z)) and counts[w] == mult
+    assert roots == _by_position(roots)
+    assert _by_position(z.conjugate() for z in roots) == roots
+
+
+# roots of a T-linear atom T - a, or of a quadratic atom T^2 + bT + c, b^2 < 4c
+root_atoms = st.one_of(
+    st.integers(-4, 4).map(lambda a: (a,)),
+    st.tuples(st.integers(-3, 3), st.integers(1, 5)).filter(
+        lambda bc: bc[0] ** 2 < 4 * bc[1]
+    ),
+)
+
+
 class TestComplexRoots:
     def test_factored_quadratic(self):
         roots = poly_complex_roots(Poly.of(-1, 0, 1))
-        values = sorted(z.real for z, _ in roots)
+        values = [z.real for z in roots]
         assert abs(values[0] + 1) < 1e-9 and abs(values[1] - 1) < 1e-9
 
     def test_conjugate_pair_modulus(self):
         roots = poly_complex_roots(Poly.of(1, 1, 4))
         assert len(roots) == 2
-        assert all(abs(abs(z) - 0.5) < 1e-9 for z, _ in roots)
-        assert roots[0][0].conjugate() == roots[1][0]
+        assert all(abs(abs(z) - 0.5) < 1e-9 for z in roots)
+        assert roots[0].conjugate() == roots[1]
 
     def test_two_rational_roots(self):
         roots = poly_complex_roots(Poly.of(1, -2) * Poly.of(1, -3))
-        values = sorted(z.real for z, _ in roots)
+        values = [z.real for z in roots]
         assert abs(values[0] - 1 / 3) < 1e-9 and abs(values[1] - 1 / 2) < 1e-9
 
     def test_multiplicity(self):
         roots = poly_complex_roots(Poly.of(1, -2) ** 2)
-        assert len(roots) == 1 and roots[0][1] == 2
+        assert len(roots) == 2 and roots[0] == roots[1]
+        assert abs(roots[0] - 0.5) < 1e-12
 
     def test_residual_bound(self):
         for coeffs in ((3, 0, -2, 1), (1, 1, 1, 1, 1), (-5, 0, 0, 0, 2)):
             p = Poly.of(*coeffs)
-            for z, _ in poly_complex_roots(p, tol=1e-9):
-                scale = sum(
-                    abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs)
-                )
-                assert abs(p.evaluate_complex(z)) <= 1e-9 * max(scale, 1e-300)
+            assert all(_residual_ok(p, z) for z in poly_complex_roots(p))
 
     def test_degree_sum(self):
         p = Poly.of(2, 0, 0, 1, 5, 1)
-        assert sum(m for _, m in poly_complex_roots(p)) == p.degree
+        assert len(poly_complex_roots(p)) == p.degree
 
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
             poly_complex_roots(Poly.zero())
 
     @pytest.mark.parametrize(
-        "p",
+        "p, expected",
         [
-            Poly.of(1, 1, 2) * Poly.of(1, -1, 2),
-            Poly.of(1, -3, 2)
-            * Poly.of(1, -2, 2) * Poly.of(1, -1, 2) * Poly.of(1, 0, 2)
-            * Poly.of(1, 1, 2) * Poly.of(1, 2, 2),
+            (
+                Poly.of(1, -3, 9) ** 6,
+                [(complex(1, s * 3**0.5) / 6, 6) for s in (1, -1)],
+            ),
+            (Poly.of(1, 1) ** 4, [(-1, 4)]),
+            (Poly.of(1, -1) ** 6 * Poly.of(1, 0, 1) ** 2, [(1, 6), (1j, 2), (-1j, 2)]),
         ],
-        ids=["degree-4", "degree-12"],
+        ids=["(1-3T+9T^2)^6", "(1+T)^4", "(1-T)^6(1+T^2)^2"],
     )
-    def test_companion_fallback(self, p, monkeypatch):
+    def test_repeated_roots(self, p, expected):
+        _check_multiplicities(p, expected, 1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(root_atoms, st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda am: am[0],
+        )
+    )
+    def test_multiplicities_of_squarefree_parts(self, atoms):
+        # f g^2 h^3, f, g, h the products of the atoms of multiplicity 1, 2, 3
+        p, expected = Poly.one(), []
+        for atom, mult in atoms:
+            if len(atom) == 1:
+                factor, zs = Poly.of(-atom[0], 1), [complex(atom[0])]
+            else:
+                b, c = atom
+                factor, d = Poly.of(c, b, 1), cmath.sqrt(b * b - 4 * c)
+                zs = [(-b + d) / 2, (-b - d) / 2]
+            p = p * factor**mult
+            expected += [(z, mult) for z in zs]
+        _check_multiplicities(p, expected, 1e-8)
+
+    @pytest.mark.parametrize(
+        "p, factor_degrees",
+        [
+            (Poly.of(1, 1, 2) * Poly.of(1, -1, 2), [4]),
+            (
+                Poly.of(1, -3, 2)
+                * Poly.of(1, -2, 2) * Poly.of(1, -1, 2) * Poly.of(1, 0, 2)
+                * Poly.of(1, 1, 2) * Poly.of(1, 2, 2),
+                [12],
+            ),
+            (Poly.of(1, 1, 2) * Poly.of(1, -2) ** 2, [2, 1]),
+        ],
+        ids=["degree-4", "degree-12", "linear-square"],
+    )
+    def test_companion_fallback(self, p, factor_degrees, monkeypatch):
         # an Aberth run that ends off the roots hands over to the
         # companion matrix, whose roots must meet the same residual bound
         monkeypatch.setattr(
@@ -252,12 +325,10 @@ class TestComplexRoots:
             "_companion_roots",
             lambda q: calls.append(q.degree) or companion(q),
         )
-        roots = poly_complex_roots(p, tol=1e-9)
-        assert calls == [p.degree]
-        assert sum(m for _, m in roots) == p.degree
-        for z, _ in roots:
-            scale = sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
-            assert abs(p.evaluate_complex(z)) <= 1e-9 * scale
+        roots = poly_complex_roots(p)
+        assert calls == factor_degrees
+        assert len(roots) == p.degree
+        assert all(_residual_ok(p, z) for z in roots)
 
 
 class TestMultivariate:

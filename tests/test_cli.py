@@ -14,6 +14,7 @@ import pytest
 
 import nazeta
 import nazeta.acceptance
+import nazeta.algebra
 import nazeta.cli
 import nazeta.residues
 from nazeta.cli import EXIT_INPUT, EXIT_MATH_FAIL, EXIT_OK, main
@@ -139,6 +140,25 @@ class TestPure:
                      "--alphas", "3"])
         assert code == EXIT_INPUT
 
+    def test_zero_alpha0_refused_up_front(self, elliptic_file, monkeypatch, capsys):
+        monkeypatch.setattr(nazeta.cli, "pure_zeta", lambda *a: pytest.fail("computed"))
+        code = main(["pure", "--curve", elliptic_file, "--r", "2",
+                     "--alphas", "0", "--beta0", "1"])
+        assert code == EXIT_INPUT
+        assert "alpha(0) must be nonzero" in capsys.readouterr().err
+
+    def test_zero_csv_rows(self, elliptic_file, tmp_path):
+        csv_out = tmp_path / "zeros.csv"
+        code = main(["pure", "--curve", elliptic_file, "--r", "2",
+                     "--json-out", str(tmp_path / "p.json"),
+                     "--csv-out", str(csv_out)])
+        assert code == EXIT_OK
+        lines = csv_out.read_text().strip().splitlines()
+        assert lines[0] == "re_s,im_s,modulus_u,deviation"
+        assert len(lines) == 3
+        for line in lines[1:]:
+            assert abs(float(line.split(",")[0]) - 0.5) <= 1e-9
+
 
 class TestGroup:
     def test_json_shape(self, elliptic_file, tmp_path):
@@ -186,6 +206,30 @@ class TestOtherCommands:
         assert data["partial_identity_exact"] is True
         assert data["partial_rh"]["verdict"] == "fail"
 
+    def test_mixed_double_root(self, tmp_path):
+        # 1 + 3t + 4t^2 + 12t^3 + 16t^4 = (1 + 2t)^2 (1 - t + 4t^2)
+        out = tmp_path / "mixed.json"
+        assert main(["mixed", "--q", "4", "--N", "6", "--json-out", str(out)]) == EXIT_OK
+        rh = json.loads(out.read_text())["mixed_rh"]
+        assert rh["polynomial"] == ["1", "3", "4", "12", "16"]
+        double = [i for i, z in enumerate(rh["roots"]) if z == [-0.5, 0.0]]
+        assert len(double) == 2
+        assert [rh["deviations"][i] for i in double] == [0.0, 0.0]
+
+    def test_numeric_failure_exits_1(self, monkeypatch, capsys):
+        # both root finders end off the roots: exit 1, no traceback
+        def off_roots(n):
+            return [complex(k + 3, 1) for k in range(n)]
+
+        monkeypatch.setattr(
+            nazeta.algebra, "_aberth", lambda coeffs: off_roots(len(coeffs) - 1)
+        )
+        monkeypatch.setattr(
+            nazeta.algebra, "_companion_roots", lambda p: off_roots(p.degree)
+        )
+        assert main(["mixed", "--q", "2", "--N", "3"]) == EXIT_MATH_FAIL
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_residue_compare(self, elliptic_file, tmp_path):
         out = tmp_path / "rc.json"
         code = main([
@@ -203,6 +247,16 @@ class TestOtherCommands:
         data = json.loads(out.read_text())
         assert data["status"] == "verified"
         assert data["match"] == {"a": "2", "b": "-2", "c": "3", "verified": True}
+
+    def test_uniformity_inconclusive(self, elliptic_file, tmp_path):
+        out = tmp_path / "uni.json"
+        code = main(["uniformity", "--curve", elliptic_file, "--r", "2",
+                     "--alphas", "3", "--beta0", "7", "--json-out", str(out)])
+        assert code == EXIT_MATH_FAIL
+        data = json.loads(out.read_text())
+        assert data["status"] == "inconclusive"
+        assert data["tried"] == [["2", "-2"], ["-2", "0"]]
+        assert data["skipped_irrational"] == []
 
     def test_numfield(self, tmp_path):
         out = tmp_path / "nf.json"
