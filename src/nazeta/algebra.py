@@ -768,7 +768,7 @@ def _companion_roots(p: Poly) -> list[complex]:
 def _residuals_ok(p: Poly, zs: Iterable[complex]) -> bool:
     for z in zs:
         bound = ROOT_TOL * max(_root_scale(p, z), 1e-300)
-        if abs(p.evaluate_complex(z)) > bound:
+        if not abs(p.evaluate_complex(z)) <= bound:  # NaN fails too
             return False
     return True
 

@@ -163,7 +163,7 @@ class RootSystem:
 
 def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
     """Construct a root system by reflection closure of the simple roots."""
-    if type_label == "G2":
+    if type_label == "G2" and rank is None:
         rank = 2
     if rank is None:
         raise DomainError("rank required")

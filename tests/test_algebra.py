@@ -250,6 +250,11 @@ class TestComplexRoots:
             p = Poly.of(*coeffs)
             assert all(_residual_ok(p, z) for z in poly_complex_roots(p))
 
+    def test_non_finite_roots_fail_the_residual_bound(self):
+        p = Poly.of(1, 1, 4)
+        for z in (complex("nan"), complex("nan+nanj"), complex("inf")):
+            assert not nazeta.algebra._residuals_ok(p, [z])
+
     def test_degree_sum(self):
         p = Poly.of(2, 0, 0, 1, 5, 1)
         assert len(poly_complex_roots(p)) == p.degree

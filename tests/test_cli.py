@@ -4,7 +4,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -196,6 +198,29 @@ class TestGroup:
                      "--curve", elliptic_file])
         assert code == EXIT_INPUT
 
+    def test_g2_of_rank_3_refused(self, elliptic_file, capsys):
+        code = main(["group", "--type", "G2", "--rank", "3", "--p", "2",
+                     "--curve", elliptic_file])
+        assert code == EXIT_INPUT
+        assert "unsupported root system G2_3" in capsys.readouterr().err
+
+    def test_no_non_finite_value_in_the_json(self, tmp_path):
+        # at q = 1000003 the Aberth iteration on the G2 numerator ends in
+        # NaN: such a root must not pass the residual bound into the output
+        curve = _write(
+            tmp_path, "c.json", {"genus": 1, "q": 1000003, "point_counts": [1000004]}
+        )
+        out = tmp_path / "group.json"
+        code = main(["group", "--type", "G2", "--rank", "2", "--p", "2",
+                     "--curve", curve, "--json-out", str(out)])
+        if code == EXIT_OK:
+            def reject(token):
+                raise AssertionError(f"non-finite {token} in the JSON")
+
+            json.loads(out.read_text(), parse_constant=reject)
+        else:
+            assert code == EXIT_MATH_FAIL
+
 
 class TestOtherCommands:
     def test_mixed(self, tmp_path):
@@ -264,6 +289,27 @@ class TestOtherCommands:
         assert code == EXIT_OK
         data = json.loads(out.read_text())
         assert "volumes" in data and "reduction_probe" in data
+
+
+class TestImportPath:
+    def test_mpmath_stays_unimported(self, tmp_path):
+        # a fresh interpreter, as the command line runs: neither the import
+        # nor report-all nor the number-field volumes load mpmath
+        script = """
+import sys
+import nazeta.cli
+assert "mpmath" not in sys.modules, "import nazeta.cli"
+for argv in (["report-all", "--json-out", "r.json"], ["numfield", "--r", "8"]):
+    nazeta.cli.main(argv)
+    assert "mpmath" not in sys.modules, argv[0]
+"""
+        src = str(Path(nazeta.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigAndDeterminism:

@@ -48,9 +48,18 @@ class TestCompletedRiemann:
     def test_series_oracle_agrees(self, n):
         assert abs(completed_riemann(n) - completed_riemann_series(n)) < 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_table_matches_25_digit_value(self, n):
+        with mpmath.workdps(25):
+            val = mpmath.pi ** (-mpmath.mpf(n) / 2) * mpmath.gamma(
+                mpmath.mpf(n) / 2
+            ) * mpmath.zeta(n)
+            assert completed_riemann(n) == float(val)
+
     def test_domain(self):
-        with pytest.raises(DomainError):
-            completed_riemann(0)
+        for n in (0, 9):
+            with pytest.raises(DomainError):
+                completed_riemann(n)
 
 
 class TestVolumes:

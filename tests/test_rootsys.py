@@ -76,6 +76,8 @@ class TestRootSystems:
             build_root_system("E", 8)
         with pytest.raises(CapabilityError):
             build_root_system("A", 9)
+        with pytest.raises(CapabilityError):
+            build_root_system("G2", 3)
 
 
 class TestWeylGroup:
