@@ -745,9 +745,36 @@ def _simple_roots(p: Poly) -> list[complex]:
     if not _residuals_ok(p, zs):
         zs = _companion_roots(p)
         if not _residuals_ok(p, zs):
-            raise NumericError("root refinement did not reach the residual bound")
+            zs = _scaled_aberth_roots(p)
+            if not _residuals_ok(p, zs):
+                raise NumericError(
+                    "root refinement did not reach the residual bound"
+                )
     # coefficients are rational, hence real: enforce conjugate symmetry
     return _symmetrize_conjugates(zs)
+
+
+def _scaled_aberth_roots(p: Poly) -> list[complex]:
+    """Aberth on p(rho y), rho = |p_0/p_d|^(1/d), with the roots scaled back.
+
+    The scaling gives p(rho y) equal end coefficients in modulus, so
+    roots of very different size from 1 (coefficients up to 1e108 for
+    q near 10^6) start on a circle of the right radius.  Coefficients
+    are scaled in logarithms, so no Fraction is converted to a float out
+    of range.  p_0 is nonzero: roots at the origin are split off first.
+    """
+
+    def log_abs(x: Fraction) -> float:
+        return math.log(abs(x.numerator)) - math.log(x.denominator)
+
+    d = p.degree
+    log_rho = (log_abs(p[0]) - log_abs(p.leading())) / d
+    scaled = [
+        complex(math.copysign(math.exp(log_abs(c) + i * log_rho), c)) if c else 0j
+        for i, c in enumerate(p.coeffs)
+    ]
+    rho = math.exp(log_rho)
+    return [rho * y for y in _aberth(scaled)]
 
 
 def _companion_roots(p: Poly) -> list[complex]:

@@ -10,14 +10,20 @@ q^g P(1/q)/(q-1) instead; that convention is exactly what the iterated
 residues of the full-rank period produce once each residue's 1/log q is
 cancelled, and it is cross-checked by the residues module.
 
-Every summand is kept as a curve.FactorProduct (a constant, a power of
-u and powers of the atoms 1 - q^j u^m and P(q^j u^m)); the period lifts each
-numerator to the common denominator of all summands and reduces the
-sum once.  Single terms and the products over root keys expand their
-factor multisets the same way, with one reduction each.  The involution
-certificate builds each element's factored f and g once, expands each
-once for the substitution identities, and reduces the sum of the f*g
-products once.
+A root enters a summand only through its key (k, h), and a pair has
+few distinct keys (A5 p=3: seven, against 941 inversions over its 106
+summands), so every summand is assembled from the counts of its root
+keys: the ratio of completed zeta factors is built once per distinct
+key of the positive roots, and each summand takes it to the key's count
+over the inversion set; the products over w^{-1}Phi^- and over all roots
+are built per key the same way.  Every summand is kept as a
+curve.FactorProduct (a constant, a power of u and powers of the atoms
+1 - q^j u^m and P(q^j u^m)); the period lifts each numerator to the
+common denominator of all summands and reduces the sum once.  Single
+terms and the products over root keys expand their factor multisets the
+same way, with one reduction each.  The involution certificate builds
+each element's factored f and g once, expands each once for the
+substitution identities, and reduces the sum of the f*g products once.
 
 Multiplying the period by the minimal normalization product, the
 positive max-difference exponents over h >= 2, yields the group zeta,
@@ -29,6 +35,7 @@ exactly by ``roots_on_circle``; floats serve only the zero lists.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,18 +107,33 @@ def _rational_factors(
     return term
 
 
+def _ratio_table(
+    c: CurveData, rs: RootSystem, pd: ParabolicData
+) -> dict[tuple[int, int], FactorProduct]:
+    """zeta(k s + h) / zeta(k s + h + 1) per distinct key of the positive
+    roots, the numerator stripped at (0, 1)."""
+    keys = {_root_key(rs, pd, idx) for idx in range(rs.n_positive)}
+    return {
+        (k, h): _zeta_num_factors(c, k, h) * zeta_factors(c, k, h + 1) ** -1
+        for k, h in keys
+    }
+
+
 def _weyl_factors(
     c: CurveData,
     rs: RootSystem,
     W: WeylGroup,
     pd: ParabolicData,
     w: WeylElement,
+    ratios: dict[tuple[int, int], FactorProduct],
 ) -> FactorProduct:
-    """The single-w summand of the period, factored."""
+    """The single-w summand of the period, factored: the rational factors
+    times each key's ratio (from ``_ratio_table``) to its count over the
+    inversion set."""
     term = _rational_factors(c, rs, pd, w)
-    for idx in W.inversion_set(w):
-        k, h = _root_key(rs, pd, idx)
-        term = term * _zeta_num_factors(c, k, h) * zeta_factors(c, k, h + 1) ** -1
+    counts = Counter(_root_key(rs, pd, idx) for idx in W.inversion_set(w))
+    for key, n in counts.items():
+        term = term * ratios[key] ** n
     return term
 
 
@@ -122,16 +144,18 @@ def period_gp(
 
     Every term stays factored; the sum is reduced once.
     """
+    ratios = _ratio_table(c, rs, pd)
     return expand_sum(
-        c, [_weyl_factors(c, rs, W, pd, w) for w in pd.weyl_subset]
+        c, [_weyl_factors(c, rs, W, pd, w, ratios) for w in pd.weyl_subset]
     )
 
 
 def _zeta_product(c: CurveData, exponents: dict) -> FactorProduct:
-    """prod over (k, h) of the completed zeta at k*s + h to its exponent."""
+    """prod over (k, h) of the completed zeta at k*s + h to its exponent,
+    stripped at (0, 1)."""
     prod = FactorProduct(Fraction(1))
     for (k, h), e in sorted(exponents.items()):
-        prod = prod * zeta_factors(c, k, h) ** e
+        prod = prod * _zeta_num_factors(c, k, h) ** e
     return prod
 
 
@@ -203,15 +227,12 @@ def omega_D_decompose(z: GroupZetaResult, W: WeylGroup) -> Decomposition:
     cert = Certificate(
         f"global decomposition {rs.type_label}{rs.rank} p={pd.p}"
     )
-    clearing = FactorProduct(Fraction(1))
-    for idx in range(rs.n_positive):
-        k, h = _root_key(rs, pd, idx)
-        clearing = clearing * zeta_factors(c, k, h + 1)
-    clearing = clearing.expand(c)
-    alt = FactorProduct(Fraction(1))
-    for idx in range(rs.n_positive, len(rs.roots)):
-        k, h = _root_key(rs, pd, idx)
-        alt = alt * zeta_factors(c, k, h)
+    keys = [_root_key(rs, pd, idx) for idx in range(len(rs.roots))]
+    positive, negative = keys[: rs.n_positive], keys[rs.n_positive :]
+    clearing = _zeta_product(
+        c, Counter((k, h + 1) for k, h in positive)
+    ).expand(c)
+    alt = _zeta_product(c, Counter(negative))
     cert.record("clearing product: two forms agree", clearing == alt.expand(c))
 
     M = table.max_diff
@@ -255,12 +276,10 @@ def _g_factors(
     stripped value per such root.
     """
     winv = w.inverse()
-    term = FactorProduct(Fraction(1))
-    for neg in range(rs.n_positive, len(rs.roots)):
-        pre = winv.apply(neg)
-        k, h = _root_key(rs, pd, pre)
-        term = term * _zeta_num_factors(c, k, h)
-    return term
+    return _zeta_product(c, Counter(
+        _root_key(rs, pd, winv.apply(neg))
+        for neg in range(rs.n_positive, len(rs.roots))
+    ))
 
 
 def fg_involution_check(

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .algebra import RationalFunction
 from .certificate import Certificate
 from .curve import CurveData, expand_sum
-from .groupzeta import _weyl_factors
+from .groupzeta import _ratio_table, _weyl_factors
 from .multivar import Atom, AtomProduct, collapse_sum, residue_at_one_factored
 from .rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
 
@@ -102,11 +102,12 @@ def residue_route_equivalence(
     """
     cert = Certificate(f"residue route {rs.type_label}{rs.rank} p={pd.p}")
     surviving = {w.perm for w in pd.weyl_subset}
+    ratios = _ratio_table(c, rs, pd)
     residues, closed_terms = [], []
     for w in W.elements:
         res = iterated_residue(c, weyl_term_full(c, rs, W, w), pd)
         if w.perm in surviving:
-            closed = _weyl_factors(c, rs, W, pd, w)
+            closed = _weyl_factors(c, rs, W, pd, w, ratios)
             ok = collapse_sum(c, [res], pd.p0) == closed.expand(c)
             identity = "surviving term matches closed formula"
             residues.append(res)

@@ -266,9 +266,13 @@ def _validate_root_system(rs: RootSystem) -> None:
             raise ValidationError("zero coroot height")
         if (ht > 0) != rs.is_positive(idx):
             raise ValidationError("height sign disagrees with positivity")
-        # cross-check the tabulated pairing against the inner product
+        # cross-check the tabulated pairing against the inner product:
+        # <v, alpha^vee> = 2 (v, alpha)/(alpha, alpha) = 2 v.col/alpha.col
+        root = rs.roots[idx]
+        col = [_dot(row, root) for row in rs.gram]  # gram . alpha
+        norm2 = _dot(root, col)
         for p in range(n):
-            if rs.pairing_with_coroot(rs.weights[p], idx) != rs.weight_pairing(p, idx):
+            if 2 * _dot(rs.weights[p], col) / norm2 != rs.weight_pairing(p, idx):
                 raise ValidationError("coroot coordinate inconsistency")
 
 

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -220,6 +221,30 @@ class TestGroup:
             json.loads(out.read_text(), parse_constant=reject)
         else:
             assert code == EXIT_MATH_FAIL
+
+    def test_large_q_roots_settle(self, tmp_path):
+        # numerator coefficients up to about 1e108: plain Aberth and the
+        # companion matrix both miss the residual bound, the Aberth run on
+        # the rescaled polynomial meets it
+        q = 1000003
+        curve = _write(
+            tmp_path, "c.json", {"genus": 1, "q": q, "point_counts": [q + 1]}
+        )
+        out = tmp_path / "group.json"
+        code = main(["group", "--type", "G2", "--rank", "2", "--p", "2",
+                     "--curve", curve, "--json-out", str(out)])
+        assert code == EXIT_OK
+        data = json.loads(out.read_text())
+        num = nazeta.algebra.Poly.from_list(
+            [Fraction(x) for x in data["zeta"]["num"]]
+        )
+        zeros = data["zeros"]
+        assert len(zeros["zeros_u"]) == num.degree
+        assert all(
+            math.isfinite(x) for z in zeros["zeros_u"] for x in z
+        )
+        exact = nazeta.algebra.roots_on_circle(num, Fraction(q) ** int(data["c_p"]))
+        assert zeros["verdict"] == ("pass" if exact else "fail")
 
 
 class TestOtherCommands:

@@ -9,6 +9,7 @@ import pytest
 import nazeta.algebra
 import nazeta.curve
 import nazeta.groupzeta
+import per_root_oracle
 
 from nazeta.algebra import Poly, RationalFunction
 from nazeta.curve import (
@@ -16,6 +17,7 @@ from nazeta.curve import (
     completed_zeta_factor,
     curve_from_numerator,
     elliptic_curve,
+    expand_sum,
 )
 from nazeta.groupzeta import (
     UniformityMatch,
@@ -40,6 +42,11 @@ from nazeta.rootsys import (
 
 E23 = elliptic_curve(2, 3)
 GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
+# the benchmark's seed-1 curves, E(q=3,N=2) and G(q=2,a=0,b=-1)
+SEED1_CURVES = (
+    elliptic_curve(3, 2),
+    curve_from_numerator(2, 2, (Poly.of(1, 0, 2) * Poly.of(1, 1, 2)).coeffs),
+)
 
 
 def pair(label, rank, p):
@@ -157,8 +164,9 @@ class TestPeriodStructure:
     def test_summand_per_surviving_element(self, label, p, size):
         rs, W, pd = pair(label, 2, p)
         total = RationalFunction.const(0, "u")
+        ratios = nazeta.groupzeta._ratio_table(E23, rs, pd)
         for w in pd.weyl_subset:
-            term = nazeta.groupzeta._weyl_factors(E23, rs, W, pd, w)
+            term = nazeta.groupzeta._weyl_factors(E23, rs, W, pd, w, ratios)
             total = total + term.expand(E23)
         assert total == period_gp(E23, rs, W, pd)
         assert len(pd.weyl_subset) == size
@@ -171,6 +179,30 @@ class TestPeriodStructure:
             omega = period_gp(curve, rs, W, pd)
             for u in POINTS:
                 assert omega.evaluate(u) == scalar_period(curve, rs, W, pd, u)
+
+    @pytest.mark.parametrize(
+        "label,rank,p",
+        [
+            (label, rank, p)
+            for label, ranks in SUPPORTED.items()
+            for rank in ranks
+            for p in range(1, rank + 1)
+        ],
+    )
+    def test_key_counts_against_the_per_root_products(self, label, rank, p):
+        # every period summand and every g_w, built from key counts, minus
+        # the oracle's per-root product reduces to zero
+        rs, W, pd = pair(label, rank, p)
+        minus = FactorProduct(F(-1))
+        for curve in SEED1_CURVES:
+            ratios = nazeta.groupzeta._ratio_table(curve, rs, pd)
+            for w in pd.weyl_subset:
+                term = nazeta.groupzeta._weyl_factors(curve, rs, W, pd, w, ratios)
+                oracle = per_root_oracle.weyl_factors(curve, rs, W, pd, w)
+                assert expand_sum(curve, [term, oracle * minus]).is_zero()
+                g = nazeta.groupzeta._g_factors(curve, rs, pd, w)
+                oracle = per_root_oracle.g_factors(curve, rs, pd, w)
+                assert expand_sum(curve, [g, oracle * minus]).is_zero()
 
     def test_one_reduction_per_period(self, monkeypatch):
         rs, W, pd = pair("A", 5, 3)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import nazeta.rootsys
-from nazeta.errors import CapabilityError, DomainError
+from nazeta.errors import CapabilityError, DomainError, ValidationError
 from nazeta.rootsys import (
     SUPPORTED,
     build_root_system,
@@ -70,6 +70,25 @@ class TestRootSystems:
         theta = rs.root_index((1, 1))
         assert rs.coroot_coords[theta] == (1, 1)
         assert rs.coroot_height(theta) == 2
+
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 2), ("G2", 2)])
+    def test_tampered_coroot_coordinate_is_caught(self, label, rank):
+        rs = build_root_system(label, rank)
+        top = rs.n_positive - 1  # the highest root, never simple
+        coords = list(rs.coroot_coords)
+        coords[top] = (coords[top][0] + 1,) + coords[top][1:]
+        bad = dataclasses.replace(rs, coroot_coords=tuple(coords))
+        with pytest.raises(ValidationError, match="coroot coordinate inconsistency"):
+            nazeta.rootsys._validate_root_system(bad)
+
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 2), ("G2", 2)])
+    def test_tampered_weight_is_caught(self, label, rank):
+        rs = build_root_system(label, rank)
+        weights = list(rs.weights)
+        weights[-1] = (weights[-1][0] + F(1, 2),) + weights[-1][1:]
+        bad = dataclasses.replace(rs, weights=tuple(weights))
+        with pytest.raises(ValidationError, match="coroot coordinate inconsistency"):
+            nazeta.rootsys._validate_root_system(bad)
 
     def test_unsupported_rejected(self):
         with pytest.raises(CapabilityError):
