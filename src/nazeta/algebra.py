@@ -759,9 +759,11 @@ def _scaled_aberth_roots(p: Poly) -> list[complex]:
 
     The scaling gives p(rho y) equal end coefficients in modulus, so
     roots of very different size from 1 (coefficients up to 1e108 for
-    q near 10^6) start on a circle of the right radius.  Coefficients
-    are scaled in logarithms, so no Fraction is converted to a float out
-    of range.  p_0 is nonzero: roots at the origin are split off first.
+    q near 10^6) start on a circle of the right radius.  The scaled
+    coefficients are formed in logarithms and divided by the largest,
+    so none overflows a float; a leading one that underflows leaves the
+    polynomial out of double range.  p_0 is nonzero: roots at the origin
+    are split off first.
     """
 
     def log_abs(x: Fraction) -> float:
@@ -769,10 +771,17 @@ def _scaled_aberth_roots(p: Poly) -> list[complex]:
 
     d = p.degree
     log_rho = (log_abs(p[0]) - log_abs(p.leading())) / d
-    scaled = [
-        complex(math.copysign(math.exp(log_abs(c) + i * log_rho), c)) if c else 0j
+    logs = [
+        log_abs(c) + i * log_rho if c else -math.inf
         for i, c in enumerate(p.coeffs)
     ]
+    top = max(logs)
+    scaled = [
+        complex(math.exp(v - top) * (1 if c > 0 else -1))
+        for v, c in zip(logs, p.coeffs)
+    ]
+    if scaled[-1] == 0:
+        raise NumericError("root refinement did not reach the residual bound")
     rho = math.exp(log_rho)
     return [rho * y for y in _aberth(scaled)]
 

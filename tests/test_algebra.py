@@ -19,7 +19,7 @@ from nazeta.algebra import (
     series_log_coefficients,
     substitute,
 )
-from nazeta.errors import DomainError
+from nazeta.errors import DomainError, NumericError
 from nazeta.multivar import LaurentPoly, MultiRationalFunction
 
 rationals = st.fractions(
@@ -334,6 +334,14 @@ class TestComplexRoots:
         assert calls == factor_degrees
         assert len(roots) == p.degree
         assert all(_residual_ok(p, z) for z in roots)
+
+    def test_out_of_double_range_is_a_numeric_error(self):
+        # roots near -1e300 and -1e-600: every root finder misses the
+        # bound, and the rescaled polynomial's leading coefficient
+        # underflows, so the last retry refuses it as well
+        p = Poly.of(F(1, 10**300), F(10) ** 300, 1)
+        with pytest.raises(NumericError):
+            poly_complex_roots(p)
 
 
 class TestMultivariate:
