@@ -632,8 +632,9 @@ def series_exp(cs: Sequence[Fraction], order: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-# Sweep limit of the Aberth iteration; a run that has not settled by then
-# is judged by the residual bound and may hand over to the companion matrix.
+# Sweep limit of the Aberth iteration on p(rho y); a run that has not
+# settled by then is judged by the residual bound and may hand over to the
+# companion matrix.
 ABERTH_SWEEPS = 400
 
 
@@ -719,12 +720,14 @@ def poly_complex_roots(p: Poly) -> list[complex]:
     """All complex roots, each repeated to its multiplicity.
 
     The multiplicities are exact: p is split into square-free factors,
-    and floats only refine the simple roots of each factor, by Aberth
-    iteration with a fallback to the companion-matrix eigenvalues when
-    the iteration stalls.  Each root meets the ``ROOT_TOL`` residual
-    bound against its factor; repeated roots are equal floats, the list
-    is conjugate-symmetric and sorted by (real, imag).  Raises
-    NumericError if neither method meets the residual bound.
+    and floats only refine the simple roots of each factor, by one
+    Aberth run on the factor rescaled so that the product of its roots'
+    moduli is 1, with a fallback to the companion-matrix eigenvalues
+    when that run misses the residual bound.  Each root meets the
+    ``ROOT_TOL`` residual bound against its factor; repeated roots are
+    equal floats, the list is conjugate-symmetric and sorted by (real,
+    imag).  Raises NumericError if neither method meets the residual
+    bound, or if a factor or its roots leave double range.
     """
     if p.is_zero() or p.degree < 1:
         raise DomainError("root finding needs a nonzero, nonconstant polynomial")
@@ -735,21 +738,20 @@ def poly_complex_roots(p: Poly) -> list[complex]:
     roots: list[complex] = [0j] * low
     reduced = Poly(tuple(p.coeffs[low:]))
     if reduced.degree >= 1:
-        for f, mult in _squarefree_split(reduced):
-            roots.extend(_simple_roots(f) * mult)
+        try:
+            for f, mult in _squarefree_split(reduced):
+                roots.extend(_simple_roots(f) * mult)
+        except OverflowError as exc:
+            raise NumericError(f"root refinement left double range: {exc}") from None
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
 def _simple_roots(p: Poly) -> list[complex]:
-    zs = _aberth([complex(c) for c in p.coeffs])
+    zs = _scaled_aberth_roots(p)
     if not _residuals_ok(p, zs):
         zs = _companion_roots(p)
         if not _residuals_ok(p, zs):
-            zs = _scaled_aberth_roots(p)
-            if not _residuals_ok(p, zs):
-                raise NumericError(
-                    "root refinement did not reach the residual bound"
-                )
+            raise NumericError("root refinement did not reach the residual bound")
     # coefficients are rational, hence real: enforce conjugate symmetry
     return _symmetrize_conjugates(zs)
 
@@ -757,13 +759,14 @@ def _simple_roots(p: Poly) -> list[complex]:
 def _scaled_aberth_roots(p: Poly) -> list[complex]:
     """Aberth on p(rho y), rho = |p_0/p_d|^(1/d), with the roots scaled back.
 
-    The scaling gives p(rho y) equal end coefficients in modulus, so
-    roots of very different size from 1 (coefficients up to 1e108 for
-    q near 10^6) start on a circle of the right radius.  The scaled
-    coefficients are formed in logarithms and divided by the largest,
-    so none overflows a float; a leading one that underflows leaves the
-    polynomial out of double range.  p_0 is nonzero: roots at the origin
-    are split off first.
+    This is the one Aberth run of every square-free factor.  The scaling
+    gives p(rho y) equal end coefficients in modulus, so the product of
+    its roots' moduli is 1 and the iteration starts on a circle of the
+    right size, even where the roots of p are far from 1 (coefficients
+    up to 1e108 for q near 10^6).  The scaled coefficients are formed in
+    logarithms and divided by the largest, so none overflows a float; a
+    leading one that underflows leaves the polynomial out of double
+    range.  p_0 is nonzero: roots at the origin are split off first.
     """
 
     def log_abs(x: Fraction) -> float:
@@ -781,7 +784,7 @@ def _scaled_aberth_roots(p: Poly) -> list[complex]:
         for v, c in zip(logs, p.coeffs)
     ]
     if scaled[-1] == 0:
-        raise NumericError("root refinement did not reach the residual bound")
+        raise NumericError("root refinement left double range: p(rho y) underflows")
     rho = math.exp(log_rho)
     return [rho * y for y in _aberth(scaled)]
 
@@ -814,7 +817,7 @@ def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
     pool = list(roots)
     while pool:
         z = pool.pop()
-        if abs(z.imag) <= ROOT_TOL * (1.0 + abs(z)):
+        if abs(z.imag) <= ROOT_TOL * abs(z):
             out.append(complex(z.real, 0.0))
             continue
         best, dist = None, math.inf
@@ -822,7 +825,7 @@ def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
             d = abs(w - z.conjugate())
             if d < dist:
                 best, dist = i, d
-        if best is not None and dist <= 1e-6 * (1.0 + abs(z)):
+        if best is not None and dist <= 1e-6 * abs(z):
             w = pool.pop(best)
             mean = (z + w.conjugate()) / 2
             out.extend([mean, mean.conjugate()])

@@ -316,8 +316,8 @@ class TestComplexRoots:
         ids=["degree-4", "degree-12", "linear-square"],
     )
     def test_companion_fallback(self, p, factor_degrees, monkeypatch):
-        # an Aberth run that ends off the roots hands over to the
-        # companion matrix, whose roots must meet the same residual bound
+        # an Aberth run on p(rho y) that ends off the roots hands over to
+        # the companion matrix, whose roots must meet the same residual bound
         monkeypatch.setattr(
             nazeta.algebra,
             "_aberth",
@@ -336,12 +336,70 @@ class TestComplexRoots:
         assert all(_residual_ok(p, z) for z in roots)
 
     def test_out_of_double_range_is_a_numeric_error(self):
-        # roots near -1e300 and -1e-600: every root finder misses the
-        # bound, and the rescaled polynomial's leading coefficient
-        # underflows, so the last retry refuses it as well
+        # roots near -1e300 and -1e-600: the rescaled polynomial's leading
+        # coefficient underflows, so the Aberth run refuses it
         p = Poly.of(F(1, 10**300), F(10) ** 300, 1)
         with pytest.raises(NumericError):
             poly_complex_roots(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [Poly.of(10**350, 1), Poly.of(10**300, 0, 3, 10**300, F(1, 10**300))],
+        ids=["root-1e350", "monic-1e600"],
+    )
+    def test_float_overflow_is_a_numeric_error(self, p):
+        with pytest.raises(NumericError):
+            poly_complex_roots(p)
+
+    def test_one_aberth_run_per_factor(self, monkeypatch):
+        # coefficients up to about 1e10 in two square-free factors: each is
+        # solved by one Aberth run, on p(rho y) divided by its largest
+        # coefficient
+        runs = []
+        aberth = nazeta.algebra._aberth
+        monkeypatch.setattr(
+            nazeta.algebra,
+            "_aberth",
+            lambda coeffs: runs.append(coeffs) or aberth(coeffs),
+        )
+        p = Poly.of(10**10, 1, 1) * Poly.of(3, 1) ** 2
+        roots = poly_complex_roots(p)
+        assert sorted(len(coeffs) - 1 for coeffs in runs) == [1, 2]
+        assert all(max(abs(c) for c in coeffs) == 1 for coeffs in runs)
+        assert all(_residual_ok(p, z) for z in roots)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.lists(
+                st.builds(
+                    lambda sign, m, k: sign * m * 10**k,
+                    st.sampled_from((1, -1)),
+                    st.integers(1, 9),
+                    st.integers(0, 400),
+                ),
+                min_size=2,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # a conjugate pair at +-1e-10 i: the snap to the real axis is relative
+    @example(factors=[[1, 1, 10**20]])
+    def test_coefficients_up_to_1e400(self, factors):
+        # a product of linear and quadratic integer factors: roots that
+        # meet the residual bound, or a NumericError, and no other outcome
+        p = Poly.one()
+        for coeffs in factors:
+            p = p * Poly.of(*coeffs)
+        assume(nazeta.algebra._squarefree_split(p) == [(p, 1)])
+        try:
+            roots = poly_complex_roots(p)
+        except NumericError:
+            return
+        assert len(roots) == p.degree
+        assert all(_residual_ok(p, z) for z in roots)
 
 
 class TestMultivariate:

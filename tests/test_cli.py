@@ -223,9 +223,9 @@ class TestGroup:
             assert code == EXIT_MATH_FAIL
 
     def test_large_q_roots_settle(self, tmp_path):
-        # numerator coefficients up to about 1e108: plain Aberth and the
-        # companion matrix both miss the residual bound, the Aberth run on
-        # the rescaled polynomial meets it
+        # numerator coefficients up to about 1e108: Aberth on the rescaled
+        # polynomial p(rho y) meets the residual bound, where Aberth on the
+        # raw coefficients and the companion matrix both miss it
         q = 1000003
         curve = _write(
             tmp_path, "c.json", {"genus": 1, "q": q, "point_counts": [q + 1]}
@@ -267,7 +267,8 @@ class TestOtherCommands:
         assert [rh["deviations"][i] for i in double] == [0.0, 0.0]
 
     def test_numeric_failure_exits_1(self, monkeypatch, capsys):
-        # both root finders end off the roots: exit 1, no traceback
+        # the scaled Aberth run and the companion fallback both end off
+        # the roots: exit 1, no traceback
         def off_roots(n):
             return [complex(k + 3, 1) for k in range(n)]
 
@@ -279,6 +280,28 @@ class TestOtherCommands:
         )
         assert main(["mixed", "--q", "2", "--N", "3"]) == EXIT_MATH_FAIL
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, argv",
+        [
+            (
+                {"genus": 1, "q": 2, "point_counts": [3]},
+                ["pure", "--r", "2", "--alphas", "1", "--beta0", "1e400"],
+            ),
+            (
+                {"genus": 1, "q": 3, "numerator_coeffs": ["1", "1e400", "3"]},
+                ["group", "--type", "A", "--rank", "1", "--p", "1"],
+            ),
+        ],
+        ids=["pure-beta0-1e400", "group-a1-1e400"],
+    )
+    def test_out_of_double_range_exits_1(self, spec, argv, tmp_path, capsys):
+        # a numerator coefficient near 1e400 puts a root out of double
+        # range: exit 1 with a message, no OverflowError traceback
+        curve = _write(tmp_path, "c.json", spec)
+        assert main(argv + ["--curve", curve]) == EXIT_MATH_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "Traceback" not in err
 
     def test_residue_compare(self, elliptic_file, tmp_path):
         out = tmp_path / "rc.json"
