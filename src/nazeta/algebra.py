@@ -682,10 +682,6 @@ def _aberth(coeffs: list[complex]):
     return zs
 
 
-def _root_scale(p: Poly, z: complex) -> float:
-    return sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
-
-
 # Residual bound of every root: |f(z)| <= ROOT_TOL * sum_i |f_i| |z|^i for
 # the square-free factor f that z is a root of.
 ROOT_TOL = 1e-10
@@ -726,7 +722,9 @@ def poly_complex_roots(p: Poly) -> list[complex]:
     when that run misses the residual bound.  Each root meets the
     ``ROOT_TOL`` residual bound against its factor; repeated roots are
     equal floats, the list is conjugate-symmetric and sorted by (real,
-    imag).  Raises NumericError if neither method meets the residual
+    imag).  Roots are judged on the scaled coefficients, so a factor
+    whose coefficients exceed double range is solved when its roots do
+    not.  Raises NumericError if neither method meets the residual
     bound, or if a factor or its roots leave double range.
     """
     if p.is_zero() or p.degree < 1:
@@ -747,26 +745,31 @@ def poly_complex_roots(p: Poly) -> list[complex]:
 
 
 def _simple_roots(p: Poly) -> list[complex]:
-    zs = _scaled_aberth_roots(p)
-    if not _residuals_ok(p, zs):
-        zs = _companion_roots(p)
-        if not _residuals_ok(p, zs):
+    scaled, rho = _scaled_coefficients(p)
+    ys = _aberth(scaled)
+    if not _residuals_ok(scaled, ys):
+        ys = [z / rho for z in _companion_roots(p)]
+        if not _residuals_ok(scaled, ys):
             raise NumericError("root refinement did not reach the residual bound")
+    zs = [rho * y for y in ys]
+    # y in double range does not keep rho y there: it may under- or overflow
+    if not all(sys.float_info.min <= abs(z) <= sys.float_info.max for z in zs):
+        raise NumericError("root refinement left double range")
     # coefficients are rational, hence real: enforce conjugate symmetry
     return _symmetrize_conjugates(zs)
 
 
-def _scaled_aberth_roots(p: Poly) -> list[complex]:
-    """Aberth on p(rho y), rho = |p_0/p_d|^(1/d), with the roots scaled back.
+def _scaled_coefficients(p: Poly) -> tuple[list[complex], float]:
+    """The coefficients of p(rho y), divided by the largest, and rho.
 
-    This is the one Aberth run of every square-free factor.  The scaling
-    gives p(rho y) equal end coefficients in modulus, so the product of
-    its roots' moduli is 1 and the iteration starts on a circle of the
-    right size, even where the roots of p are far from 1 (coefficients
-    up to 1e108 for q near 10^6).  The scaled coefficients are formed in
-    logarithms and divided by the largest, so none overflows a float; a
-    leading one that underflows leaves the polynomial out of double
-    range.  p_0 is nonzero: roots at the origin are split off first.
+    rho = |p_0/p_d|^(1/d) gives p(rho y) equal end coefficients in
+    modulus, so the product of its roots' moduli is 1 and the one Aberth
+    run of every square-free factor starts on a circle of the right
+    size, even where the roots of p are far from 1 (coefficients up to
+    1e108 for q near 10^6).  The coefficients are formed in logarithms,
+    so none overflows a float even where those of p do; a leading one
+    that underflows leaves the polynomial out of double range.  p_0 is
+    nonzero: roots at the origin are split off first.
     """
 
     def log_abs(x: Fraction) -> float:
@@ -785,8 +788,7 @@ def _scaled_aberth_roots(p: Poly) -> list[complex]:
     ]
     if scaled[-1] == 0:
         raise NumericError("root refinement left double range: p(rho y) underflows")
-    rho = math.exp(log_rho)
-    return [rho * y for y in _aberth(scaled)]
+    return scaled, math.exp(log_rho)
 
 
 def _companion_roots(p: Poly) -> list[complex]:
@@ -804,10 +806,19 @@ def _companion_roots(p: Poly) -> list[complex]:
     return [complex(z) for z in mpmath.eig(companion, left=False, right=False)]
 
 
-def _residuals_ok(p: Poly, zs: Iterable[complex]) -> bool:
+def _residuals_ok(coeffs: Sequence[complex], zs: Iterable[complex]) -> bool:
+    """Every z meets |f(z)| <= ROOT_TOL * sum_i |f_i| |z|^i.
+
+    The bound is the same for p and for p(rho y) divided by a constant,
+    so the roots of p are judged on the scaled coefficients, which fit
+    in doubles even where those of p do not.
+    """
     for z in zs:
-        bound = ROOT_TOL * max(_root_scale(p, z), 1e-300)
-        if not abs(p.evaluate_complex(z)) <= bound:  # NaN fails too
+        value, scale = 0j, 0.0
+        for c in reversed(coeffs):
+            value = value * z + c
+            scale = scale * abs(z) + abs(c)
+        if not abs(value) <= ROOT_TOL * max(scale, 1e-300):  # NaN fails too
             return False
     return True
 

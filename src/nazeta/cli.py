@@ -376,20 +376,31 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The nazeta parser, with the subparser of ``command`` alone when it
+    names one, and with every subparser otherwise (a bad command, or the
+    top-level --help, needs them all)."""
     parser = argparse.ArgumentParser(
         prog="nazeta",
         description="Exact zeta functions of curves over finite fields "
         "and their group-theoretic companions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, flags) in COMMANDS.items():
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # one subparser built: the usage line still names every command
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None,
+    )
+    for name in names:
+        handler, flags = COMMANDS[name]
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON file of flag values")
         for flag in flags.split():
             p.add_argument(f"--{flag}", **FLAGS[flag])
         p.set_defaults(handler=handler)
-    sub.choices["numfield"].set_defaults(r=4)
+    if "numfield" in sub.choices:
+        sub.choices["numfield"].set_defaults(r=4)
     return parser
 
 
@@ -409,7 +420,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             raise DomainError("config must map flags (not config) to strings or numbers")
         flags = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
         argv = argv[:1] + flags + argv[1:]
-    return build_parser().parse_args(argv)
+    return build_parser(argv[0] if argv else None).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -55,7 +55,7 @@ from .curve import (
     zeta_factors,
     zeta_special_residue,
 )
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .rootsys import (
     ParabolicData,
     RootSystem,
@@ -362,7 +362,10 @@ def group_zeta_zeros(z: GroupZetaResult) -> GroupZeroReport:
     exact test roots_on_circle(numerator, q^{c_p}).
     """
     q = z.curve.q
-    center = float(q) ** (float(z.c_p) / 2)
+    try:
+        center = float(q) ** (float(z.c_p) / 2)
+    except OverflowError:
+        raise NumericError("the centre q^(c_p/2) is beyond double range") from None
     num = z.zeta.num
     zeros = poly_complex_roots(num) if num.degree >= 1 else []
     devs = [abs(abs(root) / center - 1.0) for root in zeros]

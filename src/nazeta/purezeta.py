@@ -42,7 +42,7 @@ from .curve import (
     completed_zeta_value,
     zeta_special_residue,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,10 @@ def rh_report(p: Poly, Q: Rat) -> RHReport:
     if p.is_zero():
         raise DomainError("cannot report on the zero polynomial")
     Q = _frac(Q)
-    sqrtq = math.sqrt(float(Q))
+    try:
+        sqrtq = math.sqrt(float(Q))
+    except OverflowError:
+        raise NumericError("Q is beyond double range") from None
     roots = poly_complex_roots(p) if p.degree >= 1 else []
     devs = [abs(abs(z) * sqrtq - 1.0) for z in roots]
     verdict = roots_on_circle(p, 1 / Q)

@@ -1,16 +1,21 @@
 """Root systems, Weyl groups and maximal-parabolic combinatorics.
 
-Simple roots are taken as explicit rational vectors in a Euclidean
+Simple roots are taken as explicit integral vectors in a Euclidean
 model space (type A in the usual hyperplane of R^{n+1}, types B/C in
 R^n, G2 in R^3), and everything else, Cartan matrix, coroots,
 fundamental weights, reflections, is derived from their Gram matrix.
-No table transcription, no floating point.
+No table transcription, no floating point: integral root data, rational
+weights.  Every supported type has integral simple roots, so the Gram
+matrix, the Cartan matrix and the coroot coordinates are integers; only
+the fundamental weights (the inverse Cartan matrix) are fractions.
 
 Roots live as integer coordinate vectors in the simple-root basis.
 A Weyl element is stored as the permutation it induces on the full
 root list, which makes composition, length and the inversion sets
 Phi_w cheap; its matrix action on arbitrary vectors is recovered from
-the images of the simple roots when needed.
+the images of the simple roots when needed.  The longest elements w_0
+and w_p are found by a sign test: the one element that sends every
+simple root (of Delta, or of Delta_p) negative.
 
 For a maximal parabolic, indexed by the removed simple root alpha_p,
 the module derives the functional-equation offset
@@ -22,13 +27,16 @@ zeta normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import Certificate
 from .errors import CapabilityError, DomainError, ValidationError
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
+Perm = tuple[int, ...]  # a Weyl element as a permutation of the root indices
 
 SUPPORTED = {
     "A": range(1, 6),
@@ -40,41 +48,31 @@ SUPPORTED = {
 WEYL_CAP = 10_000
 
 
-def _simple_root_vectors(type_label: str, rank: int) -> list[Vector]:
-    F = Fraction
+def _simple_root_vectors(type_label: str, rank: int) -> list[IntVector]:
     if type_label == "A":
         dim = rank + 1
         return [
-            tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0) for j in range(dim))
+            tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(dim))
             for i in range(rank)
         ]
-    if type_label == "B":
+    if type_label in ("B", "C"):
         out = [
-            tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0) for j in range(rank))
+            tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(rank))
             for i in range(rank - 1)
         ]
-        out.append(tuple(F(1) if j == rank - 1 else F(0) for j in range(rank)))
-        return out
-    if type_label == "C":
-        out = [
-            tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0) for j in range(rank))
-            for i in range(rank - 1)
-        ]
-        out.append(tuple(F(2) if j == rank - 1 else F(0) for j in range(rank)))
+        last = 1 if type_label == "B" else 2  # C's long root is 2 e_n
+        out.append(tuple(last if j == rank - 1 else 0 for j in range(rank)))
         return out
     if type_label == "G2":
-        return [
-            (F(1), F(-1), F(0)),
-            (F(-2), F(1), F(1)),
-        ]
+        return [(1, -1, 0), (-2, 1, 1)]
     raise CapabilityError(f"unsupported type {type_label!r}")
 
 
-def _dot(u: Vector, v: Vector) -> Fraction:
+def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _inner(gram, u, v) -> Fraction:
+def _inner(gram, u, v):
     """(u, v) for u, v in simple-root coordinates."""
     n = len(gram)
     return sum(
@@ -82,11 +80,15 @@ def _inner(gram, u, v) -> Fraction:
     )
 
 
-def _reflect(cartan, coords: tuple[int, ...], i: int) -> tuple[int, ...]:
+def _reflect(cartan, coords: IntVector, i: int) -> IntVector:
     """s_i(v) in simple-root coordinates: v - <v, alpha_i^vee> alpha_i."""
     out = list(coords)
     out[i] -= sum(c * x for c, x in zip(cartan[i], coords))
     return tuple(out)
+
+
+def _unit(i: int, n: int) -> IntVector:
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,18 @@ class RootSystem:
 
     type_label: str
     rank: int
-    cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = <alpha_j, alpha_i^vee>
-    gram: tuple[tuple[Fraction, ...], ...]  # (alpha_i, alpha_j)
-    roots: tuple[tuple[int, ...], ...]  # coordinates in the simple-root basis
-    coroot_coords: tuple[tuple[int, ...], ...]  # alpha^vee in the coroot basis
+    cartan: tuple[IntVector, ...]  # cartan[i][j] = <alpha_j, alpha_i^vee>
+    gram: tuple[IntVector, ...]  # (alpha_i, alpha_j)
+    roots: tuple[IntVector, ...]  # coordinates in the simple-root basis
+    coroot_coords: tuple[IntVector, ...]  # alpha^vee in the coroot basis
     weights: tuple[Vector, ...]  # lambda_i in simple-root coordinates
+
+    def __post_init__(self) -> None:
+        index = {r: i for i, r in enumerate(self.roots)}
+        object.__setattr__(self, "_idx", index)
+        object.__setattr__(
+            self, "_simple", tuple(index[_unit(i, self.rank)] for i in range(self.rank))
+        )
 
     # -- lookups ------------------------------------------------------
 
@@ -107,33 +116,24 @@ class RootSystem:
     def n_positive(self) -> int:
         return len(self.roots) // 2
 
-    def root_index(self, coords: tuple[int, ...]) -> int:
-        return self._index_map()[coords]
-
-    def _index_map(self) -> dict[tuple[int, ...], int]:
-        if not hasattr(self, "_idx"):
-            object.__setattr__(
-                self, "_idx", {r: i for i, r in enumerate(self.roots)}
-            )
-        return self._idx
+    def root_index(self, coords: IntVector) -> int:
+        return self._idx[coords]
 
     def is_positive(self, idx: int) -> bool:
         return idx < self.n_positive
 
-    def simple_indices(self) -> list[int]:
-        out = []
-        for i in range(self.rank):
-            coords = tuple(1 if j == i else 0 for j in range(self.rank))
-            out.append(self.root_index(coords))
-        return out
+    def simple_indices(self) -> tuple[int, ...]:
+        """The root indices of alpha_1 .. alpha_n."""
+        return self._simple
 
     # -- pairings -----------------------------------------------------
 
     def pairing_with_coroot(self, v: Vector, root_idx: int) -> Fraction:
         """<v, alpha^vee> for v in simple-root coordinates."""
-        return 2 * self.inner(v, self.roots[root_idx]) / self.root_norm2(root_idx)
+        root = self.roots[root_idx]
+        return Fraction(2 * self.inner(v, root), self.root_norm2(root_idx))
 
-    def root_norm2(self, idx: int) -> Fraction:
+    def root_norm2(self, idx: int) -> int:
         return self.inner(self.roots[idx], self.roots[idx])
 
     def weight_pairing(self, p: int, root_idx: int) -> int:
@@ -152,13 +152,13 @@ class RootSystem:
                 total[i] += x
         return tuple(total)
 
-    def inner(self, u: Vector, v: Vector) -> Fraction:
+    def inner(self, u, v):
         return _inner(self.gram, u, v)
 
     def coroot_vector(self, idx: int) -> Vector:
         """alpha^vee = 2 alpha/(alpha,alpha) in simple-root coordinates."""
         aa = self.root_norm2(idx)
-        return tuple(2 * Fraction(c) / aa for c in self.roots[idx])
+        return tuple(Fraction(2 * c, aa) for c in self.roots[idx])
 
 
 def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
@@ -177,11 +177,11 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         tuple(_dot(a, b) for b in simples) for a in simples
     )
     cartan = tuple(
-        tuple(int(2 * gram[i][j] / gram[i][i]) for j in range(rank))
+        tuple(2 * gram[i][j] // gram[i][i] for j in range(rank))
         for i in range(rank)
     )
     # reflection closure on simple-root coordinates
-    frontier = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
+    frontier = {_unit(i, rank) for i in range(rank)}
     roots = set(frontier) | {tuple(-x for x in r) for r in frontier}
     while frontier:
         nxt = set()
@@ -204,10 +204,10 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         aa = _inner(gram, r, r)
         cc = []
         for j in range(rank):
-            val = Fraction(r[j]) * gram[j][j] / aa
-            if val.denominator != 1:
+            val, rem = divmod(r[j] * gram[j][j], aa)
+            if rem:
                 raise ValidationError("non-integral coroot coordinate")
-            cc.append(int(val))
+            cc.append(val)
         coroot_coords.append(tuple(cc))
 
     # fundamental weights: columns of the inverse Cartan matrix
@@ -228,7 +228,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
     return rs
 
 
-def _root_sign(coords: tuple[int, ...]) -> int:
+def _root_sign(coords: IntVector) -> int:
     for x in coords:
         if x:
             return 1 if x > 0 else -1
@@ -260,6 +260,14 @@ def _validate_root_system(rs: RootSystem) -> None:
             got = rs.weight_pairing(p, s_idx)
             if got != (1 if p == i else 0):
                 raise ValidationError("<lambda_i, alpha_j^vee> != delta_ij")
+    for i in range(n):
+        for j in range(n):
+            if rs.cartan[i][j] * rs.gram[i][i] != 2 * rs.gram[i][j]:
+                raise ValidationError("Cartan matrix disagrees with the Gram matrix")
+    # the weights over their common denominator, so the pairings below
+    # stay in integers
+    den = math.lcm(*(x.denominator for w in rs.weights for x in w))
+    scaled = [tuple(int(x * den) for x in w) for w in rs.weights]
     for idx in range(len(rs.roots)):
         ht = rs.coroot_height(idx)
         if ht == 0:
@@ -272,7 +280,7 @@ def _validate_root_system(rs: RootSystem) -> None:
         col = [_dot(row, root) for row in rs.gram]  # gram . alpha
         norm2 = _dot(root, col)
         for p in range(n):
-            if 2 * _dot(rs.weights[p], col) / norm2 != rs.weight_pairing(p, idx):
+            if 2 * _dot(scaled[p], col) != rs.weight_pairing(p, idx) * norm2 * den:
                 raise ValidationError("coroot coordinate inconsistency")
 
 
@@ -312,9 +320,6 @@ class WeylGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def length(self, w: WeylElement) -> int:
-        return len(self.inversion_set(w))
-
     def inversion_set(self, w: WeylElement) -> list[int]:
         """Phi_w = {positive roots sent negative by w}, as root indices."""
         rs = self.rs
@@ -333,36 +338,60 @@ class WeylGroup:
         )
 
 
-def _closure(ident: WeylElement, gens) -> tuple[WeylElement, ...]:
-    """The group generated by ``gens``, by BFS on permutations from ``ident``."""
-    seen = {ident.perm: ident}
+def _closure(rs: RootSystem, gens: list[Perm]) -> list[Perm]:
+    """The group generated by the permutations ``gens``, by BFS from the
+    identity.  An element is determined by its images of the simple
+    roots, so those key the seen set; the full permutation is built only
+    for a new element."""
+    simple = rs.simple_indices()
+    ident = tuple(range(len(rs.roots)))
+    seen = {simple}
+    elements = [ident]
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
+            images = [w[i] for i in simple]
             for s in gens:
-                cand = s.compose(w)
-                if cand.perm not in seen:
+                key = tuple([s[j] for j in images])
+                if key not in seen:
                     if len(seen) >= WEYL_CAP:
                         raise CapabilityError(f"Weyl enumeration cap {WEYL_CAP} exceeded")
-                    seen[cand.perm] = cand
-                    nxt.append(cand)
+                    seen.add(key)
+                    nxt.append(tuple([s[j] for j in w]))
+        elements.extend(nxt)
         frontier = nxt
-    return tuple(seen.values())
+    return elements
+
+
+def _longest(rs: RootSystem, perms: list[Perm], indices) -> Perm:
+    """The element of ``perms`` that sends every root of ``indices`` negative.
+
+    The search runs from the end: a BFS from the identity lists the
+    elements by length, so the longest comes last.
+    """
+    n_pos = rs.n_positive
+    return next(w for w in reversed(perms) if all(w[i] >= n_pos for i in indices))
 
 
 def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     """Close the simple reflections under composition."""
-    simple_perms = tuple(
-        WeylElement(tuple(rs.root_index(_reflect(rs.cartan, r, i)) for r in rs.roots))
+    gens = [
+        tuple(rs.root_index(_reflect(rs.cartan, r, i)) for r in rs.roots)
         for i in range(rs.rank)
+    ]
+    perms = _closure(rs, gens)
+    w0 = _longest(rs, perms, rs.simple_indices())
+    W = WeylGroup(
+        rs,
+        tuple(WeylElement(w) for w in perms),
+        tuple(WeylElement(s) for s in gens),
+        WeylElement(perms[0]),
+        WeylElement(w0),
     )
-    ident = WeylElement(tuple(range(len(rs.roots))))
-    W = WeylGroup(rs, _closure(ident, simple_perms), simple_perms, ident, ident)
-    longest = max(W.elements, key=W.length)
-    if W.length(longest) != rs.n_positive:
+    if len(W.inversion_set(W.longest)) != rs.n_positive:
         raise ValidationError("longest element has wrong length")
-    return replace(W, longest=longest)
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +422,7 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
     p0 = p - 1
     levi_pos = [i for i in range(rs.n_positive) if rs.roots[i][p0] == 0]
     rho_p = tuple(
-        sum(Fraction(rs.roots[i][j]) for i in levi_pos) / 2
+        Fraction(sum(rs.roots[i][j] for i in levi_pos), 2)
         for j in range(rs.rank)
     )
     # c_p = 2<lambda_p - rho_p, alpha_p^vee> = 2 - <2 rho_p, alpha_p^vee> is
@@ -404,45 +433,41 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
     simple_idx = rs.simple_indices()
     delta_p = [simple_idx[j] for j in range(rs.rank) if j != p0]
     simple_set = set(simple_idx)
-
-    subset = []
-    for w in W.elements:
-        ok = True
-        for d in delta_p:
-            img = w.apply(d)
-            if img in simple_set or not rs.is_positive(img):
-                continue
-            ok = False
-            break
-        if ok:
-            subset.append(w)
-
-    # longest element of the Levi Weyl group: generated by s_j, j != p
-    gens = [W.simple_reflections[j] for j in range(rs.rank) if j != p0]
-    levi_pos_set = set(levi_pos)
-    w_p = max(
-        _closure(W.identity, gens),
-        key=lambda w: len(levi_pos_set & set(W.inversion_set(w))),
+    n_pos = rs.n_positive
+    subset = tuple(
+        w
+        for w in W.elements
+        if all(w.perm[d] in simple_set or w.perm[d] >= n_pos for d in delta_p)
     )
-    pd = ParabolicData(rs, p, rho_p, c_p, tuple(subset), w_p)
+    # longest element of the Levi Weyl group, generated by s_j, j != p:
+    # the one that sends every root of Delta_p negative
+    levi_gens = [W.simple_reflections[j].perm for j in range(rs.rank) if j != p0]
+    levi = _closure(rs, levi_gens)
+    w_p = WeylElement(_longest(rs, levi, delta_p))
+    pd = ParabolicData(rs, p, rho_p, c_p, subset, w_p)
     _validate_parabolic(pd, W)
     return pd
 
 
 def _validate_parabolic(pd: ParabolicData, W: WeylGroup) -> None:
     rs = pd.rs
+    subset = {x.perm for x in pd.weyl_subset}
     for w in (W.identity, W.longest, pd.levi_longest):
-        if w.perm not in {x.perm for x in pd.weyl_subset}:
+        if w.perm not in subset:
             raise ValidationError("id, w_0 or w_p missing from the Weyl subset")
-    # reflection identity: c_p lambda_p - w_p rho = rho
-    lhs = tuple(
-        pd.c_p * rs.weights[pd.p0][i] - W.act_vector(pd.levi_longest, rs.rho)[i]
-        for i in range(rs.rank)
-    )
-    if lhs != rs.rho:
+    if not _weyl_vector_identity(pd, W):
         raise ValidationError(
             "Weyl-vector reflection identity c_p*lambda_p - w_p*rho = rho fails"
         )
+
+
+def _weyl_vector_identity(pd: ParabolicData, W: WeylGroup) -> bool:
+    """c_p lambda_p - w_p rho == rho."""
+    rs = pd.rs
+    rho = rs.rho
+    w_rho = W.act_vector(pd.levi_longest, rho)
+    lam = rs.weights[pd.p0]
+    return tuple(pd.c_p * lam[i] - w_rho[i] for i in range(rs.rank)) == rho
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +583,7 @@ def verify_count_identities(
             rhs = N.get((k, h - 1), 0) - M.get((k, h), 0)
             cert.record("reflection symmetry of counts", lhs == rhs, k=k, h=h)
 
-    lhs_vec = tuple(
-        cp * rs.weights[pd.p0][i]
-        - W.act_vector(pd.levi_longest, rs.rho)[i]
-        for i in range(rs.rank)
-    )
-    cert.record("Weyl-vector reflection identity", lhs_vec == rs.rho)
+    cert.record("Weyl-vector reflection identity", _weyl_vector_identity(pd, W))
 
     # longest-element difference formula for the normalization exponents;
     # the difference needs clamping at zero (it can be negative where the

@@ -4,6 +4,7 @@ import cmath
 from collections import Counter
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -193,8 +194,13 @@ class TestLogSeries:
 
 
 def _residual_ok(p, z):
-    scale = sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
-    return abs(p.evaluate_complex(z)) <= ROOT_TOL * max(scale, 1e-300)
+    # in mpmath, whose exponents do not overflow, so that a root is also
+    # judged where p's coefficients or its powers leave double range
+    with mpmath.workdps(30):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        value = mpmath.polyval(cs[::-1], mpmath.mpc(z))
+        scale = sum(abs(c) * abs(mpmath.mpc(z)) ** i for i, c in enumerate(cs))
+        return abs(value) <= ROOT_TOL * max(scale, 1e-300)
 
 
 def _by_position(roots):
@@ -251,9 +257,25 @@ class TestComplexRoots:
             assert all(_residual_ok(p, z) for z in poly_complex_roots(p))
 
     def test_non_finite_roots_fail_the_residual_bound(self):
-        p = Poly.of(1, 1, 4)
+        coeffs = [1.0, 1.0, 4.0]  # 1 + T + 4T^2
         for z in (complex("nan"), complex("nan+nanj"), complex("inf")):
-            assert not nazeta.algebra._residuals_ok(p, [z])
+            assert not nazeta.algebra._residuals_ok(coeffs, [z])
+
+    def test_coefficients_beyond_double_range(self):
+        # the root 2 fits in a double although the coefficients do not:
+        # it is judged on p(rho y), whose coefficients are -1 and 1
+        roots = poly_complex_roots(Poly.of(-2 * 10**320, 10**320))
+        assert len(roots) == 1 and abs(roots[0] - 2) < 1e-12
+        p = Poly.of(-(10**320), 3 * 10**320, 10**320)  # roots (-3 +- sqrt 13)/2
+        roots = poly_complex_roots(p)
+        assert [round(z.real, 9) for z in roots] == [-3.302775638, 0.302775638]
+        assert all(_residual_ok(p, z) for z in roots)
+
+    @pytest.mark.parametrize("p", [Poly.of(-1, 10**400), Poly.of(-(10**310), 1)])
+    def test_root_beyond_double_range_is_a_numeric_error(self, p):
+        # roots 1e-400 and 1e310: p(rho y) is fine, rho y is no double
+        with pytest.raises(NumericError):
+            poly_complex_roots(p)
 
     def test_degree_sum(self):
         p = Poly.of(2, 0, 0, 1, 5, 1)

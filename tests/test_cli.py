@@ -303,6 +303,20 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["group", "--type", "A", "--rank", "1", "--p", "1"], ["pure", "--r", "1"]],
+        ids=["group-a1", "pure-r1"],
+    )
+    def test_q_beyond_double_range_exits_1(self, argv, tmp_path, capsys):
+        # q = 10^320 is no double: the centre q^(c_p/2) and Q = q^r cannot
+        # be displayed, so exit 1 with a message, no OverflowError traceback
+        q = 10**320
+        curve = _write(tmp_path, "c.json", {"genus": 1, "q": q, "point_counts": [q + 1]})
+        assert main(argv + ["--curve", curve]) == EXIT_MATH_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "Traceback" not in err
+
     def test_residue_compare(self, elliptic_file, tmp_path):
         out = tmp_path / "rc.json"
         code = main([
@@ -337,6 +351,57 @@ class TestOtherCommands:
         assert code == EXIT_OK
         data = json.loads(out.read_text())
         assert "volumes" in data and "reduction_probe" in data
+
+
+class TestParser:
+    """``main`` builds only the subparser it dispatches to; what a user
+    sees must equal the output of the parser with all nine built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["group", "--help"],
+            ["mass", "--help"],
+            ["no-such-command"],
+            ["group", "--bogus"],
+            # complete, so the top-level parser reports the extra flag
+            # under its own usage line
+            ["numfield", "--bogus"],
+            [],
+        ],
+        ids=[
+            "help", "group-help", "mass-help", "bad-command", "group-bogus",
+            "numfield-bogus", "empty",
+        ],
+    )
+    def test_output_equals_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            nazeta.cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (got.out, got.err) == (full.out, full.err)
+        assert code == (EXIT_OK if exc.value.code == 0 else EXIT_INPUT)
+
+    def test_one_subparser_per_known_command(self):
+        full = nazeta.cli.build_parser()._subparsers._group_actions[0]
+        assert list(full.choices) == list(nazeta.cli.COMMANDS)
+        for name, (handler, flags) in nazeta.cli.COMMANDS.items():
+            sub = nazeta.cli.build_parser(name)._subparsers._group_actions[0]
+            assert list(sub.choices) == [name]
+            options = {
+                opt for action in sub.choices[name]._actions
+                for opt in action.option_strings
+            }
+            assert set(flags.split()) <= set(nazeta.cli.FLAGS)
+            expected = {f"--{flag}" for flag in flags.split()}
+            assert options == {"-h", "--help", "--config"} | expected
+            assert sub.choices[name].get_default("handler") is handler
+            if "r" in flags.split():  # numfield defaults to r = 4, the rest to 2
+                r = sub.choices[name].get_default("r")
+                assert r == (4 if name == "numfield" else 2)
 
 
 class TestImportPath:

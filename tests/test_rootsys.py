@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import nazeta.rootsys
+import weyl_oracle
 from nazeta.errors import CapabilityError, DomainError, ValidationError
 from nazeta.rootsys import (
     SUPPORTED,
@@ -90,6 +91,34 @@ class TestRootSystems:
         with pytest.raises(ValidationError, match="coroot coordinate inconsistency"):
             nazeta.rootsys._validate_root_system(bad)
 
+    @pytest.mark.parametrize("field", ["gram", "cartan"])
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 2), ("G2", 2)])
+    def test_tampered_integer_matrix_is_caught(self, label, rank, field):
+        rs = build_root_system(label, rank)
+        rows = [list(row) for row in getattr(rs, field)]
+        rows[0][1] += 1
+        bad = dataclasses.replace(rs, **{field: tuple(map(tuple, rows))})
+        with pytest.raises(ValidationError, match="Cartan matrix disagrees"):
+            nazeta.rootsys._validate_root_system(bad)
+
+    def test_root_data_is_integral(self):
+        for label, ranks in SUPPORTED.items():
+            for rank in ranks:
+                rs = build_root_system(label, rank)
+                for table in (rs.gram, rs.cartan, rs.roots, rs.coroot_coords):
+                    assert all(type(x) is int for row in table for x in row)
+                assert all(type(x) is F for w in rs.weights for x in w)
+
+    def test_pairings_stay_exact_on_integer_vectors(self):
+        rs = build_root_system("C", 2)  # roots of two lengths
+        for idx in range(len(rs.roots)):
+            assert all(type(rs.pairing_with_coroot(v, idx)) is F for v in rs.roots)
+            assert all(type(x) is F for x in rs.coroot_vector(idx))
+        short, long_ = rs.simple_indices()
+        assert rs.pairing_with_coroot(rs.roots[short], long_) == F(-1)
+        assert rs.pairing_with_coroot(rs.roots[long_], short) == F(-2)
+        assert rs.coroot_vector(long_) == (F(0), F(1, 2))
+
     def test_unsupported_rejected(self):
         with pytest.raises(CapabilityError):
             build_root_system("E", 8)
@@ -156,6 +185,30 @@ class TestWeylGroup:
         monkeypatch.setattr(nazeta.rootsys, "WEYL_CAP", 10)
         with pytest.raises(CapabilityError):
             enumerate_weyl(build_root_system("A", 5))
+
+
+ALL_TRIPLES = [
+    (label, rank, p)
+    for label, ranks in SUPPORTED.items()
+    for rank in ranks
+    for p in range(1, rank + 1)
+]
+
+
+@pytest.mark.parametrize("label,rank,p", ALL_TRIPLES)
+def test_matches_the_rational_length_maximising_oracle(label, rank, p):
+    # integer root data, the simple-image closure key and the sign tests
+    # for w_0 and w_p against the Fraction Gram, the composing closure
+    # and the maximal-length search
+    expect = weyl_oracle.weyl_data(label, rank)
+    rs, W, pd = make(label, rank, p)
+    assert rs.roots == expect["roots"]
+    assert rs.coroot_coords == expect["coroot_coords"]
+    assert rs.weights == expect["weights"]
+    assert [w.perm for w in W.elements] == expect["elements"]
+    assert W.longest.perm == expect["longest"]
+    assert [w.perm for w in pd.weyl_subset] == expect["parabolics"][p]["weyl_subset"]
+    assert pd.levi_longest.perm == expect["parabolics"][p]["levi_longest"]
 
 
 class TestParabolicData:
