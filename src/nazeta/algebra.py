@@ -12,7 +12,8 @@ and the Fractions of the result are built once.
 
 Every change of variable the identities need, the functional equations'
 u -> c/u as well as the reparametrizations, is the one monomial
-substitution u -> c*v^d: it places coefficients and reduces once.
+substitution u -> c*v^d: a ring homomorphism, so it places coefficients
+and keeps a reduced pair reduced up to a power of v, with no gcd.
 
 Everything here is immutable and side-effect free.  The only
 floating-point code in the module is ``poly_complex_roots``, which serves
@@ -258,15 +259,33 @@ def _int_content(ints: Sequence[int]) -> int:
     return g or 1
 
 
-def _to_int_poly(p: Poly) -> tuple[Fraction, list[int]]:
-    """p as a rational content times a primitive integer list."""
+def _to_int_poly(p: Poly | Sequence[int]) -> tuple[Fraction, list[int]]:
+    """p as a rational content times a primitive integer list; an integer
+    list (trailing zeros allowed) is read as it is."""
+    coeffs = p.coeffs if isinstance(p, Poly) else _trim(list(p))
     den = 1
-    for c in p.coeffs:
+    for c in coeffs:
         if c.denominator != 1:
             den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = _int_content(ints)
     return Fraction(g, den), [v // g for v in ints]
+
+
+def _trim(p: list[int]) -> list[int]:
+    """p with its trailing zeros removed, in place."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _same_ratio(
+    a_num: list[int], a_den: list[int], b_num: list[int], b_den: list[int]
+) -> bool:
+    """Whether a_num/a_den = b_num/b_den, for integer lists with nonzero
+    denominators: a/b = c/d exactly when a d = c b (Knuth, TAOCP Vol. 2,
+    4.5.1), so neither side is reduced and no gcd runs."""
+    return _trim(_int_mul(a_num, b_den)) == _trim(_int_mul(b_num, a_den))
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
@@ -426,16 +445,20 @@ class RationalFunction:
     var: str = "u"
 
     @staticmethod
-    def make(num: Poly, den: Poly, var: str = "u") -> "RationalFunction":
+    def make(
+        num: Poly | Sequence[int], den: Poly | Sequence[int], var: str = "u"
+    ) -> "RationalFunction":
+        """num/den reduced, with a monic denominator; either part may be an
+        integer coefficient list, which enters the reduction as it is."""
         if var not in VARIABLES:
             raise DomainError(f"unknown variable tag {var!r}")
-        if den.is_zero():
+        cd, b = _to_int_poly(den)
+        if not b:
             raise DomainError("zero denominator")
-        if num.is_zero():
+        cn, a = _to_int_poly(num)
+        if not a:
             return RationalFunction(Poly.zero(), Poly.one(), var)
         # by Gauss's lemma the quotients by the primitive gcd are integral
-        cn, a = _to_int_poly(num)
-        cd, b = _to_int_poly(den)
         g = _int_gcd(a, b)
         if len(g) > 1:
             a, b = _int_div_exact(a, g), _int_div_exact(b, g)
@@ -504,6 +527,8 @@ class RationalFunction:
         return self * RationalFunction.make(other.den, other.num, self.var)
 
     def scale(self, c: Rat) -> "RationalFunction":
+        if c == 0:
+            return RationalFunction(Poly.zero(), Poly.one(), self.var)
         return RationalFunction(self.num.scale(c), self.den, self.var)
 
     def __pow__(self, n: int) -> "RationalFunction":
@@ -519,14 +544,14 @@ class RationalFunction:
         return result
 
     def mul_monomial(self, k: int) -> "RationalFunction":
-        """Multiply by var^k, any integer k."""
+        """Multiply by var^k, any integer k.  num and den are coprime, so the
+        new pair shares at most a power of var: no gcd is needed."""
+        num, den = list(self.num.coeffs), list(self.den.coeffs)
         if k >= 0:
-            return RationalFunction.make(
-                self.num * Poly.monomial(k), self.den, self.var
-            )
-        return RationalFunction.make(
-            self.num, self.den * Poly.monomial(-k), self.var
-        )
+            num = [Fraction(0)] * k + num
+        else:
+            den = [Fraction(0)] * -k + den
+        return _coprime_ratio(num, den, self.var)
 
     def evaluate(self, x: Rat) -> Fraction:
         d = self.den.evaluate(x)
@@ -561,13 +586,31 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
+def _coprime_ratio(
+    num: list[Fraction], den: list[Fraction], var: str
+) -> RationalFunction:
+    """num/den for lists sharing no factor but a power of the variable: that
+    power is stripped and den made monic, with no gcd (0/1 for num = 0)."""
+    if var not in VARIABLES:
+        raise DomainError(f"unknown variable tag {var!r}")
+    if not any(num):
+        return RationalFunction(Poly.zero(), Poly.one(), var)
+    low = min(next(i for i, x in enumerate(p) if x) for p in (num, den))
+    lead = next(x for x in reversed(den) if x)
+    top = Poly.from_list([x / lead for x in num[low:]])
+    return RationalFunction(top, Poly.from_list([x / lead for x in den[low:]]), var)
+
+
 def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunction:
     """Return f(c * v^d) as a reduced function of ``var``, for any d != 0.
 
     Coefficient a_i of either part goes to v^(d*i); for d < 0 both parts
     are multiplied by v^(|d|*m), m the larger of their degrees, so it goes
     to v^(|d|*(m-i)).  Composing two substitutions agrees with
-    substituting their composition.
+    substituting their composition.  No gcd is needed: u -> c v^d is
+    a ring homomorphism into the Laurent polynomials in v, so a Bezout
+    identity of the reduced f survives it, and the placed parts share at
+    most a power of v, which is stripped.
     """
     c = _frac(c)
     if c == 0:
@@ -578,15 +621,15 @@ def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunctio
     if abs(d) * m > _DEGREE_BOUND:
         raise BoundError("substitution exponent bound exceeded")
 
-    def place(p: Poly) -> Poly:
+    def place(p: Poly) -> list[Fraction]:
         out = [Fraction(0)] * (abs(d) * m + 1)
         ci = Fraction(1)
         for i, a in enumerate(p.coeffs):
             out[d * i if d > 0 else -d * (m - i)] = a * ci
             ci *= c
-        return Poly.from_list(out)
+        return out
 
-    return RationalFunction.make(place(f.num), place(f.den), var)
+    return _coprime_ratio(place(f.num), place(f.den), var)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ q^{(g-1)s} P(q^{-s}) / ((1-q^{-s})(1-q^{1-s})) at any integer-linear
 argument k*s + h is a constant times a power of u = q^{-s} times powers
 of the atoms 1 - c u^m and P(c u^m), m >= 1 (a FactorProduct), where c
 is always a power q^j and an atom is keyed by the integer j; products
-of such factors stay factored until one expansion into a reduced
-rational function of u, which multiplies and sums integer coefficient
-lists and builds Fractions only for the result; completed_zeta_factor
-returns that function itself.  The residue at s = 1 is kept in
+of such factors stay factored until one expansion into a pair of integer
+coefficient lists in u, which a single reduction turns into a rational
+function of u; completed_zeta_factor returns that function itself.  The
+residue at s = 1 is kept in
 "stripped" form, multiplied by log q, so that every special value in the
 system is an honest rational number.
 """
@@ -231,14 +231,20 @@ def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
 
 
 def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
-    """The reduced sum of factored terms, with a single reduction.
+    """The reduced sum of factored terms, with a single reduction."""
+    return RationalFunction.make(*_expand_parts(c, terms, {}), "u")
+
+
+def _expand_parts(
+    c: CurveData, terms: list[FactorProduct], powers: dict
+) -> tuple[list[int], list[int]]:
+    """The sum of factored terms as an unreduced pair of integer lists in u.
 
     The common denominator takes each atom to its highest power over the
     terms, and the lowest power of u.  Each numerator is lifted to it as
-    a rational scalar times a product of integer lists (atom powers are
-    built once per call); the scalars are brought to one denominator, the
-    sum is accumulated over Z and converted to Fractions once, for the
-    single reduction.
+    a rational scalar times a product of integer lists; the scalars are
+    brought to one denominator and the sum is accumulated over Z.  Atom
+    powers are kept in ``powers`` by (atom, exponent), built on first use.
     """
     terms = [t for t in terms if t.const != 0]
     den_exps: dict[Atom, int] = {}
@@ -247,7 +253,6 @@ def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
             if e < 0 and -e > den_exps.get(atom, 0):
                 den_exps[atom] = -e
     low = min((t.upow for t in terms), default=0)
-    powers: dict[tuple[Atom, int], tuple[Fraction, list[int]]] = {}
 
     def power(atom: Atom, n: int) -> tuple[Fraction, list[int]]:
         if (atom, n) not in powers:
@@ -285,11 +290,8 @@ def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
             total[i] += f * v
     # sum = total / common and the denominator is den_scalar * den
     den_scalar, den = lift(Fraction(1), [0] * max(-low, 0) + [1], den_exps)
-    num_poly = Poly.from_list(
-        [0] * max(low, 0) + [v * den_scalar.denominator for v in total]
-    )
-    den_poly = Poly.from_list([v * common * den_scalar.numerator for v in den])
-    return RationalFunction.make(num_poly, den_poly, "u")
+    num = [0] * max(low, 0) + [v * den_scalar.denominator for v in total]
+    return num, [v * common * den_scalar.numerator for v in den]
 
 
 def completed_zeta_factor(c: CurveData, k: int, h: int) -> RationalFunction:

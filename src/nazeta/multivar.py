@@ -8,8 +8,8 @@ exponent vector, keyed ("L", j, k) for p = 1 - x and ("P", j, k) for the
 curve's Weil numerator P, and never expanded; q and P are read from the
 curve passed in.  The residue operator maps such products to such
 products with integer series kernels (one rational content per series),
-so iterated residues are expanded once, when the sum is collapsed to one
-variable over Z.
+so iterated residues are expanded once, to a pair of integer lists in
+one variable; a table local to one run holds the atoms' integer data.
 
 The whole-fraction path (LaurentPoly, MultiRationalFunction,
 residue_at_one by trial division of x_j - 1) has no production caller:
@@ -343,6 +343,30 @@ def _atom_ints(
     return content / q ** (-j * n), ints
 
 
+def _atom_terms(c: CurveData, atom: Atom) -> tuple[Fraction, Terms]:
+    """The atom as a rational content times sparse integer terms."""
+    kind, i, k = atom
+    content, ints = _atom_ints(c.q, _to_int_poly(c.P), kind, i)
+    return content, {tuple(d * x for x in k): v for d, v in enumerate(ints) if v}
+
+
+def _atom_at_one(
+    c: CurveData, table: dict, atom: Atom, j: int
+) -> tuple[int, Fraction] | None:
+    """For an atom in u_j alone, (v, unit): it is t^v times a unit in
+    t = u_j - 1, whose value at t = 0 is unit.  None for other atoms."""
+    if ("at one", atom, j) not in table:
+        entry = None
+        if not any(x for i, x in enumerate(atom[2]) if i != j):
+            content, terms = _atom_terms(c, atom)
+            # a polynomial with s terms vanishes to order < s at 1
+            a = _taylor(terms, j, len(terms))
+            v = next(i for i, x in enumerate(a) if x)
+            entry = v, content * a[v][(0,) * len(atom[2])]
+        table["at one", atom, j] = entry
+    return table["at one", atom, j]
+
+
 def _mul_into(acc: Terms, a: Terms, b: Terms, w: int = 1) -> None:
     """acc += w * a * b, zero coefficients left in place."""
     for m1, c1 in a.items():
@@ -398,7 +422,9 @@ def _power_series(a: list[Terms], e: int, r: int) -> list[Terms]:
     return [_nonzero(o) for o in out]
 
 
-def residue_at_one_factored(c: CurveData, f: AtomProduct, j: int) -> AtomProduct:
+def residue_at_one_factored(
+    c: CurveData, f: AtomProduct, j: int, table: dict
+) -> AtomProduct:
     """R_j[f] = -Res_{u_j=1}[f/u_j] on a factored product, kept factored.
 
     In t = u_j - 1 an atom in u_j alone is t^v times a unit, and these
@@ -407,23 +433,18 @@ def residue_at_one_factored(c: CurveData, f: AtomProduct, j: int) -> AtomProduct
     Any other atom a = a_0 + S(t) enters as a_0^(e-r) times a truncated
     binomial series, so the result is a numerator times the atoms a_0,
     which are the atoms with u_j set to 1.  Every series is a rational
-    content times integer coefficients.
+    content times integer coefficients.  ``table`` is the atom table of
+    one run (a certificate or a period), a dict filled on first use from
+    the atoms, q and P alone: ("at one", atom, j) here, ("power", atom, n)
+    in _collapse_parts.
     """
-    n, P = f.nvars, _to_int_poly(c.P)
-
-    def atom_terms(atom: Atom) -> tuple[Fraction, Terms]:
-        kind, i, k = atom
-        content, ints = _atom_ints(c.q, P, kind, i)
-        return content, {tuple(d * x for x in k): v for d, v in enumerate(ints) if v}
-
-    val = {}  # atom in u_j alone -> its order of vanishing at u_j = 1
+    n = f.nvars
+    alone = {}  # atom in u_j alone -> (order at u_j = 1, unit there)
     for atom, _ in f.atoms:
-        if not any(x for i, x in enumerate(atom[2]) if i != j):
-            # a polynomial with s terms vanishes to order < s at 1
-            terms = atom_terms(atom)[1]
-            a = _taylor(terms, j, len(terms))
-            val[atom] = next(i for i, x in enumerate(a) if x)
-    top = -1 - sum(val.get(atom, 0) * e for atom, e in f.atoms)
+        at_one = _atom_at_one(c, table, atom, j)
+        if at_one:
+            alone[atom] = at_one
+    top = -1 - sum(alone[atom][0] * e for atom, e in f.atoms if atom in alone)
     if top < 0 or f.is_zero():
         return _product(n, Fraction(0), {}, {})
     content, exps = -f.content, {}
@@ -433,18 +454,18 @@ def residue_at_one_factored(c: CurveData, f: AtomProduct, j: int) -> AtomProduct
         if not k[j]:
             exps[atom] = exps.get(atom, 0) + e
             continue
-        v = val.get(atom, 0)
-        ca, terms = atom_terms(atom)
-        a = _taylor(terms, j, v + top)[v:]
         r = top if e < 0 else min(top, e)
-        if r:
-            content *= ca**r
-        if atom in val:
-            content *= (ca * a[0][(0,) * n]) ** (e - r)
+        if atom in alone:
+            v, unit = alone[atom]
+            if e != r:
+                content *= unit ** (e - r)
         else:
-            low = (kind, i, k[:j] + (0,) + k[j + 1 :])
+            v, low = 0, (kind, i, k[:j] + (0,) + k[j + 1 :])
             exps[low] = exps.get(low, 0) + e - r
-        if r:
+        if r:  # a pole of order > 1, which no supported pair reaches
+            ca, terms = _atom_terms(c, atom)
+            content *= ca**r
+            a = _taylor(terms, j, v + top)[v:]
             series = _mul_series(series, _power_series(a, e, r))
     return _product(n, content, series[top], exps)
 
@@ -452,18 +473,25 @@ def residue_at_one_factored(c: CurveData, f: AtomProduct, j: int) -> AtomProduct
 def collapse_sum(
     c: CurveData, terms: Iterable[AtomProduct], j: int
 ) -> RationalFunction:
-    """The sum of products in u_j alone, as one reduced rational function.
+    """The sum of products in u_j alone, as one reduced rational function."""
+    return RationalFunction.make(*_collapse_parts(c, terms, j, {}), "u")
+
+
+def _collapse_parts(
+    c: CurveData, terms: Iterable[AtomProduct], j: int, table: dict
+) -> tuple[list[int], list[int]]:
+    """The sum of products in u_j alone as an unreduced integer pair.
 
     The common denominator takes each atom to its highest power over the
     terms.  Each term is lifted to it as a rational scalar times a power
-    of u_j times an integer list (atom powers are built once per call);
-    the scalars are brought to one denominator, the sum is accumulated
-    over Z and reduced once.  This expansion is kept apart from
-    curve.expand_sum, which the residue route is checked against.
+    of u_j times an integer list (atom powers come from the atom table);
+    the scalars are brought to one denominator and the sum is accumulated
+    over Z.  This expansion is kept apart from curve.expand_sum, which
+    the residue route is checked against.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
-        return RationalFunction.const(0, "u")
+        return [], [1]
     others = [i for i in range(terms[0].nvars) if i != j]
     for t in terms:
         vectors = [m for m, _ in t.num] + [k for (_, _, k), _ in t.atoms]
@@ -474,22 +502,21 @@ def collapse_sum(
         for atom, e in t.atoms:
             if e < 0 and -e > den.get(atom, 0):
                 den[atom] = -e
-    P = _to_int_poly(c.P)
-    powers: dict[tuple[Atom, int], tuple[Fraction, int, list[int]]] = {}
 
     def power(atom: Atom, n: int) -> tuple[Fraction, int, list[int]]:
         """p(q^i u_j^m)^n as content, lowest exponent, integer list."""
-        if (atom, n) not in powers:
+        key = ("power", atom, n)
+        if key not in table:
             kind, i, k = atom
-            content, ints = _atom_ints(c.q, P, kind, i)
+            content, ints = _atom_ints(c.q, _to_int_poly(c.P), kind, i)
             p = [1]
             for _ in range(n):
                 p = _int_mul(p, ints)
             m = k[j]
             spread = [0] * (abs(m) * (len(p) - 1) + 1)
             spread[:: abs(m)] = p if m > 0 else p[::-1]
-            powers[atom, n] = (content**n, min(m, 0) * (len(p) - 1), spread)
-        return powers[atom, n]
+            table[key] = (content**n, min(m, 0) * (len(p) - 1), spread)
+        return table[key]
 
     def lift(
         scalar: Fraction, lo: int, ints: list[int], exps: dict[Atom, int]
@@ -520,10 +547,6 @@ def collapse_sum(
     # sum = u_j^low total / common over den_scalar u_j^den_lo den
     den_scalar, den_lo, den_ints = lift(Fraction(1), 0, [1], den)
     shift = low - den_lo
-    num_poly = Poly.from_list(
-        [0] * max(shift, 0) + [v * den_scalar.denominator for v in total]
-    )
-    den_poly = Poly.from_list(
-        [0] * max(-shift, 0) + [v * common * den_scalar.numerator for v in den_ints]
-    )
-    return RationalFunction.make(num_poly, den_poly, "u")
+    num = [v * den_scalar.denominator for v in total]
+    den_ints = [v * common * den_scalar.numerator for v in den_ints]
+    return [0] * max(shift, 0) + num, [0] * max(-shift, 0) + den_ints

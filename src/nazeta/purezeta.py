@@ -309,6 +309,7 @@ def rh_report(p: Poly, Q: Rat) -> RHReport:
 
     The verdict is the exact test roots_on_circle(p, 1/Q); the numeric
     root list and the deviations | |root| * sqrt(Q) - 1 | are for display.
+    Beyond double range, sqrt(Q) comes from logarithms of Q's exact parts.
     """
     if p.is_zero():
         raise DomainError("cannot report on the zero polynomial")
@@ -316,7 +317,10 @@ def rh_report(p: Poly, Q: Rat) -> RHReport:
     try:
         sqrtq = math.sqrt(float(Q))
     except OverflowError:
-        raise NumericError("Q is beyond double range") from None
+        try:
+            sqrtq = math.exp((math.log(Q.numerator) - math.log(Q.denominator)) / 2)
+        except OverflowError:
+            raise NumericError("sqrt(Q) is beyond double range") from None
     roots = poly_complex_roots(p) if p.degree >= 1 else []
     devs = [abs(abs(z) * sqrtq - 1.0) for z in roots]
     verdict = roots_on_circle(p, 1 / Q)

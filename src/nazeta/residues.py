@@ -15,18 +15,20 @@ Collapsing all variables but u_p with R_k[f] = -Res_{u_k=1}[f/u_k]
 exactly, stripped special values included: each residue's 1/log q turns
 the honest residue of the completed zeta at 1 into the stripped value.
 R_k keeps products factored and is linear, so the period's residue is
-the sum of the summands' residues, expanded once at the end.
+the sum of the summands' residues, expanded to unreduced integer parts;
+the certificate's identities are decided on such parts by
+cross-multiplication, and only the period is reduced, once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import RationalFunction
+from .algebra import RationalFunction, _same_ratio
 from .certificate import Certificate
-from .curve import CurveData, expand_sum
+from .curve import CurveData, FactorProduct, _expand_parts
 from .groupzeta import _ratio_table, _weyl_factors
-from .multivar import Atom, AtomProduct, collapse_sum, residue_at_one_factored
+from .multivar import Atom, AtomProduct, _collapse_parts, residue_at_one_factored
 from .rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
 
 
@@ -65,16 +67,16 @@ def weyl_term_full(
 
 
 def iterated_residue(
-    c: CurveData, f: AtomProduct, pd: ParabolicData
+    c: CurveData, f: AtomProduct, pd: ParabolicData, table: dict
 ) -> AtomProduct:
     """Collapse all variables except u_p by repeated R_k, ascending k.
 
     The result is a factored product in u_p alone (collapse_sum expands
-    it).
+    it); ``table`` is the run's atom table (see multivar).
     """
     for k in range(f.nvars):
         if k != pd.p0:
-            f = residue_at_one_factored(c, f, k)
+            f = residue_at_one_factored(c, f, k, table)
     return f
 
 
@@ -82,10 +84,12 @@ def residue_period(
     c: CurveData, rs: RootSystem, W: WeylGroup, pd: ParabolicData
 ) -> RationalFunction:
     """The period of (G, P) as the sum of the summands' iterated residues."""
+    table: dict = {}
     residues = [
-        iterated_residue(c, weyl_term_full(c, rs, W, w), pd) for w in W.elements
+        iterated_residue(c, weyl_term_full(c, rs, W, w), pd, table)
+        for w in W.elements
     ]
-    return collapse_sum(c, residues, pd.p0)
+    return RationalFunction.make(*_collapse_parts(c, residues, pd.p0, table), "u")
 
 
 def residue_route_equivalence(
@@ -96,19 +100,26 @@ def residue_route_equivalence(
     Checks, exactly: (a) each w outside the surviving subset has
     vanishing iterated residue; (b) each surviving w's iterated residue
     equals its closed-formula summand; (c) the totals agree, the residues
-    collapsed together against one expand_sum of the closed summands'
-    factored forms.  Every check is recorded, a failed one with the
-    permutation of its w.
+    collapsed together against one expansion of the closed summands'
+    factored forms, each by cross-multiplication.  Every check is
+    recorded, a failed one with the permutation of its w.
     """
     cert = Certificate(f"residue route {rs.type_label}{rs.rank} p={pd.p}")
     surviving = {w.perm for w in pd.weyl_subset}
     ratios = _ratio_table(c, rs, pd)
+    table, powers = {}, {}  # residue side's atom table, closed side's powers
     residues, closed_terms = [], []
+
+    def agree(res: list[AtomProduct], closed: list[FactorProduct]) -> bool:
+        return _same_ratio(
+            *_collapse_parts(c, res, pd.p0, table), *_expand_parts(c, closed, powers)
+        )
+
     for w in W.elements:
-        res = iterated_residue(c, weyl_term_full(c, rs, W, w), pd)
+        res = iterated_residue(c, weyl_term_full(c, rs, W, w), pd, table)
         if w.perm in surviving:
             closed = _weyl_factors(c, rs, W, pd, w, ratios)
-            ok = collapse_sum(c, [res], pd.p0) == closed.expand(c)
+            ok = agree([res], [closed])
             identity = "surviving term matches closed formula"
             residues.append(res)
             closed_terms.append(closed)
@@ -118,7 +129,6 @@ def residue_route_equivalence(
         witness = {} if ok else {"perm": list(w.perm)}
         cert.record(identity, ok, **witness)
     cert.record(
-        "summed residues equal the closed period",
-        collapse_sum(c, residues, pd.p0) == expand_sum(c, closed_terms),
+        "summed residues equal the closed period", agree(residues, closed_terms)
     )
     return cert

@@ -101,9 +101,48 @@ class TestRationalFunction:
         )
         assert poly_gcd(num, den) == fraction_oracle.fraction_gcd(num, den)
 
+    def test_scale_by_zero_is_the_canonical_zero(self):
+        f = RationalFunction.make(Poly.of(1, 2), Poly.of(3, 0, 1), "T")
+        assert f.scale(0) == RationalFunction.const(0, "T")
+        assert f.scale(F(0)).den == Poly.one()
+
     def test_series_of_geometric(self):
         f = RationalFunction.make(Poly.one(), Poly.of(1, -1), "T")
         assert f.series(4) == [F(1)] * 5
+
+
+int_lists = st.lists(st.integers(-6, 6), max_size=5)
+
+
+class TestCrossMultiplied:
+    """_same_ratio decides a/b = c/d by a d = c b, with neither reduced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        a=int_lists,
+        b=int_lists.filter(any),
+        kind=st.sampled_from(["scaled copy", "numerator negated", "both negated", "unrelated"]),
+        factor=st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(any),
+        other=st.tuples(int_lists, int_lists.filter(any)),
+    )
+    @example(a=[0, 0], b=[0, 3], kind="unrelated", factor=[1], other=([], [1, 2]))
+    @example(a=[], b=[2], kind="numerator negated", factor=[1], other=([], [1]))
+    @example(a=[1, 2], b=[3, 0, 0], kind="scaled copy", factor=[0, -2], other=([], [1]))
+    def test_agrees_with_reduced_equality(self, a, b, kind, factor, other):
+        if kind == "scaled copy":  # by a polynomial, sign and constant included
+            c, d = nazeta.algebra._int_mul(a, factor), nazeta.algebra._int_mul(b, factor)
+        elif kind == "numerator negated":  # the same function only when a = 0
+            c, d = [-v for v in a], b
+        elif kind == "both negated":
+            c, d = [-v for v in a], [-v for v in b]
+        else:
+            c, d = other
+        reduced = RationalFunction.make(a, b) == RationalFunction.make(c, d)
+        assert nazeta.algebra._same_ratio(a, b, c, d) == reduced
+        # integer lists enter make as they are, with the value of their Poly
+        assert RationalFunction.make(a, b) == RationalFunction.make(
+            Poly.from_list(a), Poly.from_list(b)
+        )
 
 
 class TestSubstitution:
@@ -148,6 +187,37 @@ class TestSubstitution:
         y = c * x**d
         assume(f.den.evaluate(y) != 0)
         assert substitute(f, c, d, "v").evaluate(x) == f.evaluate(y)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        small_polys(),
+        small_polys(nonzero=True),
+        rationals.filter(bool),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.integers(-3, 3),
+    )
+    # a power of u to strip: u^2 * (1/u), and u^-1 * 3u^2/(1 + u)
+    @example(Poly.of(1), Poly.of(0, 1), F(2), 1, 2)
+    @example(Poly.of(0, 0, 3), Poly.of(1, 1), F(-1, 2), -2, -1)
+    def test_gcd_free_results_match_the_fraction_oracle(self, a, b, c, d, k):
+        # substitute and mul_monomial skip the gcd; the oracle reduces the
+        # placed coefficients by a Euclidean gcd over Q
+        f = RationalFunction.make(a, b, "u")
+        m = max(f.num.degree, f.den.degree, 0)
+
+        def place(p):
+            out = [F(0)] * (abs(d) * m + 1)
+            for i, x in enumerate(p.coeffs):
+                out[d * i if d > 0 else -d * (m - i)] = x * c**i
+            return Poly.from_list(out)
+
+        expected = fraction_oracle.make(place(f.num), place(f.den), "v")
+        assert substitute(f, c, d, "v") == expected
+        if k >= 0:
+            expected = fraction_oracle.make(f.num * Poly.monomial(k), f.den, "u")
+        else:
+            expected = fraction_oracle.make(f.num, f.den * Poly.monomial(-k), "u")
+        assert f.mul_monomial(k) == expected
 
     def test_zero_constant_rejected(self):
         with pytest.raises(DomainError):

@@ -304,18 +304,28 @@ class TestOtherCommands:
         assert err.startswith("numeric failure:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["group", "--type", "A", "--rank", "1", "--p", "1"], ["pure", "--r", "1"]],
-        ids=["group-a1", "pure-r1"],
+        "argv", [["group", "--type", "A", "--rank", "1", "--p", "1"]], ids=["group-a1"]
     )
     def test_q_beyond_double_range_exits_1(self, argv, tmp_path, capsys):
-        # q = 10^320 is no double: the centre q^(c_p/2) and Q = q^r cannot
-        # be displayed, so exit 1 with a message, no OverflowError traceback
+        # q = 10^320 is no double: the centre q^(c_p/2) cannot be
+        # displayed, so exit 1 with a message, no OverflowError traceback
         q = 10**320
         curve = _write(tmp_path, "c.json", {"genus": 1, "q": q, "point_counts": [q + 1]})
         assert main(argv + ["--curve", curve]) == EXIT_MATH_FAIL
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "Traceback" not in err
+
+    def test_q_beyond_double_range_pure_report(self, tmp_path):
+        # Q = 10^320 is no double, but sqrt(Q) and the roots (|T| = 1e-160)
+        # are: the RH report is computed, with its exact verdict
+        q = 10**320
+        curve = _write(tmp_path, "c.json", {"genus": 1, "q": q, "point_counts": [q + 1]})
+        out = tmp_path / "pure.json"
+        argv = ["pure", "--r", "1", "--curve", curve, "--json-out", str(out)]
+        assert main(argv) == EXIT_OK
+        rh = json.loads(out.read_text())["rh"]
+        assert rh["Q"] == str(q) and rh["verdict"] == "pass"
+        assert all(d < 1e-9 for d in rh["deviations"])
 
     def test_residue_compare(self, elliptic_file, tmp_path):
         out = tmp_path / "rc.json"

@@ -1,5 +1,6 @@
 """Iterated residues against the closed Weyl-subset formula."""
 
+import dataclasses
 import sys
 from fractions import Fraction as F
 from math import prod
@@ -7,6 +8,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nazeta.algebra
 import nazeta.residues
 from nazeta.curve import FactorProduct, curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
@@ -119,7 +121,7 @@ def expand(c, f):
 
 
 def agrees_with_oracle(c, f, j):
-    factored = residue_at_one_factored(c, f, j)
+    factored = residue_at_one_factored(c, f, j, {})
     assert expand(c, factored).equal(residue_at_one(expand(c, f), j))
     return factored
 
@@ -165,15 +167,15 @@ class TestFactoredResidue:
         f = product(n, NUM3, atoms + [(("L", 0, (1, 0, 0)), -2)])
         once = agrees_with_oracle(E23, f, j)
         agrees_with_oracle(E23, once, 0)
-        assert not residue_at_one_factored(E23, once, 0).is_zero()
+        assert not residue_at_one_factored(E23, once, 0, {}).is_zero()
 
     def test_linearity_on_a_sum_of_two_products(self):
         f1 = product(2, NUM2, self.CASES["order 2"][2])
         f2 = product(2, {(0, 1): 5}, self.CASES["simple pole"][2])
         lhs = residue_at_one(expand(E23, f1) + expand(E23, f2), 0)
         rhs = (
-            expand(E23, residue_at_one_factored(E23, f1, 0))
-            + expand(E23, residue_at_one_factored(E23, f2, 0))
+            expand(E23, residue_at_one_factored(E23, f1, 0, {}))
+            + expand(E23, residue_at_one_factored(E23, f2, 0, {}))
         )
         assert lhs.equal(rhs)
 
@@ -272,8 +274,10 @@ class TestIndependence:
             for attr in ("zeta_factors", "completed_zeta_factor"):
                 if name.startswith("nazeta") and hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+        table = {}
         residues = [
-            iterated_residue(E23, weyl_term_full(E23, rs, W, w), pd) for w in W.elements
+            iterated_residue(E23, weyl_term_full(E23, rs, W, w), pd, table)
+            for w in W.elements
         ]
         assert collapse_sum(E23, residues, pd.p0) == expected
         assert residue_period(E23, rs, W, pd) == expected
@@ -330,6 +334,41 @@ class TestRouteEquivalence:
         surviving = {tuple(w.perm) for w in pd.weyl_subset}
         assert {tuple(c["perm"]) for c in cert.failures()[:-1]} == surviving
 
+    def test_residue_side_fault_names_its_element(self, monkeypatch):
+        # one surviving summand, hence its iterated residue, scaled by
+        # 1001/1000: its own identity and the total fail, nothing else
+        rs, W, pd = pair("A", 2, 1)
+        target = pd.weyl_subset[-1].perm
+        exact = nazeta.residues.weyl_term_full
+
+        def faulty(c, rs, W, w):
+            term = exact(c, rs, W, w)
+            if w.perm == target:
+                term = dataclasses.replace(term, content=term.content * F(1001, 1000))
+            return term
+
+        monkeypatch.setattr(nazeta.residues, "weyl_term_full", faulty)
+        cert = residue_route_equivalence(E23, rs, W, pd)
+        assert [(c["identity"], c.get("perm")) for c in cert.failures()] == [
+            ("surviving term matches closed formula", list(target)),
+            ("summed residues equal the closed period", None),
+        ]
+
+    def test_certificate_takes_no_gcd(self, monkeypatch):
+        calls = []
+        exact = nazeta.algebra._int_gcd
+
+        def spy(a, b):
+            calls.append(1)
+            return exact(a, b)
+
+        monkeypatch.setattr(nazeta.algebra, "_int_gcd", spy)
+        rs, W, pd = pair("A", 2, 1)
+        assert residue_route_equivalence(E23, rs, W, pd).passed
+        assert not calls
+        residue_period(E23, rs, W, pd)  # the period is reduced, once
+        assert calls
+
     def test_a2_genus2_curve(self):
         g2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
         rs, W, pd = pair("A", 2, 1)
@@ -340,10 +379,11 @@ class TestRouteEquivalence:
         # the stated order and its reverse agree term by term for A_3
         rs, W, pd = pair("A", 3, 2)
         closed = period_gp(E23, rs, W, pd)
+        table = {}  # one atom table serves both orders
 
         def collapse(term, order):
             for k in order:
-                term = residue_at_one_factored(E23, term, k)
+                term = residue_at_one_factored(E23, term, k, table)
             return term
 
         fwd, rev = [], []
@@ -351,7 +391,7 @@ class TestRouteEquivalence:
             term = weyl_term_full(E23, rs, W, w)
             fwd.append(collapse(term, (0, 2)))
             rev.append(collapse(term, (2, 0)))
-            assert fwd[-1] == iterated_residue(E23, term, pd)
+            assert fwd[-1] == iterated_residue(E23, term, pd, {})
             assert collapse_sum(E23, fwd[-1:], pd.p0) == collapse_sum(E23, rev[-1:], pd.p0)
         assert collapse_sum(E23, fwd, pd.p0) == closed
         assert collapse_sum(E23, rev, pd.p0) == closed
