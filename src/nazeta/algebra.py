@@ -811,7 +811,10 @@ def _scaled_coefficients(p: Poly) -> tuple[list[complex], float]:
     size, even where the roots of p are far from 1 (coefficients up to
     1e108 for q near 10^6).  The coefficients are formed in logarithms,
     so none overflows a float even where those of p do; a leading one
-    that underflows leaves the polynomial out of double range.  p_0 is
+    that underflows leaves the polynomial out of double range.  Each
+    logarithm is of a reduced ratio, c_i/p_0 or p_0/p_d: the difference
+    of two logarithms near 737 (coefficients near 1e320) would carry a
+    relative error near 1e-13 into rho and every root.  p_0 is
     nonzero: roots at the origin are split off first.
     """
 
@@ -819,9 +822,10 @@ def _scaled_coefficients(p: Poly) -> tuple[list[complex], float]:
         return math.log(abs(x.numerator)) - math.log(x.denominator)
 
     d = p.degree
-    log_rho = (log_abs(p[0]) - log_abs(p.leading())) / d
+    p0 = p[0]
+    log_rho = log_abs(p0 / p.leading()) / d
     logs = [
-        log_abs(c) + i * log_rho if c else -math.inf
+        log_abs(c / p0) + i * log_rho if c else -math.inf
         for i, c in enumerate(p.coeffs)
     ]
     top = max(logs)

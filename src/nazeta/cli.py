@@ -5,6 +5,12 @@ failed (the JSON lists every failed check), 2 bad input or usage.
 Exact values serialize as "num/den" strings; floats appear only in zero
 and deviation fields.  JSON output is deterministic for identical
 configs apart from the version header.
+
+A well-formed argv (a command and its own ``--flag value`` or
+``--flag=value`` pairs) is read straight from the COMMANDS and FLAGS
+tables, with the converters argparse would call.  argparse is built only
+for help, usage errors and any other argv, so it writes every help and
+usage text; for a known command it builds that command's subparser alone.
 """
 
 from __future__ import annotations
@@ -362,17 +368,18 @@ FLAGS = {
     "csv-out": {},
 }
 
-# subcommand -> (handler, the flags it reads besides --config)
+# subcommand -> (handler, the flags it reads besides --config, the defaults
+# that differ from FLAGS)
 COMMANDS = {
-    "curve-validate": (cmd_curve_validate, "curve json-out"),
-    "pure": (cmd_pure, "curve r alphas beta0 json-out csv-out"),
-    "mass": (cmd_mass, "curve r json-out"),
-    "mixed": (cmd_mixed, "q N json-out"),
-    "group": (cmd_group, "curve type rank p json-out csv-out"),
-    "residue-compare": (cmd_residue_compare, "curve type rank p json-out"),
-    "uniformity": (cmd_uniformity, "curve r alphas beta0 json-out"),
-    "numfield": (cmd_numfield, "r json-out"),
-    "report-all": (cmd_report_all, "json-out"),
+    "curve-validate": (cmd_curve_validate, "curve json-out", {}),
+    "pure": (cmd_pure, "curve r alphas beta0 json-out csv-out", {}),
+    "mass": (cmd_mass, "curve r json-out", {}),
+    "mixed": (cmd_mixed, "q N json-out", {}),
+    "group": (cmd_group, "curve type rank p json-out csv-out", {}),
+    "residue-compare": (cmd_residue_compare, "curve type rank p json-out", {}),
+    "uniformity": (cmd_uniformity, "curve r alphas beta0 json-out", {}),
+    "numfield": (cmd_numfield, "r json-out", {"r": 4}),
+    "report-all": (cmd_report_all, "json-out", {}),
 }
 
 
@@ -393,25 +400,88 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None,
     )
     for name in names:
-        handler, flags = COMMANDS[name]
+        handler, flags, defaults = COMMANDS[name]
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON file of flag values")
         for flag in flags.split():
             p.add_argument(f"--{flag}", **FLAGS[flag])
-        p.set_defaults(handler=handler)
-    if "numfield" in sub.choices:
-        sub.choices["numfield"].set_defaults(r=4)
+        p.set_defaults(handler=handler, **defaults)
     return parser
+
+
+def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace ``build_parser(argv[0]).parse_args(argv)`` returns,
+    read straight from COMMANDS and FLAGS.
+
+    Only an argv ``COMMAND (--flag value | --flag=value)*`` is read here:
+    every flag one of the command's, every required flag given, no
+    separate value starting with "-" (argparse's negative-number rule
+    decides those) and no ``--flag=--`` (argparse drops the "--").  Any
+    other argv, and a value its converter refuses, gives None: argparse
+    then judges it and writes the message.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, names, defaults = COMMANDS[argv[0]]
+    specs = {"config": {}, **{name: FLAGS[name] for name in names.split()}}
+    values = {name: spec.get("default") for name, spec in specs.items()}
+    values.update(defaults)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        if token[:2] != "--" or name not in specs:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value declines too
+            if value.startswith("-"):
+                return None
+        elif value == "--":
+            return None
+        convert = specs[name].get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        values[name] = value
+        given.add(name)
+    if any(spec.get("required") and name not in given for name, spec in specs.items()):
+        return None
+    dests = {name.replace("-", "_"): value for name, value in values.items()}
+    return argparse.Namespace(command=argv[0], handler=handler, **dests)
+
+
+def _config_path(argv: list[str]) -> str | None:
+    """The value of the last --config in argv.  Where argparse's reading
+    is less plain (a --config with no plain value after it, or a "--"
+    that ends the options) argparse reads it."""
+    config = None
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("--config="):
+            config = token[len("--config="):]
+        elif token == "--config":
+            config = next(tokens, "-")
+            if config.startswith("-"):
+                break
+        elif token == "--":
+            break
+    else:
+        return config
+    find_config = argparse.ArgumentParser("nazeta", add_help=False, allow_abbrev=False)
+    find_config.add_argument("--config")
+    return find_config.parse_known_args(argv)[0].config
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv; --config keys act as flags put before the explicit ones.
 
-    argparse keeps the last value of a repeated flag, so explicit flags win.
+    The last value of a repeated flag is kept, so explicit flags win.  A
+    well-formed argv is read by ``_fast_parse``; argparse parses any
+    other, and writes every help, usage and error message.
     """
-    find_config = argparse.ArgumentParser("nazeta", add_help=False, allow_abbrev=False)
-    find_config.add_argument("--config")
-    config = find_config.parse_known_args(argv)[0].config
+    config = _config_path(argv)
     if config:
         cfg = _read_json(config, "config file")
         if not isinstance(cfg, dict) or "config" in cfg or not all(
@@ -420,7 +490,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             raise DomainError("config must map flags (not config) to strings or numbers")
         flags = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
         argv = argv[:1] + flags + argv[1:]
-    return build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -331,6 +331,15 @@ def curve_to_json(c: CurveData) -> dict:
     }
 
 
+def _spec_int(value) -> int:
+    """``int(value)``, refusing a bool and a float with a fractional part,
+    which ``int`` would take as an integer."""
+    n = int(value)
+    if isinstance(value, bool) or isinstance(value, float) and n != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
 def curve_from_json(data: dict) -> CurveData:
     """A curve from its JSON spec: genus, q and point counts or numerator."""
     if not isinstance(data, dict) or not (
@@ -340,10 +349,10 @@ def curve_from_json(data: dict) -> CurveData:
             "curve spec needs either point_counts or numerator_coeffs"
         )
     try:
-        g = int(data["genus"])
-        q = int(data["q"])
+        g = _spec_int(data["genus"])
+        q = _spec_int(data["q"])
         if "point_counts" in data:
-            counts = [int(n) for n in data["point_counts"]]
+            counts = [_spec_int(n) for n in data["point_counts"]]
         else:
             coeffs = [parse_rational(s) for s in data["numerator_coeffs"]]
     except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:

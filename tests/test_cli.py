@@ -1,8 +1,11 @@
 """Command-line contract: exit codes, JSON shapes, determinism."""
 
+import argparse
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
@@ -14,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nazeta
 import nazeta.acceptance
@@ -49,6 +53,21 @@ class TestExitCodes:
         code = main(["curve-validate", "--curve", elliptic_file,
                      "--json-out", str(out)])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"genus": 1, "q": 3, "point_counts": [2]},
+            {"genus": "1", "q": "3", "point_counts": ["2"]},
+            {"genus": 1.0, "q": 3.0, "point_counts": [2.0]},
+        ],
+    )
+    def test_integer_fields_read_as_integers(self, spec, tmp_path):
+        out = tmp_path / "cv.json"
+        argv = ["curve-validate", "--curve", _write(tmp_path, "c.json", spec)]
+        assert main(argv + ["--json-out", str(out)]) == EXIT_OK
+        curve = json.loads(out.read_text())["curve"]
+        assert (curve["genus"], curve["q"]) == (1, 3)
 
     def test_curve_validate_symmetry_violation(self, bad_curve_file):
         assert main(["curve-validate", "--curve", bad_curve_file]) == EXIT_INPUT
@@ -379,10 +398,13 @@ class TestParser:
             # under its own usage line
             ["numfield", "--bogus"],
             [],
+            ["group", "-h"],
+            # a negative number is a value: argparse stops at the missing --curve
+            ["pure", "--beta0", "-1"],
         ],
         ids=[
             "help", "group-help", "mass-help", "bad-command", "group-bogus",
-            "numfield-bogus", "empty",
+            "numfield-bogus", "empty", "group-h", "negative-beta0",
         ],
     )
     def test_output_equals_the_full_parser(self, argv, capsys, monkeypatch):
@@ -398,7 +420,7 @@ class TestParser:
     def test_one_subparser_per_known_command(self):
         full = nazeta.cli.build_parser()._subparsers._group_actions[0]
         assert list(full.choices) == list(nazeta.cli.COMMANDS)
-        for name, (handler, flags) in nazeta.cli.COMMANDS.items():
+        for name, (handler, flags, _) in nazeta.cli.COMMANDS.items():
             sub = nazeta.cli.build_parser(name)._subparsers._group_actions[0]
             assert list(sub.choices) == [name]
             options = {
@@ -412,6 +434,134 @@ class TestParser:
             if "r" in flags.split():  # numfield defaults to r = 4, the rest to 2
                 r = sub.choices[name].get_default("r")
                 assert r == (4 if name == "numfield" else 2)
+
+
+def _outcome(parse, argv):
+    """("ok", vars of the Namespace) or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("ok", vars(parse(argv)))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+def _argparse_config(argv):
+    find_config = argparse.ArgumentParser("nazeta", add_help=False, allow_abbrev=False)
+    find_config.add_argument("--config")
+    return find_config.parse_known_args(argv)[0]
+
+
+_VALUES = ["3", "-1", "-1/2", "", "-", "--", "x", "-h", "1e5000"]
+_FLAG_NAMES = sorted(nazeta.cli.FLAGS) + ["config"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command (now and then a stray token) followed by flags of it,
+    now and then one of another command, with or without "=", and now
+    and then a stray token; in half the argv every required flag."""
+    first = draw(st.sampled_from(list(nazeta.cli.COMMANDS) * 4 + _VALUES))
+    own = nazeta.cli.COMMANDS.get(first, (None, "json-out"))[1].split()
+    flag = st.sampled_from(own * 8 + _FLAG_NAMES)
+    value = st.sampled_from(["3"] * 16 + _VALUES)
+    pair = st.tuples(flag, value)
+    stray = st.sampled_from(
+        list(nazeta.cli.COMMANDS) + _VALUES + [f"--{f}" for f in _FLAG_NAMES]
+    )
+    piece = st.integers(0, 9).flatmap(
+        lambda i: (
+            pair.map(lambda t: [f"--{t[0]}", t[1]]) if i < 5
+            else pair.map(lambda t: [f"--{t[0]}={t[1]}"]) if i < 9
+            else stray.map(lambda t: [t])
+        )
+    )
+    pieces = draw(st.lists(piece, max_size=6))
+    if draw(st.booleans()):  # every required flag, so that more argv parse
+        required = [f for f in own if nazeta.cli.FLAGS[f].get("required")]
+        pieces += [[f"--{f}", "3"] for f in required]
+    return [first] + sum(draw(st.permutations(pieces)), [])
+
+
+class TestFastParser:
+    """A well-formed argv is read from the command table; argparse is
+    built only for the rest, and both give what the full parser gives."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_argvs())
+    def test_parity_with_argparse(self, argv):
+        full = _outcome(nazeta.cli.build_parser().parse_args, argv)
+        fast = nazeta.cli._fast_parse(argv)
+        if fast is not None:
+            assert full == ("ok", vars(fast))
+        config = _outcome(
+            lambda a: argparse.Namespace(config=nazeta.cli._config_path(a)), argv
+        )
+        assert config == _outcome(_argparse_config, argv)
+        if config[0] == "exit":
+            assert _outcome(nazeta.cli._parse_args, argv) == config
+        elif not config[1]["config"]:  # with one, a file named "3" would be read
+            assert _outcome(nazeta.cli._parse_args, argv) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mixed", "--q", "2", "--N", "3"],
+            ["mixed", "--q=2", "--N=3", "--q", "5"],  # the last value wins
+            ["numfield"],
+            ["pure", "--curve=", "--alphas", "3,5/2", "--beta0", "6"],
+            ["group", "--curve", "c.json", "--type", "A", "--rank", "2", "--p=1"],
+        ],
+    )
+    def test_well_formed_argv_is_read_from_the_table(self, argv):
+        fast = nazeta.cli._fast_parse(argv)
+        assert fast is not None
+        assert vars(fast) == vars(nazeta.cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["no-such-command"],
+            ["mixed", "--q", "2", "--N", "3", "-h"],
+            ["mixed", "--q", "2", "--N", "3", "--json"],  # abbreviated
+            ["mixed", "--q", "2", "--N", "3", "--"],
+            ["mixed", "--q", "2", "--N", "3", "x"],
+            ["mixed", "--q", "2"],
+            ["mixed", "--q", "2", "--N", "3", "--json-out", "-"],
+            ["mixed", "--q", "2", "--N", "3", "--json-out=--"],  # argparse reads []
+            ["pure", "--curve", "c.json", "--beta0", "-1"],
+            ["mixed", "--q", "1", "--N", "3"],  # the converter refuses q = 1
+            ["mixed", "--q", "2", "--N", "3", "--curve", "c.json"],
+        ],
+    )
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert nazeta.cli._fast_parse(argv) is None
+
+    def test_no_parser_on_the_happy_path(self, elliptic_file, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse.ArgumentParser built")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        out = str(tmp_path / "out.json")
+        minimal = {
+            "curve-validate": ["--curve", elliptic_file],
+            "pure": ["--curve", elliptic_file],
+            "mass": ["--curve", elliptic_file],
+            "mixed": ["--q", "2", "--N", "3"],
+            "group": ["--curve", elliptic_file] + GROUP_A1[1:],
+            "residue-compare": ["--curve", elliptic_file] + GROUP_A1[1:],
+            "uniformity": ["--curve", elliptic_file],
+            "numfield": [],
+            "report-all": [],  # exit 1: the known-red acceptance checks
+        }
+        assert list(minimal) == list(nazeta.cli.COMMANDS)
+        for command, flags in minimal.items():
+            expected = EXIT_MATH_FAIL if command == "report-all" else EXIT_OK
+            assert main([command, *flags, "--json-out", out]) == expected, command
+        config = _write(tmp_path, "cfg.json", {"curve": elliptic_file, "r": 3})
+        assert main(["mass", "--config", config, "--json-out", out]) == EXIT_OK
+        assert json.loads(Path(out).read_text())["rank"] == 3
 
 
 class TestImportPath:
@@ -533,6 +683,11 @@ class TestMalformedInput:
             ({"genus": 1, "q": 10**9, "point_counts": [10**9 + 1]}, None,
              ["mass", "--r", "40"]),
             (None, None, ["mass", "--r", "41"]),
+            # int() would truncate these to an integer
+            ({"genus": 1, "q": 3, "point_counts": [2.5]}, None, ["curve-validate"]),
+            ({"genus": True, "q": 2, "point_counts": [3]}, None, ["curve-validate"]),
+            ({"genus": 1, "q": 2.5, "point_counts": [3]}, None, ["curve-validate"]),
+            ({"genus": 1, "q": 2, "point_counts": [True]}, None, ["curve-validate"]),
         ],
     )
     def test_exits_2_with_a_message(
