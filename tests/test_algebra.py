@@ -341,6 +341,7 @@ class TestComplexRoots:
         p = Poly.of(-(10**320), 3 * 10**320, 10**320)  # roots (-3 +- sqrt 13)/2
         roots = poly_complex_roots(p)
         exact = [(-3 - math.sqrt(13)) / 2, (-3 + math.sqrt(13)) / 2]
+        assert len(roots) == 2
         assert all(abs(z - x) <= 1e-15 * abs(x) for z, x in zip(roots, exact))
         assert all(_residual_ok(p, z) for z in roots)
 

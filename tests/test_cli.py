@@ -538,6 +538,17 @@ class TestFastParser:
     def test_anything_else_is_left_to_argparse(self, argv):
         assert nazeta.cli._fast_parse(argv) is None
 
+    def test_table_uses_only_what_the_fast_parser_reads(self):
+        # _fast_parse reads required, type and default alone; choices,
+        # action, nargs or dest would need argparse, and argparse passes a
+        # string default through the flag's type
+        for name, spec in nazeta.cli.FLAGS.items():
+            assert set(spec) <= {"required", "type", "default", "help"}, name
+            assert not isinstance(spec.get("default"), str), name
+        for command, (_, flags, defaults) in nazeta.cli.COMMANDS.items():
+            assert set(defaults) <= set(flags.split()), command
+            assert not any(isinstance(v, str) for v in defaults.values()), command
+
     def test_no_parser_on_the_happy_path(self, elliptic_file, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("argparse.ArgumentParser built")
