@@ -383,6 +383,16 @@ COMMANDS = {
 }
 
 
+class _StoreOne(argparse.Action):
+    """Store a flag's one value.  argparse reads ``--flag=--`` as no value
+    at all (it drops the "--"); that is a usage error, not a value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The nazeta parser, with the subparser of ``command`` alone when it
     names one, and with every subparser otherwise (a bad command, or the
@@ -404,7 +414,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON file of flag values")
         for flag in flags.split():
-            p.add_argument(f"--{flag}", **FLAGS[flag])
+            p.add_argument(f"--{flag}", action=_StoreOne, **FLAGS[flag])
         p.set_defaults(handler=handler, **defaults)
     return parser
 

@@ -10,8 +10,9 @@ q^g P(1/q)/(q-1) instead; that convention is exactly what the iterated
 residues of the full-rank period produce once each residue's 1/log q is
 cancelled, and it is cross-checked by the residues module.
 
-A root enters a summand only through its key (k, h), and a pair has
-few distinct keys (A5 p=3: seven, against 941 inversions over its 106
+A root enters a summand only through its key (k, h), read from the
+parabolic's key table (rootsys.ParabolicData.keys), and a pair has few
+distinct keys (A5 p=3: seven, against 941 inversions over its 106
 summands), so every summand is assembled from the counts of its root
 keys: the ratio of completed zeta factors is built once per distinct
 key of the positive roots, and each summand takes it to the key's count
@@ -62,6 +63,7 @@ from .rootsys import (
     WeylElement,
     WeylGroup,
     count_tables,
+    negative_preimage_counts,
 )
 
 
@@ -79,10 +81,6 @@ class GroupZetaResult:
     pd: ParabolicData
 
 
-def _root_key(rs: RootSystem, pd: ParabolicData, idx: int) -> tuple[int, int]:
-    return (rs.weight_pairing(pd.p0, idx), rs.coroot_height(idx))
-
-
 def _zeta_num_factors(c: CurveData, k: int, h: int) -> FactorProduct:
     """Completed zeta factor, stripped to its special value at (0, 1)."""
     if (k, h) == (0, 1):
@@ -96,14 +94,10 @@ def _rational_factors(
     """prod over (w^{-1}Delta) \\ Delta_p of 1/(1 - u^k q^{1-h})."""
     winv = w.inverse()
     term = FactorProduct(Fraction(1))
-    p0 = pd.p0
     for s_idx in rs.simple_indices():
-        pre = winv.apply(s_idx)
-        coords = rs.roots[pre]
-        if coords[p0] == 0 and rs.is_positive(pre) and sum(map(abs, coords)) == 1:
-            continue  # alpha in Delta_p, the only roots with key (0, 1)
-        k, h = _root_key(rs, pd, pre)
-        term = term * line_factor(c.q, 1 - h, k) ** -1
+        k, h = pd.keys[winv.apply(s_idx)]
+        if (k, h) != (0, 1):  # (0, 1) marks exactly the roots of Delta_p
+            term = term * line_factor(c.q, 1 - h, k) ** -1
     return term
 
 
@@ -112,10 +106,9 @@ def _ratio_table(
 ) -> dict[tuple[int, int], FactorProduct]:
     """zeta(k s + h) / zeta(k s + h + 1) per distinct key of the positive
     roots, the numerator stripped at (0, 1)."""
-    keys = {_root_key(rs, pd, idx) for idx in range(rs.n_positive)}
     return {
         (k, h): _zeta_num_factors(c, k, h) * zeta_factors(c, k, h + 1) ** -1
-        for k, h in keys
+        for k, h in set(pd.keys[: rs.n_positive])
     }
 
 
@@ -131,7 +124,7 @@ def _weyl_factors(
     times each key's ratio (from ``_ratio_table``) to its count over the
     inversion set."""
     term = _rational_factors(c, rs, pd, w)
-    counts = Counter(_root_key(rs, pd, idx) for idx in W.inversion_set(w))
+    counts = Counter(pd.keys[idx] for idx in W.inversion_set(w))
     for key, n in counts.items():
         term = term * ratios[key] ** n
     return term
@@ -227,8 +220,7 @@ def omega_D_decompose(z: GroupZetaResult, W: WeylGroup) -> Decomposition:
     cert = Certificate(
         f"global decomposition {rs.type_label}{rs.rank} p={pd.p}"
     )
-    keys = [_root_key(rs, pd, idx) for idx in range(len(rs.roots))]
-    positive, negative = keys[: rs.n_positive], keys[rs.n_positive :]
+    positive, negative = pd.keys[: rs.n_positive], pd.keys[rs.n_positive :]
     clearing = _zeta_product(
         c, Counter((k, h + 1) for k, h in positive)
     ).expand(c)
@@ -265,9 +257,7 @@ def omega_D_decompose(z: GroupZetaResult, W: WeylGroup) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _g_factors(
-    c: CurveData, rs: RootSystem, pd: ParabolicData, w: WeylElement
-) -> FactorProduct:
+def _g_factors(c: CurveData, pd: ParabolicData, w: WeylElement) -> FactorProduct:
     """Product of (stripped) completed zeta factors over w^{-1}Phi^-.
 
     Levi simple roots in w^{-1}Phi^- sit at the pole argument (0, 1) and
@@ -275,11 +265,7 @@ def _g_factors(
     convention; without them the sum identity below would be off by one
     stripped value per such root.
     """
-    winv = w.inverse()
-    return _zeta_product(c, Counter(
-        _root_key(rs, pd, winv.apply(neg))
-        for neg in range(rs.n_positive, len(rs.roots))
-    ))
+    return _zeta_product(c, negative_preimage_counts(pd, w))
 
 
 def fg_involution_check(
@@ -301,7 +287,7 @@ def fg_involution_check(
     )
     q, cp = c.q, pd.c_p
     factored = {
-        w.perm: (_rational_factors(c, rs, pd, w), _g_factors(c, rs, pd, w))
+        w.perm: (_rational_factors(c, rs, pd, w), _g_factors(c, pd, w))
         for w in pd.weyl_subset
     }
     expanded = {

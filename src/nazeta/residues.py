@@ -8,7 +8,8 @@ alpha and h its coroot height, turns a completed zeta factor into
 q^{(g-1)h} U^{-(g-1)} P(q^{-h} U) / ((1 - q^{-h} U)(1 - q^{1-h} U)) with
 U = prod u_j^{k_j}, kept as atoms (multivar.AtomProduct) keyed by their
 q-exponents and built from root data and the curve's q and P alone, never
-from the closed side.
+from the closed side.  A summand takes each inversion's ratio of two such
+factors net: the atom 1 - q^{-h} U and the monomial cancel in it.
 
 Collapsing all variables but u_p with R_k[f] = -Res_{u_k=1}[f/u_k]
 (log q times the s_k-residue at 0) must reproduce the closed formula
@@ -28,7 +29,7 @@ from .algebra import RationalFunction, _same_ratio
 from .certificate import Certificate
 from .curve import CurveData, FactorProduct, _expand_parts
 from .groupzeta import _ratio_table, _weyl_factors
-from .multivar import Atom, AtomProduct, _collapse_parts, residue_at_one_factored
+from .multivar import Atom, AtomProduct, _collapse_parts, _product, residue_at_one_factored
 from .rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
 
 
@@ -37,33 +38,28 @@ def weyl_term_full(
 ) -> AtomProduct:
     """One Weyl summand of the full period in u_1..u_n, factored.
 
-    The completed zeta at h + sum k_j s_j, to the power e = +-1, is
-    q^{(g-1)h e} U^{-(g-1)e} P(q^{-h} U)^e (1 - q^{-h} U)^{-e}
-    (1 - q^{1-h} U)^{-e} with U = prod u_j^{k_j}.
+    The completed zeta at h + sum k_j s_j is q^{(g-1)h} U^{-(g-1)}
+    P(q^{-h} U) (1 - q^{-h} U)^{-1} (1 - q^{1-h} U)^{-1} with
+    U = prod u_j^{k_j}.  In the ratio of the factors at h and h + 1 the
+    atom 1 - q^{-h} U and U^{-(g-1)} cancel, so an inversion adds
+    q^{-(g-1)} P(q^{-h} U) (1 - q^{-h-1} U) / ((1 - q^{1-h} U) P(q^{-h-1} U)).
+    Distinct roots have distinct coordinates k, so each atom is set once.
     """
-    n, g = rs.rank, c.g
     exps: dict[Atom, int] = {}
-    qpow, mono = 0, [0] * n
-
-    def zeta_hat(ks: tuple[int, ...], h: int, e: int) -> None:
-        nonlocal qpow
-        qpow += (g - 1) * h * e
-        for i, k in enumerate(ks):
-            mono[i] -= (g - 1) * e * k
-        for atom, a in (("P", -h, ks), e), (("L", -h, ks), -e), (("L", 1 - h, ks), -e):
-            exps[atom] = exps.get(atom, 0) + a
-
     winv = w.inverse()
     for s_idx in rs.simple_indices():
         beta = winv.apply(s_idx)
         # <w lambda - rho, alpha^vee> = <lambda, beta^vee> - 1
-        atom = ("L", 1 - rs.coroot_height(beta), rs.coroot_coords[beta])
-        exps[atom] = exps.get(atom, 0) - 1
-    for idx in W.inversion_set(w):
+        exps[("L", 1 - rs.coroot_height(beta), rs.coroot_coords[beta])] = -1
+    inversions = W.inversion_set(w)
+    for idx in inversions:
         ks, h = rs.coroot_coords[idx], rs.coroot_height(idx)
-        zeta_hat(ks, h, 1)
-        zeta_hat(ks, h + 1, -1)
-    return AtomProduct.make(n, {tuple(mono): Fraction(c.q) ** qpow}, exps)
+        exps[("P", -h, ks)] = 1
+        exps[("L", 1 - h, ks)] = -1
+        exps[("P", -h - 1, ks)] = -1
+        exps[("L", -h - 1, ks)] = 1
+    content = Fraction(c.q) ** ((1 - c.g) * len(inversions))
+    return _product(rs.rank, content, {(0,) * rs.rank: 1}, exps)
 
 
 def iterated_residue(

@@ -20,14 +20,16 @@ simple root (of Delta, or of Delta_p) negative.
 For a maximal parabolic, indexed by the removed simple root alpha_p,
 the module derives the functional-equation offset
 c_p = 2<lambda_p - rho_p, alpha_p^vee>, the surviving Weyl subset
-{w : w Delta_p subset Delta union Phi^-}, and the occupancy tables
-N_{p,w}, N_p, M_p over (pairing, coroot-height) pairs that drive the
-zeta normalization.
+{w : w Delta_p subset Delta union Phi^-}, the key
+(k, h) = (<lambda_p, alpha^vee>, ht alpha^vee) of every root, built once
+and read by every per-root product, and the occupancy tables N_{p,w},
+N_p, M_p over those keys that drive the zeta normalization.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -409,6 +411,9 @@ class ParabolicData:
     c_p: int
     weyl_subset: tuple[WeylElement, ...]  # {w : w Delta_p in Delta u Phi^-}
     levi_longest: WeylElement  # w_p
+    # (k, h) = (<lambda_p, alpha^vee>, ht alpha^vee) per root index; the key
+    # (0, 1) marks exactly the roots of Delta_p
+    keys: tuple[tuple[int, int], ...]
 
     @property
     def p0(self) -> int:
@@ -444,7 +449,10 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
     levi_gens = [W.simple_reflections[j].perm for j in range(rs.rank) if j != p0]
     levi = _closure(rs, levi_gens)
     w_p = WeylElement(_longest(rs, levi, delta_p))
-    pd = ParabolicData(rs, p, rho_p, c_p, subset, w_p)
+    keys = tuple(
+        (rs.weight_pairing(p0, i), rs.coroot_height(i)) for i in range(len(rs.roots))
+    )
+    pd = ParabolicData(rs, p, rho_p, c_p, subset, w_p, keys)
     _validate_parabolic(pd, W)
     return pd
 
@@ -495,26 +503,16 @@ class CountTable:
         }
 
 
-def _key_counts(rs: RootSystem, p0: int, indices) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for i in indices:
-        key = (rs.weight_pairing(p0, i), rs.coroot_height(i))
-        out[key] = out.get(key, 0) + 1
-    return out
+def negative_preimage_counts(pd: ParabolicData, w: WeylElement) -> Counter:
+    """N_{p,w}: the keys of the roots in w^{-1}Phi^-, counted."""
+    n_pos = pd.rs.n_positive
+    return Counter(pd.keys[i] for i, image in enumerate(w.perm) if image >= n_pos)
 
 
 def count_tables(rs: RootSystem, W: WeylGroup, pd: ParabolicData) -> CountTable:
     """Build N_{p,w}, N_p and the max-difference tables M_p, clamped M_p."""
-    p0 = pd.p0
-    per_w = []
-    for w in pd.weyl_subset:
-        winv = w.inverse()
-        neg = [
-            winv.apply(i)
-            for i in range(rs.n_positive, len(rs.roots))
-        ]
-        per_w.append(_key_counts(rs, p0, neg))
-    global_counts = _key_counts(rs, p0, range(len(rs.roots)))
+    per_w = [negative_preimage_counts(pd, w) for w in pd.weyl_subset]
+    global_counts = Counter(pd.keys)
     kmax = max(abs(k) for k, _ in global_counts)
     hmax = max(abs(h) for _, h in global_counts)
     max_diff: dict[tuple[int, int], int] = {}

@@ -715,6 +715,22 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["curve-validate", "--curve=--"], "--curve"),
+            (["mass", "--curve", "{curve}", "--r=--"], "--r"),
+            (["mixed", "--q=--", "--N", "3"], "--q"),
+            (["pure", "--curve", "{curve}", "--alphas=--", "--beta0", "1"], "--alphas"),
+        ],
+    )
+    def test_double_dash_value_exits_2(self, argv, flag, elliptic_file, capsys):
+        # argparse drops the "--" of --flag=-- and leaves the flag an empty list
+        argv = [a.format(curve=elliptic_file) for a in argv]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected one argument" in err and "usage:" in err
+
     def test_result_too_large_to_print_exits_2(self, tmp_path, monkeypatch, capsys):
         # past the up-front size refusal, the printing itself is refused
         monkeypatch.setattr(nazeta.cli, "mass_digits_estimate", lambda c, r: 0)

@@ -200,7 +200,7 @@ class TestPeriodStructure:
                 term = nazeta.groupzeta._weyl_factors(curve, rs, W, pd, w, ratios)
                 oracle = per_root_oracle.weyl_factors(curve, rs, W, pd, w)
                 assert expand_sum(curve, [term, oracle * minus]).is_zero()
-                g = nazeta.groupzeta._g_factors(curve, rs, pd, w)
+                g = nazeta.groupzeta._g_factors(curve, pd, w)
                 oracle = per_root_oracle.g_factors(curve, rs, pd, w)
                 assert expand_sum(curve, [g, oracle * minus]).is_zero()
 
@@ -303,7 +303,7 @@ class TestInvolution:
 
         def f_and_g(w):
             f = nazeta.groupzeta._rational_factors(E23, rs, pd, w)
-            g = nazeta.groupzeta._g_factors(E23, rs, pd, w)
+            g = nazeta.groupzeta._g_factors(E23, pd, w)
             return f.expand(E23), g.expand(E23)
 
         fid, gid = f_and_g(W.identity)
@@ -355,8 +355,8 @@ class TestInvolution:
         rs, W, pd = pair("A", 2, 1)
         exact = nazeta.groupzeta._g_factors
 
-        def perturbed(c, rs, pd, w):
-            g = exact(c, rs, pd, w)
+        def perturbed(c, pd, w):
+            g = exact(c, pd, w)
             return g * FactorProduct(F(1001, 1000)) if w == W.identity else g
 
         monkeypatch.setattr(nazeta.groupzeta, "_g_factors", perturbed)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nazeta.algebra
 import nazeta.residues
+import per_root_oracle
 from nazeta.curve import FactorProduct, curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.groupzeta import period_gp
@@ -28,7 +29,7 @@ from nazeta.residues import (
     residue_route_equivalence,
     weyl_term_full,
 )
-from nazeta.rootsys import build_root_system, enumerate_weyl, parabolic_data
+from nazeta.rootsys import SUPPORTED, build_root_system, enumerate_weyl, parabolic_data
 
 E23 = elliptic_curve(2, 3)  # q = 2, P = 1 + 2x^2
 E32 = elliptic_curve(3, 2)  # q = 3, P = 1 - 2x + 3x^2
@@ -250,6 +251,19 @@ class TestFullPeriod:
         for w in W.elements:
             term = weyl_term_full(E23, rs, W, w)
             assert product_value(E23, term, point) == expand(E23, term).evaluate(point)
+
+    @pytest.mark.parametrize("curve", [E23, GENUS2], ids=["E23", "genus2"])
+    @pytest.mark.parametrize(
+        "label,rank", [(label, rank) for label, ranks in SUPPORTED.items() for rank in ranks]
+    )
+    def test_net_ratios_match_the_definition(self, curve, label, rank):
+        # nvars, content, num and atoms equal, atom order included: the net
+        # per-root ratio atoms against both zeta factors of each ratio
+        rs = build_root_system(label, rank)
+        W = enumerate_weyl(rs)
+        for w in W.elements:
+            oracle = per_root_oracle.weyl_term_full(curve, rs, W, w)
+            assert weyl_term_full(curve, rs, W, w) == oracle
 
     def test_six_variables_refused(self):
         # A5 is the largest root system build_root_system returns

@@ -234,6 +234,25 @@ class TestParabolicData:
         image = rs.roots[excluded[0].apply(levi_simple)]
         assert image == (1, 1)
 
+    @pytest.mark.parametrize(
+        "label,rank,p",
+        [
+            (label, rank, p)
+            for label, ranks in SUPPORTED.items()
+            for rank in ranks
+            for p in range(1, rank + 1)
+        ],
+    )
+    def test_key_table(self, label, rank, p):
+        rs, _, pd = make(label, rank, p)
+        assert pd.keys == tuple(
+            (rs.weight_pairing(pd.p0, i), rs.coroot_height(i))
+            for i in range(len(rs.roots))
+        )
+        # the key (0, 1) marks exactly the roots of Delta_p
+        delta_p = {s for j, s in enumerate(rs.simple_indices()) if j != pd.p0}
+        assert {i for i, key in enumerate(pd.keys) if key == (0, 1)} == delta_p
+
     def test_cp_is_the_defining_pairing_on_every_supported_pair(self):
         # c_p = 2<lambda_p - rho_p, alpha_p^vee>, evaluated in rationals
         count = 0
