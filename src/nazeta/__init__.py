@@ -50,9 +50,7 @@ from .purezeta import (
     PureZetaResult,
     RHReport,
     bundle_counts,
-    clifford_validate,
     fe_check_pure,
-    genus2_rh_criterion,
     mass_reformulated,
     mixed_zeta_rank2,
     partial_zeta_rank3_elliptic,
@@ -74,6 +72,5 @@ from .rootsys import (
     count_tables,
     enumerate_weyl,
     parabolic_data,
-    parabolic_reduction_table,
     verify_count_identities,
 )

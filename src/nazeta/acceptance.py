@@ -98,10 +98,10 @@ class CriterionResult:
         return "\n".join(out)
 
 
-def hasse_range(q: int) -> list[int]:
-    lo = max(1, math.ceil(q + 1 - 2 * math.sqrt(q)))
-    hi = math.floor(q + 1 + 2 * math.sqrt(q))
-    return list(range(lo, hi + 1))
+def hasse_range(q: int) -> range:
+    """Every N >= 1 with (q + 1 - N)^2 <= 4q, decided in integers."""
+    s = math.isqrt(4 * q)
+    return range(max(1, q + 1 - s), q + 1 + s + 1)
 
 
 def _genus2_synthetic(q: int, a: int, b: int) -> CurveData:

@@ -485,16 +485,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise DomainError("rational function is not constant")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num[0] / self.den[0]
-
     def _check(self, other: "RationalFunction") -> None:
         if self.var != other.var:
             raise DomainError(f"variable mismatch: {self.var} vs {other.var}")

@@ -288,24 +288,6 @@ class AtomProduct:
     num: tuple[tuple[Monomial, int], ...]
     atoms: tuple[tuple[Atom, int], ...] = ()
 
-    @staticmethod
-    def make(
-        nvars: int, terms: Mapping[Monomial, Rat], atoms: Mapping[Atom, int]
-    ) -> "AtomProduct":
-        """The product of a rational Laurent polynomial and atom powers."""
-        if not 1 <= nvars <= MAX_VARS:
-            raise CapabilityError(f"supported variable counts are 1..{MAX_VARS}")
-        if any(len(m) != nvars for m in terms):
-            raise DomainError("monomial arity mismatch")
-        for kind, _, k in atoms:
-            if kind not in ("L", "P") or len(k) != nvars or not any(k):
-                raise DomainError(f"malformed atom {(kind, k)}")
-        coeffs = [(tuple(m), _frac(c)) for m, c in terms.items()]
-        den = math.lcm(*(c.denominator for _, c in coeffs))
-        ints = {m: c.numerator * (den // c.denominator) for m, c in coeffs}
-        exps = {(kind, j, tuple(k)): e for (kind, j, k), e in atoms.items()}
-        return _product(nvars, Fraction(1, den), ints, exps)
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -468,13 +450,6 @@ def residue_at_one_factored(
             a = _taylor(terms, j, v + top)[v:]
             series = _mul_series(series, _power_series(a, e, r))
     return _product(n, content, series[top], exps)
-
-
-def collapse_sum(
-    c: CurveData, terms: Iterable[AtomProduct], j: int
-) -> RationalFunction:
-    """The sum of products in u_j alone, as one reduced rational function."""
-    return RationalFunction.make(*_collapse_parts(c, terms, j, {}), "u")
 
 
 def _collapse_parts(

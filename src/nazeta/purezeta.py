@@ -19,7 +19,6 @@ root lists and their deviations.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,74 +424,3 @@ def bundle_counts(
                 f"and Newton power sums ({alt})"
             )
     return counts
-
-
-# ---------------------------------------------------------------------------
-# Genus-two criterion and Clifford-type validation
-# ---------------------------------------------------------------------------
-
-
-def genus2_rh_criterion(alpha0: Rat, alpha2: Rat, beta0: Rat, Q: Rat):
-    """Critical-circle test for the genus-two rank-two numerator.
-
-    Splits the quartic as alpha(0)(1 - A T + Q T^2)(1 - B T + Q T^2) with
-    A + B = (Q+1) - alpha'(2) and AB = (Q-1) beta'(0) - (Q+1) alpha'(2).
-    Returns A and B as numbers (complex when the split is) and the exact
-    verdict of roots_on_circle on the quartic at 1/Q.
-    """
-    alpha0, alpha2, beta0, Q = map(_frac, (alpha0, alpha2, beta0, Q))
-    if alpha0 == 0:
-        raise DomainError("alpha(0) must be nonzero")
-    ap = alpha2 / alpha0
-    bp = beta0 / alpha0
-    s = (Q + 1) - ap
-    prod = (Q - 1) * bp - (Q + 1) * ap
-    disc = s * s - 4 * prod
-    root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
-    verdict = roots_on_circle(genus2_numerator(alpha0, alpha2, beta0, Q), 1 / Q)
-    return (s + root) / 2, (s - root) / 2, verdict
-
-
-def genus2_numerator(
-    alpha0: Rat, alpha2: Rat, beta0: Rat, Q: Rat
-) -> Poly:
-    """Expanded genus-two rank-two numerator in T."""
-    alpha0, alpha2, beta0, Q = map(_frac, (alpha0, alpha2, beta0, Q))
-    return Poly.from_list(
-        [
-            alpha0,
-            alpha2 - alpha0 * (Q + 1),
-            2 * Q * alpha0 - (Q + 1) * alpha2 + beta0 * (Q - 1),
-            (alpha2 - alpha0 * (Q + 1)) * Q,
-            alpha0 * Q * Q,
-        ]
-    )
-
-
-def clifford_validate(
-    c: CurveData, r: int, alphas: dict[int, Fraction], betas: dict[int, Fraction]
-) -> list[str]:
-    """Sanity warnings for alpha/beta tables against the section bound.
-
-    A semi-stable bundle of slope in [0, 2g-2] has at most floor(r + d/2)
-    sections, so alpha(d) can be at most (q^floor(r+d/2) - 1) beta(d);
-    the floor is sound because section counts are integers.  Returns
-    human-readable warnings, never raises.
-    """
-    warnings = []
-    for d in sorted(alphas):
-        alpha = _frac(alphas[d])
-        if alpha < 0:
-            warnings.append(f"alpha({d}) = {alpha} is negative")
-            continue
-        if d < 0 or d > r * (2 * c.g - 2) or d not in betas:
-            continue
-        exponent = r + d // 2  # floor of r + d/2
-        bound = (Fraction(c.q) ** exponent - 1) * _frac(betas[d])
-        if alpha > bound:
-            note = " (odd degree, exponent floored)" if d % 2 else ""
-            warnings.append(
-                f"alpha({d}) = {alpha} exceeds section bound "
-                f"(q^{exponent} - 1) * beta({d}) = {bound}{note}"
-            )
-    return warnings

@@ -67,8 +67,8 @@ def iterated_residue(
 ) -> AtomProduct:
     """Collapse all variables except u_p by repeated R_k, ascending k.
 
-    The result is a factored product in u_p alone (collapse_sum expands
-    it); ``table`` is the run's atom table (see multivar).
+    The result is a factored product in u_p alone (_collapse_parts
+    expands it); ``table`` is the run's atom table (see multivar).
     """
     for k in range(f.nvars):
         if k != pd.p0:

@@ -74,14 +74,6 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _inner(gram, u, v):
-    """(u, v) for u, v in simple-root coordinates."""
-    n = len(gram)
-    return sum(
-        u[i] * v[j] * gram[i][j] for i in range(n) for j in range(n) if u[i] and v[j]
-    )
-
-
 def _reflect(cartan, coords: IntVector, i: int) -> IntVector:
     """s_i(v) in simple-root coordinates: v - <v, alpha_i^vee> alpha_i."""
     out = list(coords)
@@ -130,14 +122,6 @@ class RootSystem:
 
     # -- pairings -----------------------------------------------------
 
-    def pairing_with_coroot(self, v: Vector, root_idx: int) -> Fraction:
-        """<v, alpha^vee> for v in simple-root coordinates."""
-        root = self.roots[root_idx]
-        return Fraction(2 * self.inner(v, root), self.root_norm2(root_idx))
-
-    def root_norm2(self, idx: int) -> int:
-        return self.inner(self.roots[idx], self.roots[idx])
-
     def weight_pairing(self, p: int, root_idx: int) -> int:
         """<lambda_p, alpha^vee>, the p-th coroot coordinate."""
         return self.coroot_coords[root_idx][p]
@@ -153,14 +137,6 @@ class RootSystem:
             for i, x in enumerate(w):
                 total[i] += x
         return tuple(total)
-
-    def inner(self, u, v):
-        return _inner(self.gram, u, v)
-
-    def coroot_vector(self, idx: int) -> Vector:
-        """alpha^vee = 2 alpha/(alpha,alpha) in simple-root coordinates."""
-        aa = self.root_norm2(idx)
-        return tuple(Fraction(2 * c, aa) for c in self.roots[idx])
 
 
 def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
@@ -203,7 +179,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
     # coroot coordinates: alpha^vee = sum_j c_j (alpha_j,alpha_j)/(alpha,alpha) alpha_j^vee
     coroot_coords = []
     for r in ordered:
-        aa = _inner(gram, r, r)
+        aa = _dot(r, [_dot(row, r) for row in gram])  # (alpha, alpha)
         cc = []
         for j in range(rank):
             val, rem = divmod(r[j] * gram[j][j], aa)
@@ -601,66 +577,3 @@ def verify_count_identities(
                 h=h,
             )
     return cert
-
-
-# ---------------------------------------------------------------------------
-# Subset correspondence and reduction coefficients
-# ---------------------------------------------------------------------------
-
-
-def parabolic_reduction_table(
-    rs: RootSystem, W: WeylGroup, q: Fraction | int | None = None
-) -> list[dict]:
-    """Elements w with w Delta inside Delta union Phi^-, one per subset.
-
-    For each such w the subset J = {simple alpha : w alpha simple} is
-    recorded together with the reduction-coefficient denominators in
-    both fields: the product of (1 - <w rho, alpha^vee>) and, when q is
-    given, of (1 - q^{<w rho, alpha^vee> - 1}), over the simple roots
-    outside w(J).  Vanishing denominators are flagged, not fatal.
-    """
-    simple_idx = rs.simple_indices()
-    simple_set = set(simple_idx)
-    rows = []
-    seen_subsets = set()
-    for w in W.elements:
-        images = [w.apply(s) for s in simple_idx]
-        if not all(i in simple_set or not rs.is_positive(i) for i in images):
-            continue
-        subset = tuple(
-            j for j, img in enumerate(images) if img in simple_set
-        )
-        w_rho = W.act_vector(w, rs.rho)
-        outside = [
-            s
-            for s in simple_idx
-            if s not in {images[j] for j in subset}
-        ]
-        pairings = [rs.pairing_with_coroot(w_rho, s) for s in outside]
-        if any(x.denominator != 1 for x in pairings):
-            raise ValidationError("non-integer reduction pairing")
-        pairings = [int(x) for x in pairings]
-        nf_den = 1
-        for m in pairings:
-            nf_den *= 1 - m
-        row = {
-            "subset": [j + 1 for j in subset],
-            "sign": (-1) ** len(subset),
-            "pairings": pairings,
-            "nf_denominator": nf_den,
-            "vanishing": any(m == 1 for m in pairings),
-        }
-        if q is not None:
-            qq = Fraction(q)
-            ff = Fraction(1)
-            for m in pairings:
-                ff *= 1 - qq ** (m - 1)
-            row["ff_denominator"] = ff
-        rows.append(row)
-        seen_subsets.add(subset)
-    if len(rows) != 2**rs.rank or len(seen_subsets) != 2**rs.rank:
-        raise ValidationError(
-            f"expected one element per subset (2^{rs.rank}), got {len(rows)}"
-        )
-    rows.sort(key=lambda r: (len(r["subset"]), r["subset"]))
-    return rows

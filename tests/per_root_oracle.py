@@ -5,7 +5,8 @@ from root keys and net per-root ratios.
 and takes it to the key's count, reading the keys from
 ``ParabolicData.keys``.  These are the same summands built the plain
 way: one completed zeta factor (or ratio of two) multiplied in for every
-root, with the key computed from that root's inner products.
+root, with the key computed from that root's inner products, which
+are formed here from the Gram matrix.
 
 ``residues.weyl_term_full`` adds only the atoms each inversion's ratio
 leaves after cancelling.  ``weyl_term_full`` here multiplies in both
@@ -15,16 +16,38 @@ and lets the dict updates cancel.
 
 from fractions import Fraction
 
+from multivar_oracle import atom_product
 from nazeta.curve import CurveData, FactorProduct, zeta_factors
 from nazeta.groupzeta import _rational_factors, _zeta_num_factors
 from nazeta.multivar import Atom, AtomProduct
 from nazeta.rootsys import ParabolicData, RootSystem, WeylElement, WeylGroup
 
 
+def inner(rs: RootSystem, u, v):
+    """(u, v) for u, v in simple-root coordinates, from the Gram matrix."""
+    n = rs.rank
+    return sum(u[i] * v[j] * rs.gram[i][j] for i in range(n) for j in range(n))
+
+
+def root_norm2(rs: RootSystem, idx: int) -> int:
+    return inner(rs, rs.roots[idx], rs.roots[idx])
+
+
+def pairing_with_coroot(rs: RootSystem, v, idx: int) -> Fraction:
+    """<v, alpha^vee> = 2 (v, alpha)/(alpha, alpha) for the root alpha."""
+    return Fraction(2 * inner(rs, v, rs.roots[idx]), root_norm2(rs, idx))
+
+
+def coroot_vector(rs: RootSystem, idx: int) -> tuple[Fraction, ...]:
+    """alpha^vee = 2 alpha/(alpha, alpha) in simple-root coordinates."""
+    aa = root_norm2(rs, idx)
+    return tuple(Fraction(2 * c, aa) for c in rs.roots[idx])
+
+
 def root_key(rs: RootSystem, pd: ParabolicData, idx: int) -> tuple[int, int]:
     """(<lambda_p, alpha^vee>, <rho, alpha^vee>), from the inner products."""
-    k = rs.pairing_with_coroot(rs.weights[pd.p0], idx)
-    h = rs.pairing_with_coroot(rs.rho, idx)
+    k = pairing_with_coroot(rs, rs.weights[pd.p0], idx)
+    h = pairing_with_coroot(rs, rs.rho, idx)
     assert k.denominator == h.denominator == 1
     return int(k), int(h)
 
@@ -82,4 +105,4 @@ def weyl_term_full(
         ks, h = rs.coroot_coords[idx], rs.coroot_height(idx)
         zeta_hat(ks, h, 1)
         zeta_hat(ks, h + 1, -1)
-    return AtomProduct.make(n, {tuple(mono): Fraction(c.q) ** qpow}, exps)
+    return atom_product(n, {tuple(mono): Fraction(c.q) ** qpow}, exps)

@@ -68,3 +68,21 @@ def test_criterion_8_uniformity_rank_two():
 def test_criterion_9_property_suites():
     result = _run(acceptance.criterion_9)
     assert result.passed
+
+
+def test_hasse_range_is_the_integer_definition():
+    # {N >= 1 : (q+1-N)^2 <= 4q}, as a range so a large q costs nothing
+    def admissible(q, n):
+        return n >= 1 and (q + 1 - n) ** 2 <= 4 * q
+
+    assert isinstance(acceptance.hasse_range(2), range)
+    for q in range(2, 2001):  # every admissible N is at most 2q + 2
+        expected = [n for n in range(2 * q + 3) if admissible(q, n)]
+        assert list(acceptance.hasse_range(q)) == expected
+    # 4q is a perfect square beyond double precision; an interval is
+    # decided by its ends and their outer neighbours
+    q = 3**40
+    r = acceptance.hasse_range(q)
+    assert r.step == 1 and (r[0], r[-1]) == (q + 1 - 2 * 3**20, q + 1 + 2 * 3**20)
+    assert admissible(q, r[0]) and admissible(q, r[-1])
+    assert not admissible(q, r[0] - 1) and not admissible(q, r[-1] + 1)

@@ -105,13 +105,13 @@ def scalar_period(c, rs, W, pd, u):
     return total
 
 
-SMALL_PAIRS = [
+ALL_PAIRS = [
     (label, rank, p)
     for label, ranks in SUPPORTED.items()
     for rank in ranks
-    if rank <= 4
     for p in range(1, rank + 1)
 ]
+SMALL_PAIRS = [t for t in ALL_PAIRS if t[1] <= 4]
 
 
 class TestRankOnePair:
@@ -180,15 +180,7 @@ class TestPeriodStructure:
             for u in POINTS:
                 assert omega.evaluate(u) == scalar_period(curve, rs, W, pd, u)
 
-    @pytest.mark.parametrize(
-        "label,rank,p",
-        [
-            (label, rank, p)
-            for label, ranks in SUPPORTED.items()
-            for rank in ranks
-            for p in range(1, rank + 1)
-        ],
-    )
+    @pytest.mark.parametrize("label,rank,p", ALL_PAIRS)
     def test_key_counts_against_the_per_root_products(self, label, rank, p):
         # every period summand and every g_w, built from key counts, minus
         # the oracle's per-root product reduces to zero
@@ -520,16 +512,7 @@ class TestRouteEquivalence:
         assert za.zeta == zb.zeta
         assert zb.route == "residue-engine"
 
-    @pytest.mark.parametrize(
-        "label,rank,p",
-        [
-            (label, rank, p)
-            for label, ranks in SUPPORTED.items()
-            for rank in ranks
-            if rank <= 3
-            for p in range(1, rank + 1)
-        ],
-    )
+    @pytest.mark.parametrize("label,rank,p", [t for t in ALL_PAIRS if t[1] <= 3])
     def test_engine_period_on_every_pair_up_to_rank_3(self, label, rank, p):
         rs, W, pd = pair(label, rank, p)
         z = group_zeta(E23, rs, W, pd, route="residue-engine")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nazeta.purezeta
+from nazeta.acceptance import hasse_range
 from nazeta.algebra import Poly, RationalFunction, substitute
 from nazeta.compositions import MASS_RANK_CAP, parabolic_mass_sum
 from nazeta.curve import (
@@ -22,12 +23,9 @@ from nazeta.purezeta import (
     MASS_DIGITS_SLACK,
     PureZetaInputs,
     bundle_counts,
-    clifford_validate,
     elliptic_beta2_closed_form,
     elliptic_rank2_inputs,
     fe_check_pure,
-    genus2_numerator,
-    genus2_rh_criterion,
     mass_digits_estimate,
     mass_reformulated,
     mixed_numerator,
@@ -43,6 +41,7 @@ from nazeta.purezeta import (
 )
 
 from composition_oracle import COMPOSITION_RANK_CAP, compositions
+from genus2_oracle import genus2_numerator, genus2_rh_criterion
 
 GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
 
@@ -98,12 +97,6 @@ def enumerated_mass_sum(r, zhat, pair_weight):
     return total
 
 
-def hasse_counts(q):
-    lo = max(1, math.ceil(q + 1 - 2 * math.sqrt(q)))
-    hi = math.floor(q + 1 + 2 * math.sqrt(q))
-    return range(lo, hi + 1)
-
-
 class TestCompositions:
     def test_rank_three(self):
         assert set(compositions(3)) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
@@ -145,7 +138,7 @@ class TestMassFormulas:
 
     def test_elliptic_grid_routes_agree(self):
         for q in (2, 3):
-            for n in hasse_counts(q):
+            for n in hasse_range(q):
                 c = elliptic_curve(q, n)
                 for r in (1, 2, 3):
                     assert zagier_beta(c, r, 0) == mass_reformulated(c, r)
@@ -340,7 +333,7 @@ class TestRHReport:
 
     def test_elliptic_rank2_grid(self):
         for q in range(2, 17):
-            for n in hasse_counts(q):
+            for n in hasse_range(q):
                 Q = F(q) ** 2
                 rep = rh_report(Poly.from_list([1, n - 2, Q]), Q)
                 assert rep.verdict and rep.exact
@@ -381,7 +374,7 @@ class TestMixedZeta:
         # A+ + A- = q-1 and A+ A- = (N-2) - 2q < 0 for admissible N,
         # so the factors are real with opposite-sign linear terms
         for q in (2, 3, 4, 5):
-            for n in hasse_counts(q):
+            for n in hasse_range(q):
                 s, p = q - 1, (n - 2) - 2 * q
                 assert p < 0 and s * s - 4 * p > 0
 
@@ -456,7 +449,7 @@ class TestBundleCounts:
 class TestPureNumerator:
     def test_elliptic_grid_matches_the_assembled_numerator(self):
         for q in range(2, 17):
-            for n in hasse_counts(q):
+            for n in hasse_range(q):
                 c = elliptic_curve(q, n)
                 res = pure_zeta(c, elliptic_rank2_inputs(c))
                 assert pure_numerator(res.zeta, res.Q) == res.numerator
@@ -520,23 +513,3 @@ class TestGenus2Criterion:
         with pytest.raises(DomainError):
             genus2_rh_criterion(0, 1, 1, 4)
 
-
-class TestClifford:
-    def test_no_warning_within_bound(self):
-        c = elliptic_curve(2, 3)
-        assert clifford_validate(c, 2, {0: F(3)}, {0: F(6)}) == []
-
-    def test_warning_beyond_bound(self):
-        c = elliptic_curve(2, 3)
-        warnings = clifford_validate(c, 2, {0: F(100)}, {0: F(6)})
-        assert len(warnings) == 1 and "section bound" in warnings[0]
-
-    def test_odd_degree_uses_floor(self):
-        warnings = clifford_validate(GENUS2, 2, {1: F(100)}, {1: F(1)})
-        assert len(warnings) == 1
-        assert "q^2" in warnings[0] and "floored" in warnings[0]
-
-    def test_negative_alpha_flagged(self):
-        c = elliptic_curve(2, 3)
-        warnings = clifford_validate(c, 2, {0: F(-1)}, {0: F(6)})
-        assert "negative" in warnings[0]

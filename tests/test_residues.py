@@ -11,14 +11,13 @@ from hypothesis import given, settings, strategies as st
 import nazeta.algebra
 import nazeta.residues
 import per_root_oracle
+from multivar_oracle import atom_product, collapse_sum
 from nazeta.curve import FactorProduct, curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.groupzeta import period_gp
 from nazeta.multivar import (
-    AtomProduct,
     LaurentPoly,
     MultiRationalFunction,
-    collapse_sum,
     residue_at_one,
     residue_at_one_factored,
 )
@@ -102,7 +101,7 @@ def product(nvars, num, atoms):
     exps = {}
     for atom, e in atoms:
         exps[atom] = exps.get(atom, 0) + e
-    return AtomProduct.make(nvars, num, exps)
+    return atom_product(nvars, num, exps)
 
 
 def expand(c, f):
@@ -272,7 +271,7 @@ class TestFullPeriod:
         with pytest.raises(CapabilityError):
             LaurentPoly.make(6, {(0,) * 6: 1})
         with pytest.raises(CapabilityError):
-            AtomProduct.make(6, {(0,) * 6: 1}, {})
+            atom_product(6, {(0,) * 6: 1}, {})
 
 
 class TestIndependence:

@@ -8,6 +8,7 @@ import pytest
 
 import nazeta.rootsys
 import weyl_oracle
+from per_root_oracle import coroot_vector, inner, pairing_with_coroot
 from nazeta.errors import CapabilityError, DomainError, ValidationError
 from nazeta.rootsys import (
     SUPPORTED,
@@ -15,7 +16,6 @@ from nazeta.rootsys import (
     count_tables,
     enumerate_weyl,
     parabolic_data,
-    parabolic_reduction_table,
     verify_count_identities,
 )
 
@@ -112,12 +112,12 @@ class TestRootSystems:
     def test_pairings_stay_exact_on_integer_vectors(self):
         rs = build_root_system("C", 2)  # roots of two lengths
         for idx in range(len(rs.roots)):
-            assert all(type(rs.pairing_with_coroot(v, idx)) is F for v in rs.roots)
-            assert all(type(x) is F for x in rs.coroot_vector(idx))
+            assert all(type(pairing_with_coroot(rs, v, idx)) is F for v in rs.roots)
+            assert all(type(x) is F for x in coroot_vector(rs, idx))
         short, long_ = rs.simple_indices()
-        assert rs.pairing_with_coroot(rs.roots[short], long_) == F(-1)
-        assert rs.pairing_with_coroot(rs.roots[long_], short) == F(-2)
-        assert rs.coroot_vector(long_) == (F(0), F(1, 2))
+        assert pairing_with_coroot(rs, rs.roots[short], long_) == F(-1)
+        assert pairing_with_coroot(rs, rs.roots[long_], short) == F(-2)
+        assert coroot_vector(rs, long_) == (F(0), F(1, 2))
 
     def test_unsupported_rejected(self):
         with pytest.raises(CapabilityError):
@@ -167,8 +167,8 @@ class TestWeylGroup:
             winv = w.inverse()
             for u in vecs:
                 for v in vecs:
-                    lhs = rs.inner(W.act_vector(w, u), v)
-                    rhs = rs.inner(u, W.act_vector(winv, v))
+                    lhs = inner(rs, W.act_vector(w, u), v)
+                    rhs = inner(rs, u, W.act_vector(winv, v))
                     assert lhs == rhs
 
     def test_coroot_equivariance(self):
@@ -177,8 +177,8 @@ class TestWeylGroup:
         for w in rng.sample(W.elements, 5):
             for idx in rng.sample(range(len(rs.roots)), 4):
                 img = w.apply(idx)
-                lhs = rs.coroot_vector(img)
-                rhs = W.act_vector(w, rs.coroot_vector(idx))
+                lhs = coroot_vector(rs, img)
+                rhs = W.act_vector(w, coroot_vector(rs, idx))
                 assert lhs == tuple(rhs)
 
     def test_enumeration_cap(self, monkeypatch):
@@ -234,15 +234,7 @@ class TestParabolicData:
         image = rs.roots[excluded[0].apply(levi_simple)]
         assert image == (1, 1)
 
-    @pytest.mark.parametrize(
-        "label,rank,p",
-        [
-            (label, rank, p)
-            for label, ranks in SUPPORTED.items()
-            for rank in ranks
-            for p in range(1, rank + 1)
-        ],
-    )
+    @pytest.mark.parametrize("label,rank,p", ALL_TRIPLES)
     def test_key_table(self, label, rank, p):
         rs, _, pd = make(label, rank, p)
         assert pd.keys == tuple(
@@ -263,8 +255,8 @@ class TestParabolicData:
                     pd = parabolic_data(rs, W, p)
                     alpha_p = rs.simple_indices()[p - 1]
                     lam_p = rs.weights[p - 1]
-                    pairing = rs.pairing_with_coroot(lam_p, alpha_p)
-                    pairing -= rs.pairing_with_coroot(pd.rho_p, alpha_p)
+                    pairing = pairing_with_coroot(rs, lam_p, alpha_p)
+                    pairing -= pairing_with_coroot(rs, pd.rho_p, alpha_p)
                     assert type(pd.c_p) is int and pd.c_p == 2 * pairing
                     count += 1
         assert count == 27
@@ -379,35 +371,3 @@ class TestCountTables:
         }
         assert witnesses == {(k, h0), (k, k * pd.c_p - h0 + 1)}
         assert len(witnesses) == 2
-
-
-class TestReductionTable:
-    @pytest.mark.parametrize("rank,expected", [(1, 2), (2, 4), (3, 8)])
-    def test_subset_counts(self, rank, expected):
-        rs, W = make("A", rank)
-        rows = parabolic_reduction_table(rs, W, q=2)
-        assert len(rows) == expected
-        subsets = {tuple(r["subset"]) for r in rows}
-        assert len(subsets) == expected
-
-    def test_extremes(self):
-        rs, W = make("A", 2)
-        rows = parabolic_reduction_table(rs, W, q=2)
-        full = next(r for r in rows if len(r["subset"]) == 2)
-        empty = next(r for r in rows if not r["subset"])
-        assert full["pairings"] == []
-        assert full["nf_denominator"] == 1
-        # w_0 rho has pairings -1 against every simple coroot
-        assert sorted(empty["pairings"]) == [-1, -1]
-        assert empty["ff_denominator"] == F(9, 16)
-
-    def test_signs(self):
-        rs, W = make("A", 3)
-        for row in parabolic_reduction_table(rs, W):
-            assert row["sign"] == (-1) ** len(row["subset"])
-
-    def test_vanishing_flagged(self):
-        # any pairing equal to 1 must be flagged; none occurs for A_2
-        rs, W = make("A", 2)
-        rows = parabolic_reduction_table(rs, W, q=3)
-        assert all(not r["vanishing"] for r in rows)
