@@ -12,7 +12,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Poly, RationalFunction, poly_complex_roots, substitute
+from .algebra import (
+    Poly,
+    RationalFunction,
+    poly_complex_roots,
+    series_exp,
+    series_log_coefficients,
+    substitute,
+)
 from .certificate import Certificate
 from .curve import (
     CurveData,
@@ -366,8 +373,6 @@ def criterion_9() -> CriterionResult:
             if abs(p.evaluate_complex(z)) > 1e-9 * max(scale, 1e-300):
                 ok = False
     res.check(ok, "root residuals within tol * sum|coeff||z|^i")
-    from .algebra import series_exp, series_log_coefficients
-
     ok = True
     for num, den in (((1, 1), (1, -1)), ((1, 0, 2), (1, -1)), ((1,), (1, -2))):
         f = RationalFunction.make(Poly.of(*num), Poly.of(*den), "T")

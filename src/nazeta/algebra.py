@@ -1,24 +1,26 @@
 """Exact univariate arithmetic: polynomials and reduced rational functions.
 
-Scalars in the API are ``fractions.Fraction``.  A polynomial is a dense
-tuple of coefficients indexed by degree, trailing zeros stripped, so the
-zero polynomial is the empty tuple.  A rational function is a reduced
-pair of polynomials with the denominator normalized to leading
-coefficient 1; that makes equality of values a plain structural
-comparison.  The reduction itself runs over Z: numerator and denominator
-become a rational content times a primitive integer list, their gcd is
-taken by a primitive pseudo-remainder sequence and divided out exactly,
-and the Fractions of the result are built once.
+Scalars in the API are ``fractions.Fraction``.  A polynomial is stored as
+a rational ``content`` times ``prim``, a tuple of integers indexed by
+degree with gcd 1 and a positive leading coefficient, (0, ()) for zero:
+a canonical form (FLINT's fmpq_poly layout) that ``coeffs``, ``p[i]`` and
+``leading()`` read back as Fractions.  The integer kernels (``_int_mul``,
+``_int_gcd``, ``_int_div_exact``) take ``prim`` as it is; by Gauss's lemma
+a product needs no gcd.  A rational function is a reduced pair with a
+monic denominator, so equality of values is a structural comparison; the
+reduction divides the primitive gcd out of both lists exactly.  Division
+with remainder stays on Fractions, for the exact signs of a Sturm chain.
 
 Every change of variable the identities need, the functional equations'
 u -> c/u as well as the reparametrizations, is the one monomial
 substitution u -> c*v^d: a ring homomorphism, so it places coefficients
 and keeps a reduced pair reduced up to a power of v, with no gcd.
 
-Everything here is immutable and side-effect free.  The only
-floating-point code in the module is ``poly_complex_roots``, which serves
-the root lists of the Riemann-Hypothesis reports and the pole lines the
-uniformity matcher prunes its candidates with; no verdict rests on it.
+Everything here is immutable and side-effect free.  The floating-point
+code in the module is ``poly_complex_roots``, which serves the root lists
+of the Riemann-Hypothesis reports and the pole lines the uniformity
+matcher prunes its candidates with, and ``Poly.evaluate_complex``, the
+residual check of those roots; no verdict rests on either.
 Even there the structure of the roots is exact: a square-free split
 (Yun's algorithm on the exact gcd) gives every multiplicity, and floats
 only refine the simple roots of each factor.  RH verdicts come from the
@@ -77,9 +79,10 @@ def parse_rational(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial over Fraction, index = degree."""
+    """Dense univariate polynomial over Q: ``content`` times ``prim``."""
 
-    coeffs: tuple[Fraction, ...]
+    content: Fraction
+    prim: tuple[int, ...]
 
     @staticmethod
     def of(*coeffs: Rat) -> "Poly":
@@ -88,17 +91,28 @@ class Poly:
     @staticmethod
     def from_list(coeffs: Iterable[Rat]) -> "Poly":
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (den // c.denominator) for c in cs]
+        return Poly.from_ints(ints, Fraction(1, den))
+
+    @staticmethod
+    def from_ints(ints: Sequence[int], content: Fraction = Fraction(1)) -> "Poly":
+        """content * ints, for an integer list (trailing zeros allowed)."""
+        ints = _trim(list(ints))
+        if not ints or not content:
+            return Poly.zero()
+        g = _int_content(ints)
+        if ints[-1] < 0:
+            g = -g
+        return Poly(content * g, tuple(ints) if g == 1 else tuple(v // g for v in ints))
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly(Fraction(0), ())
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((Fraction(1),))
+        return Poly(Fraction(1), (1,))
 
     @staticmethod
     def constant(c: Rat) -> "Poly":
@@ -111,57 +125,58 @@ class Poly:
         return Poly.from_list([0] * degree + [c])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, index = degree."""
+        return tuple(self.content * v for v in self.prim)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.prim):
+            return self.content * self.prim[i]
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.prim:
             return Fraction(0)
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        # over Z, with the contents brought to one denominator
+        den = math.lcm(self.content.denominator, other.content.denominator)
+        a, b = (
+            [p.content.numerator * (den // p.content.denominator) * v for v in p.prim]
+            for p in (self, other)
+        )
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly.from_list(out)
+        for i, v in enumerate(b):
+            a[i] += v
+        return Poly.from_ints(a, Fraction(1, den))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(-self.content, self.prim)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.from_list(out)
+        # by Gauss's lemma the product of primitive lists is primitive
+        return Poly(self.content * other.content, tuple(_int_mul(self.prim, other.prim)))
 
     def scale(self, c: Rat) -> "Poly":
-        c = _frac(c)
         if c == 0:
             return Poly.zero()
-        return Poly(tuple(a * c for a in self.coeffs))
+        return Poly(self.content * c, self.prim)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -179,17 +194,18 @@ class Poly:
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(rem) - len(other.prim)
         if dq < 0:
             return Poly.zero(), self
         quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
+        b = other.coeffs
+        lead = b[-1]
         for i in range(dq, -1, -1):
             c = rem[i + other.degree] / lead
             quot[i] = c
             if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
+                for j, v in enumerate(b):
+                    rem[i + j] -= c * v
         return Poly.from_list(quot), Poly.from_list(rem)
 
     def exact_div(self, other: "Poly") -> "Poly":
@@ -199,11 +215,10 @@ class Poly:
         return q
 
     def evaluate(self, x: Rat) -> Fraction:
-        x = _frac(x)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        for v in reversed(self.prim):
+            acc = acc * x + v
+        return self.content * acc
 
     def evaluate_complex(self, z: complex) -> complex:
         acc = 0j
@@ -229,7 +244,7 @@ class Poly:
         return Poly.from_list(out)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.prim:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -244,10 +259,14 @@ class Poly:
         return " + ".join(parts)
 
 
-# A rational polynomial enters the integer kernels as a rational content
-# times a primitive integer coefficient list (FLINT's fmpq_poly layout):
-# products, gcds and exact quotients then run over Z, and Fractions are
-# built once, for the result.
+def _monic(prim: Sequence[int]) -> Poly:
+    """prim / lead for a primitive list with a positive leading coefficient."""
+    return Poly(Fraction(1, prim[-1]), tuple(prim))
+
+
+# The integer kernels below take coefficient lists over Z, as a Poly's
+# ``prim`` is: products, gcds and exact quotients run over Z, and only the
+# content of a result is a Fraction.
 
 
 def _int_content(ints: Sequence[int]) -> int:
@@ -257,19 +276,6 @@ def _int_content(ints: Sequence[int]) -> int:
         if g == 1:
             return 1
     return g or 1
-
-
-def _to_int_poly(p: Poly | Sequence[int]) -> tuple[Fraction, list[int]]:
-    """p as a rational content times a primitive integer list; an integer
-    list (trailing zeros allowed) is read as it is."""
-    coeffs = p.coeffs if isinstance(p, Poly) else _trim(list(p))
-    den = 1
-    for c in coeffs:
-        if c.denominator != 1:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = _int_content(ints)
-    return Fraction(g, den), [v // g for v in ints]
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -288,7 +294,7 @@ def _same_ratio(
     return _trim(_int_mul(a_num, b_den)) == _trim(_int_mul(b_num, a_den))
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of integer coefficient lists."""
     if not a or not b:
         return []
@@ -302,7 +308,7 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
+def _int_div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a / b for integer lists whose quotient is known to be integral."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
@@ -316,7 +322,7 @@ def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
+def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder of integer coefficient lists, content-stripped."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
@@ -338,11 +344,11 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return [v // g for v in a] if a else []
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd (up to sign) of nonzero primitive integer lists.
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Primitive gcd of nonzero primitive integer lists.
 
     Computed by the primitive pseudo-remainder sequence; a constant side
-    makes it 1.
+    makes it 1.  Its leading coefficient is made positive.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -350,20 +356,18 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
         return [1]
     while b:
         a, b = b, _int_prem(a, b)
-    return a
+    return a if a[-1] > 0 else [-v for v in a]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd, computed by a primitive remainder sequence over Z."""
     if a.is_zero():
-        g = b
+        g = b.prim
     elif b.is_zero():
-        g = a
+        g = a.prim
     else:
-        g = Poly.from_list(_int_gcd(_to_int_poly(a)[1], _to_int_poly(b)[1]))
-    if g.is_zero():
-        return g
-    return g.scale(1 / g.leading())
+        g = _int_gcd(a.prim, b.prim)
+    return _monic(g) if g else Poly.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +376,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _derivative(p: Poly) -> Poly:
-    return Poly.from_list([i * c for i, c in enumerate(p.coeffs)][1:])
+    return Poly.from_ints([i * v for i, v in enumerate(p.prim)][1:], p.content)
 
 
 def roots_on_circle(p: Poly, r2: Rat) -> bool:
@@ -395,11 +399,12 @@ def roots_on_circle(p: Poly, r2: Rat) -> bool:
     d = p.degree
     if d == 0:
         return True
-    if p[0] == 0:
+    ints = p.prim  # the content cancels; ints[d] > 0 gives p_0/p_d its sign
+    if ints[0] == 0:
         return False
-    if any(p[i] * r2**i * p[d] != p[0] * p[d - i] for i in range(d + 1)):
+    if any(ints[i] * r2**i * ints[d] != ints[0] * ints[d - i] for i in range(d + 1)):
         return False
-    if d % 2 or p[0] / p[d] < 0:
+    if d % 2 or ints[0] < 0:
         p, d = p * p, 2 * d
     m = d // 2
     # h = p_m + sum_j p_{m+j} T_j(y), with T_j(z + r2/z) = z^j + (r2/z)^j
@@ -408,8 +413,9 @@ def roots_on_circle(p: Poly, r2: Rat) -> bool:
     for j in range(1, m + 1):
         h = h + t.scale(p[m + j])
         t_prev, t = t, y * t - t_prev.scale(r2)
-    h_neg = Poly(tuple(-c if i % 2 else c for i, c in enumerate(h.coeffs)))
-    H = Poly.from_list((h * h_neg).coeffs[::2])
+    h_neg = Poly.from_ints([-v if i % 2 else v for i, v in enumerate(h.prim)], h.content)
+    hh = h * h_neg
+    H = Poly.from_ints(hh.prim[::2], hh.content)
     s = H.exact_div(poly_gcd(H, _derivative(H)))  # square-free part
     chain = [s, _derivative(s)]  # Sturm chain, exact remainders
     while chain[-1].degree > 0:
@@ -445,30 +451,22 @@ class RationalFunction:
     var: str = "u"
 
     @staticmethod
-    def make(
-        num: Poly | Sequence[int], den: Poly | Sequence[int], var: str = "u"
-    ) -> "RationalFunction":
-        """num/den reduced, with a monic denominator; either part may be an
-        integer coefficient list, which enters the reduction as it is."""
+    def make(num: Poly, den: Poly, var: str = "u") -> "RationalFunction":
+        """num/den reduced, with a monic denominator."""
         if var not in VARIABLES:
             raise DomainError(f"unknown variable tag {var!r}")
-        cd, b = _to_int_poly(den)
-        if not b:
+        if den.is_zero():
             raise DomainError("zero denominator")
-        cn, a = _to_int_poly(num)
-        if not a:
+        if num.is_zero():
             return RationalFunction(Poly.zero(), Poly.one(), var)
-        # by Gauss's lemma the quotients by the primitive gcd are integral
+        # by Gauss's lemma the quotients of the primitive parts by their
+        # primitive gcd are primitive and integral, with positive leads
+        a, b = num.prim, den.prim
         g = _int_gcd(a, b)
         if len(g) > 1:
             a, b = _int_div_exact(a, g), _int_div_exact(b, g)
-        lead = b[-1]
-        s = cn / (cd * lead)
-        return RationalFunction(
-            Poly(tuple(Fraction(s.numerator * v, s.denominator) for v in a)),
-            Poly(tuple(Fraction(v, lead) for v in b)),
-            var,
-        )
+        content = num.content / (den.content * b[-1])
+        return RationalFunction(Poly(content, tuple(a)), _monic(b), var)
 
     @staticmethod
     def from_poly(p: Poly, var: str = "u") -> "RationalFunction":
@@ -536,12 +534,12 @@ class RationalFunction:
     def mul_monomial(self, k: int) -> "RationalFunction":
         """Multiply by var^k, any integer k.  num and den are coprime, so the
         new pair shares at most a power of var: no gcd is needed."""
-        num, den = list(self.num.coeffs), list(self.den.coeffs)
+        num, den = list(self.num.prim), list(self.den.prim)
         if k >= 0:
-            num = [Fraction(0)] * k + num
+            num = [0] * k + num
         else:
-            den = [Fraction(0)] * -k + den
-        return _coprime_ratio(num, den, self.var)
+            den = [0] * -k + den
+        return _coprime_ratio(self.num.content / self.den.content, num, den, self.var)
 
     def evaluate(self, x: Rat) -> Fraction:
         d = self.den.evaluate(x)
@@ -556,16 +554,18 @@ class RationalFunction:
 
     def series(self, order: int) -> list[Fraction]:
         """Power-series coefficients c_0..c_order; needs den(0) != 0."""
-        if self.den[0] == 0:
+        a, b = self.num.prim, self.den.prim
+        if b[0] == 0:
             raise DomainError("series expansion at a pole of the function")
-        d0 = self.den[0]
+        # the series of a/b, scaled by the ratio of the contents at the end
         out: list[Fraction] = []
         for k in range(order + 1):
-            acc = self.num[k]
-            for j in range(1, k + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc / d0)
-        return out
+            acc = Fraction(a[k] if k < len(a) else 0)
+            for j in range(1, min(k, len(b) - 1) + 1):
+                acc -= b[j] * out[k - j]
+            out.append(acc / b[0])
+        s = self.num.content / self.den.content
+        return [s * x for x in out]
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -577,18 +577,18 @@ class RationalFunction:
 
 
 def _coprime_ratio(
-    num: list[Fraction], den: list[Fraction], var: str
+    scale: Fraction, num: list[int], den: list[int], var: str
 ) -> RationalFunction:
-    """num/den for lists sharing no factor but a power of the variable: that
-    power is stripped and den made monic, with no gcd (0/1 for num = 0)."""
+    """scale * num/den for integer lists sharing only a power of the variable:
+    it is stripped and den made monic, with no gcd (0/1 for num = 0)."""
     if var not in VARIABLES:
         raise DomainError(f"unknown variable tag {var!r}")
     if not any(num):
         return RationalFunction(Poly.zero(), Poly.one(), var)
     low = min(next(i for i, x in enumerate(p) if x) for p in (num, den))
-    lead = next(x for x in reversed(den) if x)
-    top = Poly.from_list([x / lead for x in num[low:]])
-    return RationalFunction(top, Poly.from_list([x / lead for x in den[low:]]), var)
+    bottom = Poly.from_ints(den[low:])
+    top = Poly.from_ints(num[low:], scale / bottom.leading())
+    return RationalFunction(top, _monic(bottom.prim), var)
 
 
 def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunction:
@@ -610,16 +610,17 @@ def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunctio
     m = max(f.num.degree, f.den.degree, 0)
     if abs(d) * m > _DEGREE_BOUND:
         raise BoundError("substitution exponent bound exceeded")
+    # for c = n/k both parts are multiplied by k^m: a_i c^i -> a_i n^i k^(m-i)
+    n, k = c.as_integer_ratio()
 
-    def place(p: Poly) -> list[Fraction]:
-        out = [Fraction(0)] * (abs(d) * m + 1)
-        ci = Fraction(1)
-        for i, a in enumerate(p.coeffs):
-            out[d * i if d > 0 else -d * (m - i)] = a * ci
-            ci *= c
+    def place(p: Poly) -> list[int]:
+        out = [0] * (abs(d) * m + 1)
+        for i, a in enumerate(p.prim):
+            out[d * i if d > 0 else -d * (m - i)] = a * n**i * k ** (m - i)
         return out
 
-    return _coprime_ratio(place(f.num), place(f.den), var)
+    scale = f.num.content / f.den.content
+    return _coprime_ratio(scale, place(f.num), place(f.den), var)
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +728,9 @@ def _squarefree_split(p: Poly) -> list[tuple[Poly, int]]:
     multiplicity of every root is exact.  A square-free p is returned
     as [(p, 1)] itself, after one integer gcd of p and p'.
     """
-    ints = _to_int_poly(p)[1]
-    if len(_int_gcd(ints, [i * v for i, v in enumerate(ints)][1:])) == 1:
-        return [(p, 1)]
     dp = _derivative(p)
+    if len(_int_gcd(p.prim, dp.prim)) == 1:
+        return [(p, 1)]
     c = poly_gcd(p, dp)
     w, y = p.exact_div(c), dp.exact_div(c)
     out = []
@@ -763,11 +763,9 @@ def poly_complex_roots(p: Poly) -> list[complex]:
     if p.is_zero() or p.degree < 1:
         raise DomainError("root finding needs a nonzero, nonconstant polynomial")
     # split off exact roots at the origin
-    low = 0
-    while p.coeffs[low] == 0:
-        low += 1
+    low = next(i for i, v in enumerate(p.prim) if v)
     roots: list[complex] = [0j] * low
-    reduced = Poly(tuple(p.coeffs[low:]))
+    reduced = Poly(p.content, p.prim[low:])
     if reduced.degree >= 1:
         try:
             for f, mult in _squarefree_split(reduced):
@@ -793,7 +791,8 @@ def _simple_roots(p: Poly) -> list[complex]:
 
 
 def _scaled_coefficients(p: Poly) -> tuple[list[complex], float]:
-    """The coefficients of p(rho y), divided by the largest, and rho.
+    """The coefficients of p(rho y), divided by the largest modulus among
+    them and by the sign of p's content, and rho.
 
     rho = |p_0/p_d|^(1/d) gives p(rho y) equal end coefficients in
     modulus, so the product of its roots' moduli is 1 and the one Aberth
@@ -811,17 +810,17 @@ def _scaled_coefficients(p: Poly) -> tuple[list[complex], float]:
     def log_abs(x: Fraction) -> float:
         return math.log(abs(x.numerator)) - math.log(x.denominator)
 
-    d = p.degree
-    p0 = p[0]
-    log_rho = log_abs(p0 / p.leading()) / d
+    ints, d = p.prim, p.degree  # the content cancels from every ratio
+    p0 = ints[0]
+    log_rho = log_abs(Fraction(p0, ints[-1])) / d
     logs = [
-        log_abs(c / p0) + i * log_rho if c else -math.inf
-        for i, c in enumerate(p.coeffs)
+        log_abs(Fraction(v, p0)) + i * log_rho if v else -math.inf
+        for i, v in enumerate(ints)
     ]
     top = max(logs)
     scaled = [
-        complex(math.exp(v - top) * (1 if c > 0 else -1))
-        for v, c in zip(logs, p.coeffs)
+        complex(math.exp(x - top) * (1 if v > 0 else -1))
+        for x, v in zip(logs, ints)
     ]
     if scaled[-1] == 0:
         raise NumericError("root refinement left double range: p(rho y) underflows")

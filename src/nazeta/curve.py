@@ -24,12 +24,11 @@ from fractions import Fraction
 from .algebra import (
     Poly,
     RationalFunction,
-    _int_content,
     _int_mul,
-    _to_int_poly,
     parse_rational,
     roots_on_circle,
     series_exp,
+    series_log_coefficients,
 )
 from .errors import DomainError, PoleError, ValidationError
 
@@ -68,10 +67,7 @@ class CurveData:
 
     def point_counts(self, upto: int) -> list[int]:
         """#X(F_{q^m}) for m = 1..upto, from the zeta series."""
-        zeta = artin_zeta(self)
-        from .algebra import series_log_coefficients
-
-        cs = series_log_coefficients(zeta, upto)
+        cs = series_log_coefficients(artin_zeta(self), upto)
         counts = []
         for m in range(1, upto + 1):
             val = m * cs[m - 1]
@@ -172,15 +168,15 @@ def _atom_ints(c: CurveData, atom: Atom) -> tuple[Fraction, list[int]]:
         if j >= 0:
             return Fraction(1), [1, -(q**j)]
         return Fraction(1, q**-j), [q**-j, -1]
-    content, ints = _to_int_poly(c.P)
+    content, ints = c.P.content, c.P.prim
     n = len(ints) - 1
     if j >= 0:
         ints = [v * q ** (i * j) for i, v in enumerate(ints)]
     else:  # P(q^j y) = q^(jn) sum_i a_i q^(-j(n-i)) y^i
         ints = [v * q ** (-j * (n - i)) for i, v in enumerate(ints)]
         content /= q ** (-j * n)
-    g = _int_content(ints)
-    return content * g, [v // g for v in ints]
+    p = Poly.from_ints(ints, content)
+    return p.content, list(p.prim)
 
 
 def line_factor(q: int, j: int, k: int) -> FactorProduct:
@@ -232,7 +228,7 @@ def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
 
 def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
     """The reduced sum of factored terms, with a single reduction."""
-    return RationalFunction.make(*_expand_parts(c, terms, {}), "u")
+    return RationalFunction.make(*map(Poly.from_ints, _expand_parts(c, terms, {})), "u")
 
 
 def _expand_parts(

@@ -32,7 +32,6 @@ from .algebra import (
     _frac,
     _int_content,
     _int_mul,
-    _to_int_poly,
 )
 from .curve import CurveData
 from .errors import CapabilityError, DomainError
@@ -304,20 +303,18 @@ def _product(nvars: int, content: Fraction, num: Terms, exps: dict) -> AtomProdu
     return AtomProduct(nvars, content * g, tuple(num.items()), atoms)
 
 
-def _atom_ints(
-    q: int, P: tuple[Fraction, list[int]], kind: str, j: int
-) -> tuple[Fraction, list[int]]:
+def _atom_ints(q: int, P: Poly, kind: str, j: int) -> tuple[Fraction, list[int]]:
     """p(q^j y) as a rational content times an integer list in y.
 
-    P is the curve's numerator as content times integer list.  Kept apart
-    from curve._atom_ints, so that the residue route shares no expansion
-    code with the closed formula it checks.
+    P is the curve's numerator.  Kept apart from curve._atom_ints, so that
+    the residue route shares no expansion code with the closed formula it
+    checks.
     """
     if kind == "L":
         if j >= 0:
             return Fraction(1), [1, -(q**j)]
         return Fraction(1, q**-j), [q**-j, -1]
-    content, ints = P
+    content, ints = P.content, P.prim
     if j >= 0:
         return content, [v * q ** (d * j) for d, v in enumerate(ints)]
     n = len(ints) - 1  # P(q^j y) = q^(jn) sum_d a_d q^(-j(n-d)) y^d
@@ -328,7 +325,7 @@ def _atom_ints(
 def _atom_terms(c: CurveData, atom: Atom) -> tuple[Fraction, Terms]:
     """The atom as a rational content times sparse integer terms."""
     kind, i, k = atom
-    content, ints = _atom_ints(c.q, _to_int_poly(c.P), kind, i)
+    content, ints = _atom_ints(c.q, c.P, kind, i)
     return content, {tuple(d * x for x in k): v for d, v in enumerate(ints) if v}
 
 
@@ -483,7 +480,7 @@ def _collapse_parts(
         key = ("power", atom, n)
         if key not in table:
             kind, i, k = atom
-            content, ints = _atom_ints(c.q, _to_int_poly(c.P), kind, i)
+            content, ints = _atom_ints(c.q, c.P, kind, i)
             p = [1]
             for _ in range(n):
                 p = _int_mul(p, ints)

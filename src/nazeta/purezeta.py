@@ -171,8 +171,8 @@ def mass_digits_estimate(c: CurveData, r: int) -> float:
     """
     check_mass_rank(r)
     g, q = c.g, c.q
-    delta = math.lcm(*(a.denominator for a in c.P.coeffs))
-    l1 = sum(abs(a) for a in c.P.coeffs)
+    delta = c.P.content.denominator  # the lcm of the coefficients' denominators
+    l1 = abs(c.P.content) * sum(map(abs, c.P.prim))
     excess = max(
         0.0, math.log10(l1.numerator) - math.log10(l1.denominator) - g * math.log10(q)
     )

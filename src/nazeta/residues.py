@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import RationalFunction, _same_ratio
+from .algebra import Poly, RationalFunction, _same_ratio
 from .certificate import Certificate
 from .curve import CurveData, FactorProduct, _expand_parts
 from .groupzeta import _ratio_table, _weyl_factors
@@ -85,7 +85,8 @@ def residue_period(
         iterated_residue(c, weyl_term_full(c, rs, W, w), pd, table)
         for w in W.elements
     ]
-    return RationalFunction.make(*_collapse_parts(c, residues, pd.p0, table), "u")
+    parts = _collapse_parts(c, residues, pd.p0, table)
+    return RationalFunction.make(*map(Poly.from_ints, parts), "u")
 
 
 def residue_route_equivalence(

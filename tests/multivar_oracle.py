@@ -7,7 +7,7 @@ products to one reduced fraction (the library's is inside
 import math
 from fractions import Fraction
 
-from nazeta.algebra import RationalFunction
+from nazeta.algebra import Poly, RationalFunction
 from nazeta.curve import CurveData
 from nazeta.errors import CapabilityError, DomainError
 from nazeta.multivar import MAX_VARS, AtomProduct, _collapse_parts, _product
@@ -32,4 +32,5 @@ def atom_product(nvars: int, terms, atoms) -> AtomProduct:
 
 def collapse_sum(c: CurveData, terms, j: int) -> RationalFunction:
     """The sum of products in u_j alone, as one reduced rational function."""
-    return RationalFunction.make(*_collapse_parts(c, terms, j, {}), "u")
+    parts = _collapse_parts(c, terms, j, {})
+    return RationalFunction.make(*map(Poly.from_ints, parts), "u")

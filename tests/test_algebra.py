@@ -62,6 +62,88 @@ class TestPoly:
         assert poly_gcd(a, b) == g.scale(1 / g.leading())
 
 
+def assert_canonical(p):
+    """content times a primitive integer tuple with a positive lead; 0 is (0, ())."""
+    assert isinstance(p.content, F) and all(type(v) is int for v in p.prim)
+    if p.prim:
+        assert p.content != 0 and p.prim[-1] > 0 and math.gcd(*p.prim) == 1
+    else:
+        assert p.content == 0
+
+
+class TestRepresentation:
+    """Poly's stored form against the oracle's plain Fraction lists."""
+
+    # zeros (trailing ones too), small and wide rationals
+    coeff = st.one_of(
+        st.just(F(0)),
+        rationals,
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+    )
+    lists = st.lists(coeff, max_size=6)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=lists, b=lists, x=coeff)
+    @example(a=[F(-3), F(6), F(-9)], b=[F(-1, 2), F(0)], x=F(-2, 3))  # negative leads
+    def test_operations_match_the_oracle(self, a, b, x):
+        o = fraction_oracle
+        p, q = Poly.from_list(a), Poly.from_list(b)
+        a, b = o.trim(a), o.trim(b)
+        assert p.coeffs == tuple(a) and q.coeffs == tuple(b)
+        results = {
+            "add": (p + q, o.add(a, b)),
+            "sub": (p - q, o.sub(a, b)),
+            "mul": (p * q, o.mul(a, b)),
+            "scale": (p.scale(x), o.scale(a, x)),
+            "shift": (p.shift(x), o.shift(a, x)),
+        }
+        if b:
+            quot, rem = p.divmod(q)
+            expected = o.poly_divmod(a, b)
+            results["quotient"], results["remainder"] = (quot, expected[0]), (rem, expected[1])
+        for name, (got, want) in results.items():
+            assert_canonical(got)
+            assert got.coeffs == tuple(want), name
+        assert p.evaluate(x) == o.evaluate(a, x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=lists, b=lists, k=st.integers(-30, 30).filter(bool))
+    def test_equal_polynomials_are_equal_and_hash_alike(self, a, b, k):
+        p, q = Poly.from_list(a), Poly.from_list(b)
+        den = math.lcm(*(F(c).denominator for c in a))
+        ints = [int(c * den * k) for c in a]  # p times k * den, as integers
+        routes = [
+            Poly.from_ints(ints, F(1, den * k)),
+            Poly.of(*a),
+            p.scale(k).scale(F(1, k)),
+            (p + q) - q,
+            -(-p),
+            p * Poly.one(),
+        ]
+        if q:
+            routes.append((p * q).exact_div(q))
+        for r in routes:
+            assert_canonical(r)
+            assert r == p and hash(r) == hash(p)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        small_polys(),
+        small_polys(nonzero=True),
+        rationals.filter(bool),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.integers(-3, 3),
+    )
+    def test_rational_function_parts_are_canonical(self, a, b, c, d, k):
+        # the oracle comparison of substitute and mul_monomial is
+        # TestSubstitution.test_gcd_free_results_match_the_fraction_oracle
+        f = RationalFunction.make(a, b, "u")
+        for g in (f, substitute(f, c, d, "v"), f.mul_monomial(k), f * f, f + f):
+            assert_canonical(g.num)
+            assert_canonical(g.den)
+            assert g.den.leading() == 1
+
+
 class TestRationalFunction:
     def test_reduction_and_canonical_eq(self):
         f = RationalFunction.make(Poly.of(-1, 0, 1), Poly.of(1, 1), "u")
@@ -83,24 +165,25 @@ class TestRationalFunction:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        a=st.lists(wide, max_size=5).map(Poly.from_list),
-        b=st.lists(wide, min_size=1, max_size=5).map(Poly.from_list),
-        f=st.lists(wide, min_size=1, max_size=4).map(Poly.from_list),
+        a=st.lists(wide, max_size=5),
+        b=st.lists(wide, min_size=1, max_size=5),
+        f=st.lists(wide, min_size=1, max_size=4),
     )
-    @example(a=Poly.zero(), b=Poly.of(1, 2), f=Poly.of(3, 1))  # zero numerator
-    @example(a=Poly.of(1, 2, 3), b=Poly.of(F(-5, 7)), f=Poly.of(2))  # constant den
+    @example(a=[], b=[1, 2], f=[3, 1])  # zero numerator
+    @example(a=[1, 2, 3], b=[F(-5, 7)], f=[2])  # constant den
     @example(  # negative leading coefficients, a cubic common factor
-        a=Poly.of(1, -3), b=Poly.of(2, 0, -7), f=Poly.of(F(1, 10**30), 0, 1, -4)
+        a=[1, -3], b=[2, 0, -7], f=[F(1, 10**30), 0, 1, -4]
     )
     def test_make_matches_the_fraction_oracle(self, a, b, f):
-        # num and den share the factor f, of degree 0..3
-        if b.is_zero() or f.is_zero():
+        # num and den share the factor f, of degree 0..3, multiplied out
+        # by the oracle's own arithmetic
+        a, b, f = map(fraction_oracle.trim, (a, b, f))
+        if not b or not f:
             return
-        num, den = a * f, b * f
-        assert RationalFunction.make(num, den, "T") == fraction_oracle.make(
-            num, den, "T"
-        )
-        assert poly_gcd(num, den) == fraction_oracle.fraction_gcd(num, den)
+        num, den = fraction_oracle.mul(a, f), fraction_oracle.mul(b, f)
+        p, q = Poly.from_list(num), Poly.from_list(den)
+        assert RationalFunction.make(p, q, "T") == fraction_oracle.make(num, den, "T")
+        assert list(poly_gcd(p, q).coeffs) == fraction_oracle.fraction_gcd(num, den)
 
     def test_scale_by_zero_is_the_canonical_zero(self):
         f = RationalFunction.make(Poly.of(1, 2), Poly.of(3, 0, 1), "T")
@@ -138,12 +221,10 @@ class TestCrossMultiplied:
             c, d = [-v for v in a], [-v for v in b]
         else:
             c, d = other
-        reduced = RationalFunction.make(a, b) == RationalFunction.make(c, d)
+        reduced = RationalFunction.make(
+            Poly.from_ints(a), Poly.from_ints(b)
+        ) == RationalFunction.make(Poly.from_ints(c), Poly.from_ints(d))
         assert nazeta.algebra._same_ratio(a, b, c, d) == reduced
-        # integer lists enter make as they are, with the value of their Poly
-        assert RationalFunction.make(a, b) == RationalFunction.make(
-            Poly.from_list(a), Poly.from_list(b)
-        )
 
 
 class TestSubstitution:
@@ -210,14 +291,15 @@ class TestSubstitution:
             out = [F(0)] * (abs(d) * m + 1)
             for i, x in enumerate(p.coeffs):
                 out[d * i if d > 0 else -d * (m - i)] = x * c**i
-            return Poly.from_list(out)
+            return out
 
         expected = fraction_oracle.make(place(f.num), place(f.den), "v")
         assert substitute(f, c, d, "v") == expected
+        num, den = list(f.num.coeffs), list(f.den.coeffs)
         if k >= 0:
-            expected = fraction_oracle.make(f.num * Poly.monomial(k), f.den, "u")
+            expected = fraction_oracle.make([F(0)] * k + num, den, "u")
         else:
-            expected = fraction_oracle.make(f.num, f.den * Poly.monomial(-k), "u")
+            expected = fraction_oracle.make(num, [F(0)] * -k + den, "u")
         assert f.mul_monomial(k) == expected
 
     def test_zero_constant_rejected(self):
