@@ -47,7 +47,6 @@ from .purezeta import (
     mixed_zeta_rank2,
     partial_rank3_bracket,
     partial_rank3_identity_check,
-    pure_numerator,
     pure_zeta,
     rh_report,
     zagier_beta,
@@ -164,7 +163,7 @@ def criterion_2() -> CriterionResult:
                 ok_num = False
             if not fe_check_pure(z.zeta, 1, q, 2)[0]:
                 ok_fe = False
-            report = rh_report(pure_numerator(z.zeta, Q).scale(1 / alpha0), Q)
+            report = rh_report(z.numerator.scale(1 / alpha0), Q)
             if not report.verdict:
                 ok_rh = False
             if not ((n - 2) ** 2 - 4 * Q < 0):

@@ -5,11 +5,13 @@ a rational ``content`` times ``prim``, a tuple of integers indexed by
 degree with gcd 1 and a positive leading coefficient, (0, ()) for zero:
 a canonical form (FLINT's fmpq_poly layout) that ``coeffs``, ``p[i]`` and
 ``leading()`` read back as Fractions.  The integer kernels (``_int_mul``,
-``_int_gcd``, ``_int_div_exact``) take ``prim`` as it is; by Gauss's lemma
-a product needs no gcd.  A rational function is a reduced pair with a
-monic denominator, so equality of values is a structural comparison; the
-reduction divides the primitive gcd out of both lists exactly.  Division
-with remainder stays on Fractions, for the exact signs of a Sturm chain.
+``_int_gcd``, ``_int_div_exact``, ``_int_prem``) take ``prim`` as it is;
+by Gauss's lemma a product needs no gcd and an exact quotient is
+primitive.  A rational function is a reduced pair with a monic
+denominator, so equality of values is a structural comparison; the
+reduction divides the primitive gcd out of both lists exactly.  A Sturm
+chain runs over Z too: each pseudo-remainder is scaled by a positive
+multiplier, so it keeps the sign of the remainder over Q.
 
 Every change of variable the identities need, the functional equations'
 u -> c/u as well as the reparametrizations, is the one monomial
@@ -190,29 +192,15 @@ class Poly:
             n >>= 1
         return result
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+    def exact_div(self, other: "Poly") -> "Poly":
+        """self / other, refused with DomainError unless other divides it.
+
+        By Gauss's lemma the quotient of the primitive parts is primitive
+        and integral, with a positive lead, so it is ``prim`` as it is.
+        """
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.prim)
-        if dq < 0:
-            return Poly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        b = other.coeffs
-        lead = b[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree] / lead
-            quot[i] = c
-            if c:
-                for j, v in enumerate(b):
-                    rem[i + j] -= c * v
-        return Poly.from_list(quot), Poly.from_list(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise DomainError("inexact polynomial division")
-        return q
+        return Poly(self.content / other.content, tuple(_int_div_exact(self.prim, other.prim)))
 
     def evaluate(self, x: Rat) -> Fraction:
         acc = Fraction(0)
@@ -227,21 +215,20 @@ class Poly:
         return acc
 
     def shift(self, a: Rat) -> "Poly":
-        """Return p(x + a), expanded by synthetic Taylor division."""
+        """Return p(x + a), by synthetic division over Z.
+
+        With a = n/k, k^d p(x + n/k) = P(kx + n) for the integer list
+        P_i = prim_i k^(d-i); Horner passes give the Taylor coefficients
+        Q_j of P at n, so p(x + a) = content k^(-d) sum Q_j k^j x^j.
+        """
         a = _frac(a)
-        cs = list(self.coeffs)
-        n = len(cs)
-        out = []
-        for _ in range(n):
-            # repeated synthetic division by (x - (-a)) collects Taylor coeffs
-            rem = Fraction(0)
-            for i in range(n - 1, -1, -1):
-                rem = cs[i] + a * rem
-                cs[i] = rem
-            out.append(cs[0])
-            cs = cs[1:]
-            n -= 1
-        return Poly.from_list(out)
+        n, k = a.numerator, a.denominator
+        d = self.degree
+        cs = [v * k ** (d - i) for i, v in enumerate(self.prim)]
+        for j in range(d):
+            for i in range(d - 1, j - 1, -1):
+                cs[i] += n * cs[i + 1]
+        return Poly.from_ints([v * k**i for i, v in enumerate(cs)], self.content / k**d)
 
     def __str__(self) -> str:
         if not self.prim:
@@ -309,7 +296,9 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _int_div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a / b for integer lists whose quotient is known to be integral."""
+    """a / b for integer lists, b trimmed; DomainError unless the quotient
+    is an integer list.  A floored step leaves its remainder in a place
+    that later steps do not touch, so one test at the end finds it."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
     quot = [0] * (len(a) - db)
@@ -319,29 +308,31 @@ def _int_div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
             quot[i] = c
             for j, v in enumerate(b, i):
                 a[j] -= c * v
+    if any(a):
+        raise DomainError("inexact polynomial division")
     return quot
 
 
 def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists, content-stripped."""
-    a = list(a)
+    """Pseudo-remainder of integer lists (b trimmed), content-stripped.
+
+    Each step multiplies by the positive |lead(b)| / g, so the result is
+    a positive multiple of the remainder over Q, whatever b's sign: the
+    signs of a Sturm chain survive (Knuth, TAOCP Vol. 2, 4.6.1).
+    """
+    a = _trim(list(a))
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
+    while len(a) > db:
         la = a[-1]
         g = math.gcd(la, lb)
-        ml, mb = lb // g, la // g
+        ml, mb = abs(lb) // g, (la if lb > 0 else -la) // g
         shift = len(a) - len(b)
         a = [c * ml for c in a]
-        for j, v in enumerate(b):
-            a[shift + j] -= mb * v
-        while a and a[-1] == 0:
-            a.pop()
+        for j, v in enumerate(b, shift):
+            a[j] -= mb * v
+        _trim(a)
     g = _int_content(a)
-    return [v // g for v in a] if a else []
+    return [v // g for v in a] if g != 1 else a
 
 
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
@@ -416,18 +407,24 @@ def roots_on_circle(p: Poly, r2: Rat) -> bool:
     h_neg = Poly.from_ints([-v if i % 2 else v for i, v in enumerate(h.prim)], h.content)
     hh = h * h_neg
     H = Poly.from_ints(hh.prim[::2], hh.content)
-    s = H.exact_div(poly_gcd(H, _derivative(H)))  # square-free part
-    chain = [s, _derivative(s)]  # Sturm chain, exact remainders
-    while chain[-1].degree > 0:
-        chain.append(-chain[-2].divmod(chain[-1])[1])
+    s = H.exact_div(poly_gcd(H, _derivative(H))).prim  # square-free part
+    # Sturm chain over Z: each entry a positive multiple of the exact one
+    chain = [list(s), [i * v for i, v in enumerate(s)][1:]]
+    while len(chain[-1]) > 1:
+        chain.append([-v for v in _int_prem(chain[-2], chain[-1])])
 
-    def sign_changes(x: Fraction) -> int:
-        signs = [v > 0 for v in (c.evaluate(x) for c in chain) if v]
+    def sign_changes(n: int, k: int) -> int:
+        # c(n/k) has the sign of the integer k^deg(c) c(n/k)
+        values = (
+            sum(v * n**i * k ** (len(c) - 1 - i) for i, v in enumerate(c)) for c in chain
+        )
+        signs = [v > 0 for v in values if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     # distinct roots in (0, 4 r2], plus the root at 0 if there is one
-    inside = sign_changes(Fraction(0)) - sign_changes(4 * r2) + (s[0] == 0)
-    return inside == s.degree
+    x = 4 * r2
+    inside = sign_changes(0, 1) - sign_changes(x.numerator, x.denominator) + (s[0] == 0)
+    return inside == len(s) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -217,13 +217,14 @@ def cmd_mixed(args) -> int:
     numer = mixed_numerator(q, n)
     identity = partial_rank3_identity_check(q, n)
     rep_mixed = rh_report(numer, q)
-    rep_partial = rh_report(partial_rank3_bracket(q), q)
+    bracket = partial_rank3_bracket(q)
+    rep_partial = rh_report(bracket, q)
     payload = {
         "mixed": _rf_json(f),
         "mixed_numerator_over_alpha0": [str(c) for c in numer.coeffs],
         "mixed_rh": rep_mixed.to_json(),
         "partial_identity_exact": identity,
-        "partial_bracket": [str(c) for c in partial_rank3_bracket(q).coeffs],
+        "partial_bracket": [str(c) for c in bracket.coeffs],
         "partial_rh": rep_partial.to_json(),
     }
     _emit_json(payload, args.json_out)

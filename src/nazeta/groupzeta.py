@@ -388,11 +388,8 @@ def edge_residue(z: GroupZetaResult) -> EdgeResidue:
     num, den = f.num, f.den
     order = 0
     root_factor = Poly.from_list([-u0, 1])
-    while True:
-        quot, rem = den.divmod(root_factor)
-        if not rem.is_zero():
-            break
-        den = quot
+    while den.evaluate(u0) == 0:
+        den = den.exact_div(root_factor)
         order += 1
     if order == 0:
         return EdgeResidue(Fraction(0), 0)

@@ -248,9 +248,10 @@ def pure_numerator(z: RationalFunction, Q: Fraction) -> Poly:
 
     z is reduced, so it has that denominator iff z.den divides it.
     """
-    cofactor, rem = (Poly.of(1, -1) * Poly.from_list([1, -Q])).divmod(z.den)
-    if not rem.is_zero():
-        raise DomainError("function does not have the pure-zeta denominator")
+    try:
+        cofactor = (Poly.of(1, -1) * Poly.from_list([1, -Q])).exact_div(z.den)
+    except DomainError:
+        raise DomainError("function does not have the pure-zeta denominator") from None
     return z.num * cofactor
 
 

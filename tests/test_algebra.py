@@ -43,17 +43,31 @@ class TestPoly:
         assert Poly.of(0, 0).is_zero()
         assert Poly.of(1, 0).degree == 0
 
-    def test_divmod_exact(self):
-        a = Poly.of(1, -1) * Poly.of(2, 0, 1) + Poly.of(5)
-        q, r = a.divmod(Poly.of(1, -1))
-        assert q == Poly.of(2, 0, 1)
-        assert r == Poly.of(5)
+    def test_exact_div(self):
+        a = Poly.of(1, -1) * Poly.of(2, 0, 1)
+        assert a.exact_div(Poly.of(1, -1)) == Poly.of(2, 0, 1)
+        # rational contents and a divisor with a negative lead
+        half = Poly.of(F(1, 2), F(-1, 2))
+        assert a.scale(F(-3, 4)).exact_div(half) == Poly.of(-3, 0, F(-3, 2))
+        assert Poly.zero().exact_div(Poly.of(1, 1)) == Poly.zero()
+        refused = [
+            (a + Poly.of(5), Poly.of(1, -1)),  # remainder 5
+            (Poly.of(1, 0, 1), Poly.of(1, 1)),  # remainder 2, integral quotient steps
+            (Poly.of(1), Poly.of(1, 1)),  # divisor of higher degree
+            (a, Poly.zero()),
+        ]
+        for num, den in refused:
+            with pytest.raises(DomainError):
+                num.exact_div(den)
+        with pytest.raises(DomainError):
+            nazeta.algebra._int_div_exact([1, 0, 1], [1, 1])
 
     def test_shift_is_taylor(self):
         p = Poly.of(1, 2, 3, 4)
-        sh = p.shift(F(1, 2))
-        for x in (F(0), F(1), F(-2, 3)):
-            assert sh.evaluate(x) == p.evaluate(x + F(1, 2))
+        for a in (F(1, 2), F(-5, 3), F(0), F(7)):
+            sh = p.shift(a)
+            for x in (F(0), F(1), F(-2, 3)):
+                assert sh.evaluate(x) == p.evaluate(x + a)
 
     def test_gcd_common_factor(self):
         g = Poly.of(-1, 0, 1)
@@ -85,6 +99,7 @@ class TestRepresentation:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(a=lists, b=lists, x=coeff)
     @example(a=[F(-3), F(6), F(-9)], b=[F(-1, 2), F(0)], x=F(-2, 3))  # negative leads
+    @example(a=[F(1, 6), F(0), F(-5, 4), F(2)], b=[F(-7), F(3, 5)], x=F(0))  # zero offset
     def test_operations_match_the_oracle(self, a, b, x):
         o = fraction_oracle
         p, q = Poly.from_list(a), Poly.from_list(b)
@@ -98,9 +113,7 @@ class TestRepresentation:
             "shift": (p.shift(x), o.shift(a, x)),
         }
         if b:
-            quot, rem = p.divmod(q)
-            expected = o.poly_divmod(a, b)
-            results["quotient"], results["remainder"] = (quot, expected[0]), (rem, expected[1])
+            results["exact_div"] = ((p * q).exact_div(q), o.poly_divmod(o.mul(a, b), b)[0])
         for name, (got, want) in results.items():
             assert_canonical(got)
             assert got.coeffs == tuple(want), name
@@ -225,6 +238,27 @@ class TestCrossMultiplied:
             Poly.from_ints(a), Poly.from_ints(b)
         ) == RationalFunction.make(Poly.from_ints(c), Poly.from_ints(d))
         assert nazeta.algebra._same_ratio(a, b, c, d) == reduced
+
+
+class TestPseudoRemainder:
+    """_int_prem against the remainder over Q: a positive multiple of it,
+    so a Sturm chain built from it keeps its signs."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        a=st.lists(st.integers(-20, 20), max_size=7),
+        b=st.lists(st.integers(-20, 20), max_size=4).map(fraction_oracle.trim).filter(bool),
+    )
+    @example(a=[1, 0, 1], b=[0, -1])  # x^2 + 1 = (-x)(-x) + 1
+    @example(a=[3, 1, 0, 2], b=[1, 0, -3])  # leading coefficients of both signs
+    def test_positive_multiple_of_the_remainder(self, a, b):
+        got = nazeta.algebra._int_prem(a, [int(v) for v in b])
+        want = fraction_oracle.poly_divmod(fraction_oracle.trim(a), b)[1]
+        assert len(got) == len(want)
+        if want:
+            ratio = got[-1] / want[-1]
+            assert ratio > 0
+            assert [F(v) for v in got] == [ratio * w for w in want]
 
 
 class TestSubstitution:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import nazeta.algebra
 from nazeta.acceptance import hasse_range
 from nazeta.algebra import Poly, roots_on_circle
 from nazeta.curve import curve_from_numerator, elliptic_curve
@@ -77,6 +78,23 @@ class TestAgreementWithFloatRoots:
         for curve in (E23, GENUS2):
             rep = group_zeta_zeros(group_zeta(curve, rs, W, pd))
             assert rep.verdict == float_verdict(rep.deviations)
+
+    def test_sturm_chain_with_negative_leading_coefficients(self, monkeypatch):
+        # p = z^3 h(z + 1/z), h = y^3 + y^2 - 2y - 3 with two complex roots;
+        # the chain over Z is -9 + 10w - 5w^2 + w^3, 10 - 10w + 3w^2,
+        # 31 - 10w, -1, and 31 - 10w divides by its negative lead
+        divisor_leads = []
+        prem = nazeta.algebra._int_prem
+
+        def spy(a, b):
+            divisor_leads.append(b[-1])
+            return prem(a, b)
+
+        monkeypatch.setattr(nazeta.algebra, "_int_prem", spy)
+        rep = rh_report(Poly.of(1, 1, 1, -1, 1, 1, 1), 1)
+        assert min(divisor_leads) < 0
+        assert rep.verdict == float_verdict(rep.deviations)
+        assert not rep.verdict
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_mixed_and_partial_numerators(self, q):
