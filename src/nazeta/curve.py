@@ -6,13 +6,13 @@ coefficient symmetry a_{2g-i} = q^{g-i} a_i.  The completed zeta
 q^{(g-1)s} P(q^{-s}) / ((1-q^{-s})(1-q^{1-s})) at any integer-linear
 argument k*s + h is a constant times a power of u = q^{-s} times powers
 of the atoms 1 - c u^m and P(c u^m), m >= 1 (a FactorProduct), where c
-is always a power q^j and an atom is keyed by the integer j; products
-of such factors stay factored until one expansion into a pair of integer
+is always a power q^j and an atom is keyed by the integer j.  Products
+of such factors are taken in one pass (product), constants as integer
+pairs, and stay factored until one expansion into a pair of integer
 coefficient lists in u, which a single reduction turns into a rational
 function of u; completed_zeta_factor returns that function itself.  The
-residue at s = 1 is kept in
-"stripped" form, multiplied by log q, so that every special value in the
-system is an honest rational number.
+residue at s = 1 is kept in "stripped" form, multiplied by log q, so
+that every special value in the system is an honest rational number.
 """
 
 from __future__ import annotations
@@ -140,24 +140,45 @@ class FactorProduct:
     atoms: tuple[tuple[Atom, int], ...] = ()
 
     def __mul__(self, other: "FactorProduct") -> "FactorProduct":
-        exps = dict(self.atoms)
-        for atom, e in other.atoms:
-            exps[atom] = exps.get(atom, 0) + e
-        return FactorProduct(
-            self.const * other.const,
-            self.upow + other.upow,
-            tuple((a, e) for a, e in exps.items() if e),
-        )
+        return product(((self, 1), (other, 1)))
 
     def __pow__(self, n: int) -> "FactorProduct":
-        if n < 0 and self.const == 0:
-            raise DomainError("division by the zero function")
-        atoms = tuple((a, e * n) for a, e in self.atoms) if n else ()
-        return FactorProduct(self.const**n, self.upow * n, atoms)
+        return product(((self, n),))
 
     def expand(self, c: CurveData) -> RationalFunction:
         """The product as a reduced rational function: one reduction."""
         return expand_sum(c, [self])
+
+
+def product(pairs) -> FactorProduct:
+    """prod factor^e over the (factor, e) pairs, in one pass.
+
+    Atom exponents and the power of u are summed, zero exponents dropped
+    at the end; the constant is accumulated as an integer numerator and
+    denominator, and one Fraction is built from them.
+    """
+    num, den, upow = 1, 1, 0
+    exps: dict[Atom, int] = {}
+    for f, e in pairs:
+        if not e:
+            continue
+        a, b = f.const.numerator, f.const.denominator
+        if e < 0:
+            if not a:
+                raise DomainError("division by the zero function")
+            a, b = b, a
+        num, den = num * a ** abs(e), den * b ** abs(e)
+        upow += f.upow * e
+        for atom, x in f.atoms:
+            exps[atom] = exps.get(atom, 0) + x * e
+    return FactorProduct(
+        Fraction(num, den), upow, tuple((a, x) for a, x in exps.items() if x)
+    )
+
+
+def _q_power(q: int, j: int) -> Fraction:
+    """q^j from an integer power of q."""
+    return Fraction(q**j) if j >= 0 else Fraction(1, q**-j)
 
 
 def _atom_ints(c: CurveData, atom: Atom) -> tuple[Fraction, list[int]]:
@@ -185,8 +206,8 @@ def line_factor(q: int, j: int, k: int) -> FactorProduct:
         return FactorProduct(Fraction(1), 0, ((("L", j, k), 1),))
     if k < 0:
         # 1 - q^j u^{-m} = -q^j u^{-m} (1 - q^{-j} u^m)
-        return FactorProduct(-Fraction(q) ** j, k, ((("L", -j, -k), 1),))
-    return FactorProduct(1 - Fraction(q) ** j)
+        return FactorProduct(-_q_power(q, j), k, ((("L", -j, -k), 1),))
+    return FactorProduct(1 - _q_power(q, j))
 
 
 def _numerator_factor(c: CurveData, j: int, k: int) -> FactorProduct:
@@ -196,11 +217,11 @@ def _numerator_factor(c: CurveData, j: int, k: int) -> FactorProduct:
     if k < 0:
         # P(x) = q^g x^{2g} P(1/(q x)) at x = q^j u^{-m}
         return FactorProduct(
-            Fraction(c.q) ** (c.g + 2 * c.g * j),
+            _q_power(c.q, c.g + 2 * c.g * j),
             2 * c.g * k,
             ((("P", -1 - j, -k), 1),),
         )
-    return FactorProduct(c.P.evaluate(Fraction(c.q) ** j))
+    return FactorProduct(c.P.evaluate(_q_power(c.q, j)))
 
 
 def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
@@ -216,14 +237,12 @@ def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
             f"completed zeta has a pole at the constant argument {h}; "
             "use zeta_special_residue for the stripped value at 1"
         )
-    g = c.g
-    shift = FactorProduct(Fraction(c.q) ** ((g - 1) * h), -k * (g - 1))
-    return (
-        shift
-        * _numerator_factor(c, -h, k)
-        * line_factor(c.q, -h, k) ** -1
-        * line_factor(c.q, 1 - h, k) ** -1
-    )
+    g, q = c.g, c.q
+    shift = FactorProduct(_q_power(q, (g - 1) * h), -k * (g - 1))
+    return product((
+        (shift, 1), (_numerator_factor(c, -h, k), 1),
+        (line_factor(q, -h, k), -1), (line_factor(q, 1 - h, k), -1),
+    ))
 
 
 def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
@@ -238,9 +257,10 @@ def _expand_parts(
 
     The common denominator takes each atom to its highest power over the
     terms, and the lowest power of u.  Each numerator is lifted to it as
-    a rational scalar times a product of integer lists; the scalars are
-    brought to one denominator and the sum is accumulated over Z.  Atom
-    powers are kept in ``powers`` by (atom, exponent), built on first use.
+    an integer scalar pair times a product of integer lists; the scalars
+    are brought to one denominator and the sum is accumulated over Z.
+    Atom powers are kept in ``powers`` by (atom, exponent), built on
+    first use, their contents' powers as integer pairs.
     """
     terms = [t for t in terms if t.const != 0]
     den_exps: dict[Atom, int] = {}
@@ -250,7 +270,7 @@ def _expand_parts(
                 den_exps[atom] = -e
     low = min((t.upow for t in terms), default=0)
 
-    def power(atom: Atom, n: int) -> tuple[Fraction, list[int]]:
+    def power(atom: Atom, n: int) -> tuple[int, int, list[int]]:
         if (atom, n) not in powers:
             content, ints = _atom_ints(c, atom)
             p = [1]
@@ -259,35 +279,35 @@ def _expand_parts(
             m = atom[2]
             spread = [0] * (m * (len(p) - 1) + 1)
             spread[::m] = p
-            powers[atom, n] = (content**n, spread)
+            powers[atom, n] = (content.numerator**n, content.denominator**n, spread)
         return powers[atom, n]
 
-    def lift(
-        scalar: Fraction, ints: list[int], exps: dict[Atom, int]
-    ) -> tuple[Fraction, list[int]]:
+    def lift(ints: list[int], exps: dict[Atom, int]) -> tuple[int, int, list[int]]:
+        num = den = 1
         for atom, n in exps.items():
             if n:
-                content, p = power(atom, n)
-                scalar *= content
+                a, b, p = power(atom, n)
+                num, den = num * a, den * b
                 ints = _int_mul(ints, p)
-        return scalar, ints
+        return num, den, ints
 
     lifted = []
     for t in terms:
         exps = dict(den_exps)
         for atom, e in t.atoms:
             exps[atom] = exps.get(atom, 0) + e
-        lifted.append(lift(t.const, [0] * (t.upow - low) + [1], exps))
-    common = math.lcm(*(scalar.denominator for scalar, _ in lifted))
-    total = [0] * max((len(p) for _, p in lifted), default=0)
-    for scalar, p in lifted:
-        f = scalar.numerator * (common // scalar.denominator)
+        a, b, p = lift([0] * (t.upow - low) + [1], exps)
+        lifted.append((t.const.numerator * a, t.const.denominator * b, p))
+    common = math.lcm(*(den for _, den, _ in lifted))
+    total = [0] * max((len(p) for _, _, p in lifted), default=0)
+    for num, den, p in lifted:
+        f = num * (common // den)
         for i, v in enumerate(p):
             total[i] += f * v
-    # sum = total / common and the denominator is den_scalar * den
-    den_scalar, den = lift(Fraction(1), [0] * max(-low, 0) + [1], den_exps)
-    num = [0] * max(low, 0) + [v * den_scalar.denominator for v in total]
-    return num, [v * common * den_scalar.numerator for v in den]
+    # sum = total / common and the denominator is (den_num / den_den) * den
+    den_num, den_den, den = lift([0] * max(-low, 0) + [1], den_exps)
+    num = [0] * max(low, 0) + [v * den_den for v in total]
+    return num, [v * common * den_num for v in den]
 
 
 def completed_zeta_factor(c: CurveData, k: int, h: int) -> RationalFunction:

@@ -19,12 +19,13 @@ key of the positive roots, and each summand takes it to the key's count
 over the inversion set; the products over w^{-1}Phi^- and over all roots
 are built per key the same way.  Every summand is kept as a
 curve.FactorProduct (a constant, a power of u and powers of the atoms
-1 - q^j u^m and P(q^j u^m)); the period lifts each numerator to the
-common denominator of all summands and reduces the sum once.  Single
-terms and the products over root keys expand their factor multisets the
-same way, with one reduction each.  The involution certificate builds
-each element's factored f and g once, expands each once for the
-substitution identities, and reduces the sum of the f*g products once.
+1 - q^j u^m and P(q^j u^m)), built in one pass by curve.product; the
+period lifts each numerator to the common denominator of all summands
+and reduces the sum once.  Single terms and the products over root keys
+expand their factor multisets the same way, with one reduction each.
+The involution certificate builds each element's factored f and g once,
+expands each once for the substitution identities, and reduces the sum
+of the f*g products once.
 
 Multiplying the period by the minimal normalization product, the
 positive max-difference exponents over h >= 2, yields the group zeta,
@@ -53,6 +54,7 @@ from .curve import (
     FactorProduct,
     expand_sum,
     line_factor,
+    product,
     zeta_factors,
     zeta_special_residue,
 )
@@ -92,13 +94,11 @@ def _rational_factors(
     c: CurveData, rs: RootSystem, pd: ParabolicData, w: WeylElement
 ) -> FactorProduct:
     """prod over (w^{-1}Delta) \\ Delta_p of 1/(1 - u^k q^{1-h})."""
-    winv = w.inverse()
-    term = FactorProduct(Fraction(1))
-    for s_idx in rs.simple_indices():
-        k, h = pd.keys[winv.apply(s_idx)]
-        if (k, h) != (0, 1):  # (0, 1) marks exactly the roots of Delta_p
-            term = term * line_factor(c.q, 1 - h, k) ** -1
-    return term
+    keys = (pd.keys[w.perm.index(s)] for s in rs.simple_indices())
+    # (0, 1) marks exactly the roots of Delta_p
+    return product(
+        (line_factor(c.q, 1 - h, k), -1) for k, h in keys if (k, h) != (0, 1)
+    )
 
 
 def _ratio_table(
@@ -107,7 +107,9 @@ def _ratio_table(
     """zeta(k s + h) / zeta(k s + h + 1) per distinct key of the positive
     roots, the numerator stripped at (0, 1)."""
     return {
-        (k, h): _zeta_num_factors(c, k, h) * zeta_factors(c, k, h + 1) ** -1
+        (k, h): product(
+            ((_zeta_num_factors(c, k, h), 1), (zeta_factors(c, k, h + 1), -1))
+        )
         for k, h in set(pd.keys[: rs.n_positive])
     }
 
@@ -123,11 +125,9 @@ def _weyl_factors(
     """The single-w summand of the period, factored: the rational factors
     times each key's ratio (from ``_ratio_table``) to its count over the
     inversion set."""
-    term = _rational_factors(c, rs, pd, w)
     counts = Counter(pd.keys[idx] for idx in W.inversion_set(w))
-    for key, n in counts.items():
-        term = term * ratios[key] ** n
-    return term
+    rational = (_rational_factors(c, rs, pd, w), 1)
+    return product([rational, *((ratios[key], n) for key, n in counts.items())])
 
 
 def period_gp(
@@ -145,11 +145,9 @@ def period_gp(
 
 def _zeta_product(c: CurveData, exponents: dict) -> FactorProduct:
     """prod over (k, h) of the completed zeta at k*s + h to its exponent,
-    stripped at (0, 1)."""
-    prod = FactorProduct(Fraction(1))
-    for (k, h), e in sorted(exponents.items()):
-        prod = prod * _zeta_num_factors(c, k, h) ** e
-    return prod
+    stripped at (0, 1); a zero exponent builds no factor."""
+    items = sorted(exponents.items())
+    return product((_zeta_num_factors(c, k, h), e) for (k, h), e in items if e)
 
 
 def group_zeta(
@@ -303,7 +301,7 @@ def fg_involution_check(
         fp, gp = expanded[partner.perm]
         cert.record("f involution", fe_substitution(fw, q, cp) == fp, w=where)
         cert.record("g involution", fe_substitution(gw, q, cp) == gp, w=where)
-    total = expand_sum(c, [f * g for f, g in factored.values()])
+    total = expand_sum(c, [product(((f, 1), (g, 1))) for f, g in factored.values()])
     cert.record(
         "sum of f*g equals clearing * period", total == decomp.omega_global
     )

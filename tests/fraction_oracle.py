@@ -5,10 +5,11 @@
 the same operations done the plain way, on lists of ``Fraction``
 coefficients (index = degree, trailing zeros stripped) with arithmetic of
 their own: a monic Euclidean gcd, exact division and a monic denominator
-for ``make``; and for ``expand_sum`` each factored term expanded on its
+for ``make``; for ``expand_sum`` each factored term expanded on its
 own, as a product of atom polynomials, then added to the running sum
-over the product of denominators and reduced.  A ``Poly`` is built only
-from a result, to compare it with the library's.
+over the product of denominators and reduced; and for ``curve.product``
+each factor expanded on its own and taken to its exponent.  A ``Poly``
+is built only from a result, to compare it with the library's.
 """
 
 from fractions import Fraction
@@ -154,4 +155,15 @@ def expand_sum(c: CurveData, terms: list[FactorProduct]) -> RationalFunction:
     for t in terms:
         a, b = expand(c, t)
         num, den = reduce(add(mul(num, b), mul(a, den)), mul(den, b))
+    return make(num, den)
+
+
+def product(c: CurveData, pairs: list[tuple[FactorProduct, int]]) -> RationalFunction:
+    """prod f^e over the pairs, each factor expanded and powered alone."""
+    num, den = [Fraction(1)], [Fraction(1)]
+    for f, e in pairs:
+        a, b = expand(c, f)
+        if e < 0:
+            a, b = b, a
+        num, den = mul(num, power(a, abs(e))), mul(den, power(b, abs(e)))
     return make(num, den)

@@ -17,6 +17,7 @@ from nazeta.curve import (
     curve_from_point_counts,
     elliptic_curve,
     expand_sum,
+    product,
     zeta_special_residue,
 )
 from nazeta.errors import DomainError, PoleError, ValidationError
@@ -187,25 +188,24 @@ class TestSpecialResidue:
 
 # atoms ("L", j, m) = 1 - q^j u^m and ("P", j, m) = P(q^j u^m)
 ATOMS = st.tuples(st.sampled_from("LP"), st.integers(-4, 4), st.integers(1, 3))
-FACTORED_TERMS = st.lists(
-    st.builds(
-        FactorProduct,
-        const=st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=9)),
-        upow=st.integers(-4, 4),
-        atoms=st.dictionaries(
-            ATOMS, st.integers(-3, 3).filter(bool), max_size=3
-        ).map(lambda exps: tuple(exps.items())),
-    ),
-    max_size=4,
+FACTORED = st.builds(
+    FactorProduct,
+    const=st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=9)),
+    upow=st.integers(-4, 4),
+    atoms=st.dictionaries(
+        ATOMS, st.integers(-3, 3).filter(bool), max_size=3
+    ).map(lambda exps: tuple(exps.items())),
 )
+FACTORED_TERMS = st.lists(FACTORED, max_size=4)
+CURVES = pytest.mark.parametrize("curve", [
+    elliptic_curve(2, 3),
+    curve_from_numerator(2, 2, GENUS2_P.coeffs),
+    curve_from_numerator(1, 3, [1, F(1, 2), 3]),  # rational coefficients
+], ids=["genus-1", "genus-2", "rational"])
 
 
 class TestExpandSum:
-    @pytest.mark.parametrize("curve", [
-        elliptic_curve(2, 3),
-        curve_from_numerator(2, 2, GENUS2_P.coeffs),
-        curve_from_numerator(1, 3, [1, F(1, 2), 3]),  # rational coefficients
-    ], ids=["genus-1", "genus-2", "rational"])
+    @CURVES
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(terms=FACTORED_TERMS)
     @example(terms=[])
@@ -216,3 +216,29 @@ class TestExpandSum:
     ])
     def test_matches_the_per_term_fraction_oracle(self, curve, terms):
         assert expand_sum(curve, terms) == fraction_oracle.expand_sum(curve, terms)
+
+
+X = FactorProduct(F(-3, 2), 1, ((("L", 2, 1), 1), (("P", -1, 2), -2)))
+Y = FactorProduct(F(4, 9), -3, ((("L", 2, 1), -1), (("L", -3, 3), 2)))
+
+
+class TestProduct:
+    @CURVES
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(FACTORED, st.integers(-3, 3)), max_size=4))
+    @example(pairs=[])
+    @example(pairs=[(X, 0), (FactorProduct(F(0)), 0)])  # both are 1
+    @example(pairs=[(X, 1), (X, -1), (Y, -2)])  # ("L", 2, 1) cancels, reappears
+    @example(pairs=[(X, 2), (FactorProduct(F(0), 1), -1)])
+    def test_matches_the_per_factor_fraction_oracle(self, curve, pairs):
+        if any(f.const == 0 and e < 0 for f, e in pairs):
+            with pytest.raises(DomainError, match="division by the zero function"):
+                product(pairs)
+            return
+        result = product(pairs)
+        assert all(e for _, e in result.atoms)
+        assert expand_sum(curve, [result]) == fraction_oracle.product(curve, pairs)
+        for f, e in pairs:
+            assert f**e == product([(f, e)])
+        for (a, _), (b, _) in zip(pairs, pairs[1:]):
+            assert a * b == product([(a, 1), (b, 1)])

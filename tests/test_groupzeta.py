@@ -47,6 +47,11 @@ SEED1_CURVES = (
     elliptic_curve(3, 2),
     curve_from_numerator(2, 2, (Poly.of(1, 0, 2) * Poly.of(1, 1, 2)).coeffs),
 )
+# the curves of acceptance criterion 5, E(q=2,N=3) and G(q=2,a=1,b=-1)
+CRITERION_5_CURVES = (
+    E23,
+    curve_from_numerator(2, 2, (Poly.of(1, -1, 2) * Poly.of(1, 1, 2)).coeffs),
+)
 
 
 def pair(label, rank, p):
@@ -278,6 +283,36 @@ class TestDecomposition:
             "zeta * denominator = clearing * period"
         ]
         assert len(cert.checks) == 4
+
+    @pytest.mark.parametrize("label,rank,p", [
+        ("A", 2, 1), ("A", 2, 2), ("A", 3, 1), ("A", 3, 2), ("A", 3, 3)
+    ])
+    @pytest.mark.parametrize("curve", CRITERION_5_CURVES)
+    def test_one_zeta_factor_per_nonzero_exponent(
+        self, monkeypatch, curve, label, rank, p
+    ):
+        rs, W, pd = pair(label, rank, p)
+        z = group_zeta(curve, rs, W, pd)
+        exponents, calls = [], []
+        zeta_product = nazeta.groupzeta._zeta_product
+        zeta_factors = nazeta.groupzeta.zeta_factors
+
+        def recorded(c, exps):
+            exponents.append(dict(exps))
+            return zeta_product(c, exps)
+
+        def counted(c, k, h):
+            calls.append((k, h))
+            return zeta_factors(c, k, h)
+
+        monkeypatch.setattr(nazeta.groupzeta, "_zeta_product", recorded)
+        monkeypatch.setattr(nazeta.groupzeta, "zeta_factors", counted)
+        assert omega_D_decompose(z, W).certificate.passed
+        nonzero = [
+            key for exps in exponents for key, e in exps.items()
+            if e and key != (0, 1)  # (0, 1) takes the special residue
+        ]
+        assert sorted(calls) == sorted(nonzero)
 
 
 def involution_certificate(c, rs, W, pd):
