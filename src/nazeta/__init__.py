@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .curve import (
     CurveData,
-    artin_zeta,
     completed_zeta_factor,
     curve_from_numerator,
     curve_from_point_counts,

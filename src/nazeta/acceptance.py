@@ -16,6 +16,7 @@ from .algebra import (
     Poly,
     RationalFunction,
     poly_complex_roots,
+    roots_on_circle,
     series_exp,
     series_log_coefficients,
     substitute,
@@ -163,8 +164,7 @@ def criterion_2() -> CriterionResult:
                 ok_num = False
             if not fe_check_pure(z.zeta, 1, q, 2)[0]:
                 ok_fe = False
-            report = rh_report(z.numerator.scale(1 / alpha0), Q)
-            if not report.verdict:
+            if not roots_on_circle(z.numerator, 1 / Q):
                 ok_rh = False
             if not ((n - 2) ** 2 - 4 * Q < 0):
                 ok_rh = False
@@ -264,13 +264,13 @@ def criterion_5() -> CriterionResult:
         W = enumerate_weyl(rs)
         for p in ps:
             pd = parabolic_data(rs, W, p)
+            zs = [group_zeta(cc, rs, W, pd) for cc in curves]
             res.certify(
-                [verify_count_identities(rs, W, pd)],
+                [verify_count_identities(rs, W, pd, zs[0].table)],
                 f"{label}{rank} p={p}: count-table identities over full support",
             )
-            for idx, cc in enumerate(curves):
-                z = group_zeta(cc, rs, W, pd)
-                decomp = omega_D_decompose(z, W)
+            for idx, z in enumerate(zs):
+                decomp = omega_D_decompose(z)
                 certs = [
                     fe_check_group(z)[1],
                     decomp.certificate,

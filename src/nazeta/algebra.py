@@ -658,6 +658,15 @@ def series_exp(cs: Sequence[Fraction], order: int) -> list[Fraction]:
     return out
 
 
+def power_sums(p: Poly, upto: int) -> list[Fraction]:
+    """s_m = sum omega_i^m for m = 1..upto, p = prod (1 - omega_i T) with
+    p(0) = 1, by Newton's identities s_m = -m p_m - sum_{j<m} p_j s_{m-j}."""
+    sums: list[Fraction] = []
+    for m in range(1, upto + 1):
+        sums.append(-m * p[m] - sum(p[j] * sums[m - j - 1] for j in range(1, m)))
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Complex roots
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from .curve import (
 )
 from .errors import DomainError, NumericError
 from .rootsys import (
+    CountTable,
     ParabolicData,
     RootSystem,
     WeylElement,
@@ -81,6 +82,7 @@ class GroupZetaResult:
     curve: CurveData
     rs: RootSystem
     pd: ParabolicData
+    table: CountTable  # the count tables of (rs, pd) the normalization came from
 
 
 def _zeta_num_factors(c: CurveData, k: int, h: int) -> FactorProduct:
@@ -166,9 +168,10 @@ def group_zeta(
         omega = residue_period(c, rs, W, pd)
     else:
         raise DomainError(f"unknown route {route!r}")
-    exponents = count_tables(rs, W, pd).normalization_exponents()
+    table = count_tables(rs, W, pd)
+    exponents = table.normalization_exponents()
     zeta = omega * _zeta_product(c, exponents).expand(c)
-    return GroupZetaResult(zeta, omega, exponents, pd.c_p, route, c, rs, pd)
+    return GroupZetaResult(zeta, omega, exponents, pd.c_p, route, c, rs, pd, table)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ class Decomposition:
     certificate: Certificate
 
 
-def omega_D_decompose(z: GroupZetaResult, W: WeylGroup) -> Decomposition:
+def omega_D_decompose(z: GroupZetaResult) -> Decomposition:
     """Split the group zeta as (clearing * period) / denominator.
 
     The clearing factor multiplies the completed zeta at (k, h+1) over
@@ -213,8 +216,7 @@ def omega_D_decompose(z: GroupZetaResult, W: WeylGroup) -> Decomposition:
     together with both reflection identities and the exact equation
     zeta * denominator = clearing * period.
     """
-    c, rs, pd = z.curve, z.rs, z.pd
-    table = count_tables(rs, W, pd)
+    c, rs, pd, table = z.curve, z.rs, z.pd, z.table
     cert = Certificate(
         f"global decomposition {rs.type_label}{rs.rank} p={pd.p}"
     )

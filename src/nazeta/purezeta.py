@@ -29,6 +29,7 @@ from .algebra import (
     RationalFunction,
     _frac,
     poly_complex_roots,
+    power_sums,
     roots_on_circle,
     series_log_coefficients,
     substitute,
@@ -198,11 +199,9 @@ def elliptic_rank2_inputs(c: CurveData) -> PureZetaInputs:
     """Rank-two inputs for an elliptic curve: alpha(0) = N/(q-1)."""
     if c.g != 1:
         raise DomainError("rank-two provider applies to genus-one curves")
-    n = c.q + 1 + c.P[1]  # #X(F_q), the t-coefficient of log Z(t)
-    if n.denominator != 1:
-        raise ValidationError("non-integer point count")
-    beta0 = elliptic_beta2_closed_form(c.q, int(n))
-    return PureZetaInputs.make(2, [n / (c.q - 1)], beta0)
+    n = c.point_counts(1)[0]
+    beta0 = elliptic_beta2_closed_form(c.q, n)
+    return PureZetaInputs.make(2, [Fraction(n, c.q - 1)], beta0)
 
 
 def rank1_inputs(c: CurveData) -> PureZetaInputs:
@@ -404,24 +403,20 @@ def bundle_counts(
     Cross-checked exactly against 1 + Q^m - s_m, where s_m is the m-th
     power sum of the inverse roots omega_i of the numerator
     p = 1 + p_1 T + ... = prod (1 - omega_i T), by Newton's identities
-    s_m = -m p_m - sum_{j<m} p_j s_{m-j}; any disagreement raises.
+    (power_sums); any disagreement raises.
     """
     alpha0 = _frac(alpha0)
     Q = _frac(Q)
     if alpha0 == 0:
         raise DomainError("alpha(0) must be nonzero")
     normalized = z.scale(1 / alpha0)
-    cs = series_log_coefficients(normalized, upto)
-    counts = [m * cs[m - 1] for m in range(1, upto + 1)]
-    p = pure_numerator(normalized, Q)
-    sums: list[Fraction] = []
-    for m in range(1, upto + 1):
-        s_m = -m * p[m] - sum(p[j] * sums[m - j - 1] for j in range(1, m))
-        sums.append(s_m)
+    counts = [m * c for m, c in enumerate(series_log_coefficients(normalized, upto), 1)]
+    sums = power_sums(pure_numerator(normalized, Q), upto)
+    for m, (n, s_m) in enumerate(zip(counts, sums), 1):
         alt = 1 + Q**m - s_m
-        if alt != counts[m - 1]:
+        if alt != n:
             raise ValidationError(
-                f"count N({m}) disagrees between series ({counts[m - 1]}) "
+                f"count N({m}) disagrees between series ({n}) "
                 f"and Newton power sums ({alt})"
             )
     return counts

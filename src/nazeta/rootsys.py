@@ -519,7 +519,7 @@ def count_tables(rs: RootSystem, W: WeylGroup, pd: ParabolicData) -> CountTable:
 
 
 def verify_count_identities(
-    rs: RootSystem, W: WeylGroup, pd: ParabolicData, table: CountTable | None = None
+    rs: RootSystem, W: WeylGroup, pd: ParabolicData, table: CountTable
 ) -> Certificate:
     """Exact checks of the count-table identities used by the zeta layer.
 
@@ -533,8 +533,6 @@ def verify_count_identities(
     Every check is recorded with its witness; a failed identity fails the
     certificate, it does not raise.
     """
-    if table is None:
-        table = count_tables(rs, W, pd)
     cert = Certificate(f"count identities {rs.type_label}{rs.rank} p={pd.p}")
     kmin, kmax = table.k_range
     hmin, hmax = table.h_range

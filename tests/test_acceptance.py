@@ -10,6 +10,8 @@ as stated rather than weakened.
 
 import time
 
+import nazeta.groupzeta
+import nazeta.rootsys
 from nazeta import acceptance
 
 
@@ -48,6 +50,23 @@ def test_criterion_4_group_zeta_rank_one():
 def test_criterion_5_symbolic_identity_suite():
     result = _run(acceptance.criterion_5, budget=60.0)
     assert result.passed
+
+
+def test_criterion_5_builds_one_count_table_per_group_zeta(monkeypatch):
+    # the tables depend on (rs, W, pd) alone: group_zeta keeps the one it
+    # builds, and the decomposition and the count identities read it
+    calls = []
+    real = nazeta.rootsys.count_tables
+
+    def counted(rs, W, pd):
+        calls.append(f"{rs.type_label}{rs.rank} p={pd.p}")
+        return real(rs, W, pd)
+
+    monkeypatch.setattr(nazeta.groupzeta, "count_tables", counted)
+    monkeypatch.setattr(nazeta.rootsys, "count_tables", counted)
+    assert acceptance.criterion_5().passed
+    # one table per group zeta: two curves on each of the five pairs
+    assert len(calls) == 10 and len(set(calls)) == 5
 
 
 def test_criterion_6_residue_route_oracle():

@@ -17,6 +17,7 @@ from nazeta.algebra import (
     RationalFunction,
     poly_complex_roots,
     poly_gcd,
+    power_sums,
     series_exp,
     series_log_coefficients,
     substitute,
@@ -378,6 +379,10 @@ class TestLogSeries:
         f = RationalFunction.make(Poly.of(2, 1), Poly.of(1, -1), "T")
         with pytest.raises(DomainError):
             series_log_coefficients(f, 3)
+
+    def test_power_sums_of_one_and_two(self):
+        # 1 - 3T + 2T^2 = (1 - T)(1 - 2T), so s_m = 1 + 2^m
+        assert power_sums(Poly.of(1, -3, 2), 5) == [1 + 2**m for m in range(1, 6)]
 
 
 def _residual_ok(p, z):

@@ -25,7 +25,7 @@ import nazeta.algebra
 import nazeta.cli
 import nazeta.residues
 from nazeta.cli import EXIT_INPUT, EXIT_MATH_FAIL, EXIT_OK, main
-from nazeta.curve import FactorProduct
+from nazeta.curve import GENUS_CAP, FactorProduct
 
 
 GENUS2_SPEC = {"genus": 2, "q": 2, "numerator_coeffs": ["1", "0", "4", "0", "4"]}
@@ -68,6 +68,31 @@ class TestExitCodes:
         assert main(argv + ["--json-out", str(out)]) == EXIT_OK
         curve = json.loads(out.read_text())["curve"]
         assert (curve["genus"], curve["q"]) == (1, 3)
+
+    def test_genus_is_refused_past_the_cap_before_any_arithmetic(self, tmp_path, capsys):
+        # refused before any arithmetic; past the cap the exact Weil check
+        # alone takes seconds (1.8 s at g = 100, q = 2)
+        refusals = ((200, f"up to genus g = {GENUS_CAP}"), (-1, "genus must be >= 1"))
+        for g, message in refusals:
+            spec = {"genus": g, "q": 2, "point_counts": [3] * 200}
+            argv = ["curve-validate", "--curve", _write(tmp_path, "c.json", spec)]
+            start = time.perf_counter()
+            assert main(argv) == EXIT_INPUT
+            assert time.perf_counter() - start < 5
+            assert message in capsys.readouterr().err
+
+    def test_genus_at_the_cap_validates(self, tmp_path):
+        # P = (1 + 11 T^2)^g: inverse roots +-i sqrt(11), s_m = 2g (-11)^(m/2) for even m
+        g, q = GENUS_CAP, 11
+        counts = [q**m + 1 - (2 * g * (-q) ** (m // 2) if m % 2 == 0 else 0)
+                  for m in range(1, g + 1)]
+        spec = {"genus": g, "q": q, "point_counts": counts}
+        out = tmp_path / "cv.json"
+        argv = ["curve-validate", "--curve", _write(tmp_path, "c.json", spec)]
+        assert main(argv + ["--json-out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["point_counts"][:g] == counts
+        assert payload["curve"]["numerator_coeffs"][2] == str(g * q)
 
     def test_curve_validate_symmetry_violation(self, bad_curve_file):
         assert main(["curve-validate", "--curve", bad_curve_file]) == EXIT_INPUT

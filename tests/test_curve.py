@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_oracle
-from nazeta.algebra import Poly, RationalFunction, series_exp
+from zeta_series_oracle import artin_zeta, brute_force_numerator, series_point_counts
+from nazeta.algebra import Poly, RationalFunction
 from nazeta.curve import (
     FactorProduct,
-    artin_zeta,
     artin_zeta_value,
     completed_zeta_factor,
     completed_zeta_value,
@@ -23,21 +23,6 @@ from nazeta.curve import (
 from nazeta.errors import DomainError, PoleError, ValidationError
 
 GENUS2_P = Poly.of(1, 0, 2) ** 2
-
-
-def brute_force_numerator(g, q, counts):
-    """Oracle: expand exp(sum N_m t^m/m)(1-t)(1-qt) as a raw series."""
-    cs = [F(n, m + 1) for m, n in enumerate(counts)]
-    z = series_exp(cs, g)
-    out = []
-    for i in range(g + 1):
-        acc = z[i]
-        if i >= 1:
-            acc -= (q + 1) * z[i - 1]
-        if i >= 2:
-            acc += q * z[i - 2]
-        out.append(acc)
-    return out
 
 
 class TestConstruction:
@@ -79,6 +64,42 @@ class TestConstruction:
         assert not curve_from_numerator(1, 2, [1, 10**200, 2]).weil_numbers_check()
         # the bound is inclusive: 1 + 2T + 2T^2 has its roots on the circle
         assert curve_from_numerator(1, 2, [1, 2, 2]).weil_numbers_check()
+
+
+GENUS_Q_COUNTS = st.tuples(st.integers(1, 3), st.integers(2, 9)).flatmap(
+    lambda gq: st.tuples(
+        st.just(gq[0]), st.just(gq[1]),
+        st.lists(st.integers(1, 1000), min_size=gq[0], max_size=gq[0]),
+    )
+)
+
+
+class TestNewtonBridge:
+    """Counts to numerator and back by power sums, against the series of
+    the Artin zeta."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=GENUS_Q_COUNTS)
+    @example(case=(1, 2, [3]))
+    @example(case=(2, 2, [3, 13]))  # (1 + 2T^2)^2
+    @example(case=(2, 3, [4, 1]))  # a_2 = -9/2: N_4 is not an integer
+    def test_matches_the_series_oracle(self, case):
+        g, q, counts = case
+        c = curve_from_point_counts(g, q, counts)
+        assert list(c.P.coeffs[: g + 1]) == brute_force_numerator(g, q, counts)
+        try:
+            expected = series_point_counts(c, g + 2)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=str(exc)):
+                c.point_counts(g + 2)
+        else:
+            assert c.point_counts(g + 2) == expected
+
+    def test_rational_numerator_has_no_integer_counts(self):
+        c = curve_from_numerator(1, 2, [1, F(1, 2), 2])
+        for counts in (c.point_counts, lambda upto: series_point_counts(c, upto)):
+            with pytest.raises(ValidationError, match="non-integer point count"):
+                counts(3)
 
 
 class TestArtinZeta:

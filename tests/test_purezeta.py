@@ -11,7 +11,6 @@ from nazeta.acceptance import hasse_range
 from nazeta.algebra import Poly, RationalFunction, substitute
 from nazeta.compositions import MASS_RANK_CAP, parabolic_mass_sum
 from nazeta.curve import (
-    artin_zeta,
     artin_zeta_value,
     completed_zeta_value,
     curve_from_numerator,
@@ -42,6 +41,7 @@ from nazeta.purezeta import (
 
 from composition_oracle import COMPOSITION_RANK_CAP, compositions
 from genus2_oracle import genus2_numerator, genus2_rh_criterion
+from zeta_series_oracle import artin_zeta
 
 GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) ** 2).coeffs)
 

@@ -335,7 +335,7 @@ class TestCountTables:
         rs, W = make(label, rank)
         for p in ps:
             pd = parabolic_data(rs, W, p)
-            cert = verify_count_identities(rs, W, pd)
+            cert = verify_count_identities(rs, W, pd, count_tables(rs, W, pd))
             assert cert.passed
             names = {c["identity"] for c in cert.checks}
             assert any("reflection symmetry" in n for n in names)
