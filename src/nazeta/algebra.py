@@ -9,9 +9,10 @@ a canonical form (FLINT's fmpq_poly layout) that ``coeffs``, ``p[i]`` and
 by Gauss's lemma a product needs no gcd and an exact quotient is
 primitive.  A rational function is a reduced pair with a monic
 denominator, so equality of values is a structural comparison; the
-reduction divides the primitive gcd out of both lists exactly.  A Sturm
-chain runs over Z too: each pseudo-remainder is scaled by a positive
-multiplier, so it keeps the sign of the remainder over Q.
+reduction divides the primitive gcd out of both lists exactly.  The
+circle test runs one Sturm chain over Z, square-free input or not, once
+the roots at the ends of its interval are divided out (Basu, Pollack and
+Roy); positive multipliers keep the signs of its pseudo-remainders over Q.
 
 Every change of variable the identities need, the functional equations'
 u -> c/u as well as the reparametrizations, is the one monomial
@@ -103,9 +104,7 @@ class Poly:
         ints = _trim(list(ints))
         if not ints or not content:
             return Poly.zero()
-        g = _int_content(ints)
-        if ints[-1] < 0:
-            g = -g
+        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
         return Poly(content * g, tuple(ints) if g == 1 else tuple(v // g for v in ints))
 
     @staticmethod
@@ -203,10 +202,9 @@ class Poly:
         return Poly(self.content / other.content, tuple(_int_div_exact(self.prim, other.prim)))
 
     def evaluate(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
-        for v in reversed(self.prim):
-            acc = acc * x + v
-        return self.content * acc
+        n, k = x.as_integer_ratio()  # content * k^d p(n/k) / k^d, the middle over Z
+        c, d = self.content, max(self.degree, 0)
+        return Fraction(c.numerator * _int_eval(self.prim, n, k), c.denominator * k**d)
 
     def evaluate_complex(self, z: complex) -> complex:
         acc = 0j
@@ -254,15 +252,6 @@ def _monic(prim: Sequence[int]) -> Poly:
 # The integer kernels below take coefficient lists over Z, as a Poly's
 # ``prim`` is: products, gcds and exact quotients run over Z, and only the
 # content of a result is a Fraction.
-
-
-def _int_content(ints: Sequence[int]) -> int:
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-        if g == 1:
-            return 1
-    return g or 1
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -313,6 +302,14 @@ def _int_div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return quot
 
 
+def _int_eval(c: Sequence[int], n: int, k: int) -> int:
+    """k^deg(c) c(n/k) = sum c_i n^i k^(deg-i), over Z by Horner's rule."""
+    acc, kpow = 0, 1
+    for v in reversed(c):
+        acc, kpow = acc * n + v * kpow, kpow * k
+    return acc
+
+
 def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder of integer lists (b trimmed), content-stripped.
 
@@ -331,8 +328,18 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
         for j, v in enumerate(b, shift):
             a[j] -= mb * v
         _trim(a)
-    g = _int_content(a)
-    return [v // g for v in a] if g != 1 else a
+    g = math.gcd(*a[-2:])  # a multiple of the content, cut down by any remainder
+    while g > 1:
+        quot = []
+        for v in a:
+            c, r = divmod(v, g)
+            if r:
+                g = math.gcd(g, r)
+                break
+            quot.append(c)
+        else:
+            return quot
+    return a
 
 
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
@@ -366,65 +373,56 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _derivative(p: Poly) -> Poly:
-    return Poly.from_ints([i * v for i, v in enumerate(p.prim)][1:], p.content)
-
-
 def roots_on_circle(p: Poly, r2: Rat) -> bool:
     """Whether every complex root z of p has |z|^2 = r2, decided exactly.
 
     If every root lies on the circle, r2/z is the conjugate root of z, so
-    z^d p(r2/z) = (p_0/p_d) p(z): the symmetry p_i r2^i p_d = p_0 p_{d-i}
-    is necessary and is checked first.  When it holds with d = 2m even
-    and p_0/p_d > 0, p(z)/z^m = h(z + r2/z), and the roots lie on the
-    circle iff every root y of h is real with y^2 <= 4 r2 (otherwise p^2,
-    with the same roots, takes its place).  The roots of
-    H(w) = h(y) h(-y) are the y^2, so a Sturm count of the distinct roots
-    of H in [0, 4 r2] against the degree of its square-free part decides.
+    z^d p(r2/z) = (p_0/p_d) p(z): the symmetry p_i r2^i p_d = p_0 p_{d-i},
+    which a root at 0 breaks, is necessary and is checked first.  When it
+    holds with d = 2m even and p_0/p_d > 0, p(z)/z^m = h(z + r2/z), and
+    the roots lie on the circle iff every root y of h is real with
+    y^2 <= 4 r2 (otherwise p^2, with the same roots, takes its place):
+    iff every root w = y^2 of H(w) = h(y) h(-y) lies in [0, 4 r2].  With
+    any roots at the ends divided out, one Sturm chain of H decides,
+    square-free or not: it ends in gcd(H, H'), and its sign changes
+    between two non-roots count the distinct roots between them (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).  It
+    all runs over Z, with r2 = n/k.
     """
-    r2 = _frac(r2)
-    if r2 <= 0:
+    n, k = r2.as_integer_ratio()
+    if n <= 0:
         raise DomainError("the squared radius must be positive")
     if p.is_zero():
         raise DomainError("the zero polynomial vanishes everywhere")
-    d = p.degree
-    if d == 0:
-        return True
-    ints = p.prim  # the content cancels; ints[d] > 0 gives p_0/p_d its sign
-    if ints[0] == 0:
-        return False
-    if any(ints[i] * r2**i * ints[d] != ints[0] * ints[d - i] for i in range(d + 1)):
+    d, ints = p.degree, p.prim  # the content cancels; ints[d] > 0 signs p_0/p_d
+    if any(v * n**i * k ** (d - i) * ints[d] != ints[0] * ints[-1 - i] * k**d
+           for i, v in enumerate(ints)):
         return False
     if d % 2 or ints[0] < 0:
-        p, d = p * p, 2 * d
+        ints, d = _int_mul(ints, ints), 2 * d
     m = d // 2
-    # h = p_m + sum_j p_{m+j} T_j(y), with T_j(z + r2/z) = z^j + (r2/z)^j
-    y = Poly.of(0, 1)
-    h, t_prev, t = Poly.constant(p[m]), Poly.constant(2), y
+    # k^m h = k^m p_m + sum_j k^(m-j) p_{m+j} U_j over U_j = k^j T_j, where
+    # T_j(z + r2/z) = z^j + (r2/z)^j: U_{j+1} = k y U_j - n k U_{j-1}
+    h, u_prev, u = [ints[m] * k**m] + [0] * m, [2], [0, k]
     for j in range(1, m + 1):
-        h = h + t.scale(p[m + j])
-        t_prev, t = t, y * t - t_prev.scale(r2)
-    h_neg = Poly.from_ints([-v if i % 2 else v for i, v in enumerate(h.prim)], h.content)
-    hh = h * h_neg
-    H = Poly.from_ints(hh.prim[::2], hh.content)
-    s = H.exact_div(poly_gcd(H, _derivative(H))).prim  # square-free part
+        c = ints[m + j] * k ** (m - j)
+        h = [a + c * b for a, b in zip(h, u + [0] * (m - j))]
+        u_prev, u = u, [k * a - n * k * b for a, b in zip([0] + u, u_prev + [0, 0])]
+    H = _int_mul(h, [-v if i % 2 else v for i, v in enumerate(h)])[::2]
+    ends = ((0, 1), (4 * n // math.gcd(4, k), k // math.gcd(4, k)))
+    for a, b in ends:
+        while len(H) > 1 and _int_eval(H, a, b) == 0:
+            H = _int_div_exact(H, [-a, b])
+    if len(H) == 1:
+        return True
     # Sturm chain over Z: each entry a positive multiple of the exact one
-    chain = [list(s), [i * v for i, v in enumerate(s)][1:]]
-    while len(chain[-1]) > 1:
-        chain.append([-v for v in _int_prem(chain[-2], chain[-1])])
-
-    def sign_changes(n: int, k: int) -> int:
-        # c(n/k) has the sign of the integer k^deg(c) c(n/k)
-        values = (
-            sum(v * n**i * k ** (len(c) - 1 - i) for i, v in enumerate(c)) for c in chain
-        )
-        signs = [v > 0 for v in values if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    # distinct roots in (0, 4 r2], plus the root at 0 if there is one
-    x = 4 * r2
-    inside = sign_changes(0, 1) - sign_changes(x.numerator, x.denominator) + (s[0] == 0)
-    return inside == len(s) - 1
+    chain = [H, [i * v for i, v in enumerate(H)][1:]]
+    while rem := _int_prem(chain[-2], chain[-1]):
+        chain.append([-v for v in rem])
+    # the sign changes at either end differ by the distinct roots between
+    signs = [[v > 0 for v in (_int_eval(c, a, b) for c in chain) if v] for a, b in ends]
+    low, high = (sum(s != t for s, t in zip(x, x[1:])) for x in signs)
+    return low - high == len(H) - len(chain[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +723,10 @@ def _aberth(coeffs: list[complex]):
 # Residual bound of every root: |f(z)| <= ROOT_TOL * sum_i |f_i| |z|^i for
 # the square-free factor f that z is a root of.
 ROOT_TOL = 1e-10
+
+
+def _derivative(p: Poly) -> Poly:
+    return Poly.from_ints([i * v for i, v in enumerate(p.prim)][1:], p.content)
 
 
 def _squarefree_split(p: Poly) -> list[tuple[Poly, int]]:

@@ -33,10 +33,18 @@ from .algebra import (
 )
 from .errors import CapabilityError, DomainError, PoleError, ValidationError
 
-# the exact Weil check (a degree-2g Sturm chain) dominates curve-validate: on
-# point_counts [3] * g, 0.3 s at g = 50 and 1.8 s at g = 100 for q = 2, 0.5 s
-# and 10 s for q = 9 (subprocess wall, 2-core Linux host)
+# curve-validate on point_counts [3] * g (subprocess wall, 2-core Linux host):
+# 0.2 s at g = 50 and 0.7 s at g = 100 for q = 2, 0.3 s and 3.9 s for q = 9
 GENUS_CAP = 50
+
+# The Weil check's cost grows as g^3 B^2, B the bit length of P's largest
+# coefficient over Z (about g log2 q for point counts).  On point_counts
+# [3] * g (in process, same host) it took 1.4-2.6e-11 s per unit over 20
+# points with g <= 50, q <= 10^12: 0.09 s at (g, q) = (50, 9), 0.8 s at
+# (50, 1009), 1.3 s at (50, 10007), 2.0 s at (50, 10^6 + 3), 0.5 s at
+# (32, 10^9 + 7), 0.8 s at (32, 10^12 + 39) and 1.2 s at (40, 10^9 + 7);
+# the cap keeps it near 1 s.  Unstructured numerators cost more per unit.
+WEIL_SIZE_CAP = 4 * 10**10
 
 
 def check_genus(g: int) -> None:
@@ -75,7 +83,17 @@ class CurveData:
                 )
 
     def weil_numbers_check(self) -> bool:
-        """Whether every inverse root has modulus sqrt(q), decided exactly."""
+        """Whether every inverse root has modulus sqrt(q), decided exactly.
+
+        Refused with CapabilityError above WEIL_SIZE_CAP, before any
+        arithmetic.
+        """
+        size = self.g**3 * max(abs(v) for v in self.P.prim).bit_length() ** 2
+        if size > WEIL_SIZE_CAP:
+            raise CapabilityError(
+                f"the exact Weil check is supported up to g^3 B^2 = {WEIL_SIZE_CAP} "
+                f"(B the bits of the largest numerator coefficient); this curve has {size}"
+            )
         return roots_on_circle(self.P, Fraction(1, self.q))
 
     def point_counts(self, upto: int) -> list[int]:

@@ -30,7 +30,6 @@ from .algebra import (
     RationalFunction,
     Rat,
     _frac,
-    _int_content,
     _int_mul,
 )
 from .curve import CurveData
@@ -296,7 +295,7 @@ def _product(nvars: int, content: Fraction, num: Terms, exps: dict) -> AtomProdu
     num = {m: v for m, v in num.items() if v}
     if not num or not content:
         return AtomProduct(nvars, Fraction(0), ())
-    g = _int_content(num.values())
+    g = math.gcd(*num.values())
     if g > 1:
         num = {m: v // g for m, v in num.items()}
     atoms = tuple((a, e) for a, e in exps.items() if e)

@@ -25,7 +25,7 @@ import nazeta.algebra
 import nazeta.cli
 import nazeta.residues
 from nazeta.cli import EXIT_INPUT, EXIT_MATH_FAIL, EXIT_OK, main
-from nazeta.curve import GENUS_CAP, FactorProduct
+from nazeta.curve import GENUS_CAP, WEIL_SIZE_CAP, FactorProduct
 
 
 GENUS2_SPEC = {"genus": 2, "q": 2, "numerator_coeffs": ["1", "0", "4", "0", "4"]}
@@ -71,7 +71,7 @@ class TestExitCodes:
 
     def test_genus_is_refused_past_the_cap_before_any_arithmetic(self, tmp_path, capsys):
         # refused before any arithmetic; past the cap the exact Weil check
-        # alone takes seconds (1.8 s at g = 100, q = 2)
+        # alone takes seconds (3.9 s at g = 100, q = 9)
         refusals = ((200, f"up to genus g = {GENUS_CAP}"), (-1, "genus must be >= 1"))
         for g, message in refusals:
             spec = {"genus": g, "q": 2, "point_counts": [3] * 200}
@@ -93,6 +93,41 @@ class TestExitCodes:
         payload = json.loads(out.read_text())
         assert payload["point_counts"][:g] == counts
         assert payload["curve"]["numerator_coeffs"][2] == str(g * q)
+
+    def test_weil_check_is_refused_past_its_size_cap(self, tmp_path, capsys):
+        # g^3 B^2 = 2.8e11 here; before the cap the check alone took 13 s
+        spec = {"genus": GENUS_CAP, "q": 10**9 + 7, "point_counts": [3] * GENUS_CAP}
+        argv = ["curve-validate", "--curve", _write(tmp_path, "c.json", spec)]
+        start = time.perf_counter()
+        assert main(argv) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        assert f"g^3 B^2 = {WEIL_SIZE_CAP}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q,code", [(2503, EXIT_OK), (2531, EXIT_INPUT)])
+    def test_weil_check_at_its_size_cap(self, q, code, tmp_path):
+        # P = (1 + q T^2)^g has B = bits(q^g): 565 at q = 2503, just inside
+        # the cap at g = 50, and 566 at q = 2531, just past it
+        g = GENUS_CAP
+        assert (g**3 * (q**g).bit_length() ** 2 <= WEIL_SIZE_CAP) == (code == EXIT_OK)
+        counts = [q**m + 1 - (2 * g * (-q) ** (m // 2) if m % 2 == 0 else 0)
+                  for m in range(1, g + 1)]
+        spec = {"genus": g, "q": q, "point_counts": counts}
+        argv = ["curve-validate", "--curve", _write(tmp_path, "c.json", spec)]
+        assert main(argv) == code
+
+    def test_bench_candidate_curves_validate(self, tmp_path):
+        # every curve the benchmark's seeds pick from, seeds 1 and 2 among them
+        candidates = WORKLOADS.G1_CANDIDATES + WORKLOADS.G2_CANDIDATES
+        labels = {c.label for c in candidates}
+        for seed in (1, 2):
+            assert {c.label for c in WORKLOADS.curves_for_seed(seed).values()} <= labels
+        for c in candidates:
+            out = tmp_path / "cv.json"
+            argv = ["curve-validate", "--curve", _write(tmp_path, "c.json", c.spec)]
+            assert main(argv + ["--json-out", str(out)]) == EXIT_OK, c.label
+            payload = json.loads(out.read_text())
+            assert payload["weil_check"] is True
+            assert payload["point_counts"][0] == c.n_points
 
     def test_curve_validate_symmetry_violation(self, bad_curve_file):
         assert main(["curve-validate", "--curve", bad_curve_file]) == EXIT_INPUT

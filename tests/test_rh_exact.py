@@ -3,11 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nazeta.algebra
+from circle_oracle import two_chain_roots_on_circle
 from nazeta.acceptance import hasse_range
 from nazeta.algebra import Poly, roots_on_circle
-from nazeta.curve import curve_from_numerator, elliptic_curve
+from nazeta.curve import curve_from_numerator, curve_from_point_counts, elliptic_curve
 from nazeta.errors import DomainError
 from nazeta.groupzeta import group_zeta, group_zeta_zeros
 from nazeta.purezeta import (
@@ -63,6 +65,83 @@ class TestRootsOnCircle:
             roots_on_circle(Poly.zero(), 1)
         with pytest.raises(DomainError):
             roots_on_circle(Poly.of(1, 1), 0)
+
+
+# squared radii with and without a rational square root
+RADII = {F(1): F(1), F(4): F(2), F(9, 4): F(3, 2), F(1, 9): F(1, 3),
+         F(2): None, F(1, 2): None, F(2, 3): None, F(3): None}
+
+
+@st.composite
+def circle_cases(draw):
+    """A product of up to four factors, each up to the cube, times a
+    nonzero content; factors on, at the ends of and off the circle."""
+    r2 = draw(st.sampled_from(sorted(RADII)))
+    root, signs = RADII[r2], st.sampled_from([1, -1])
+    kinds = ["trace", "zero", "minus", "off", "linear"] + (["end", "root"] if root else [])
+    p = Poly.constant(F(draw(st.integers(1, 9)), draw(st.integers(1, 9))) * draw(signs))
+    for _ in range(draw(st.integers(1, 4))):
+        kind, sign = draw(st.sampled_from(kinds)), draw(signs)
+        if kind == "trace":  # z^2 - y z + r2: on the circle iff y^2 <= 4 r2
+            y = F(draw(st.integers(-12, 12)), draw(st.integers(1, 4)))
+            f = Poly.of(r2, -y, 1)
+        elif kind == "zero":  # y = 0
+            f = Poly.of(r2, 0, 1)
+        elif kind == "minus":  # the real roots +-sqrt(r2)
+            f = Poly.of(-r2, 0, 1)
+        elif kind == "end":  # y^2 = 4 r2: a double root at +-sqrt(r2)
+            f = Poly.of(r2, -2 * sign * root, 1)
+        elif kind == "root":
+            f = Poly.of(-sign * root, 1)
+        elif kind == "linear":
+            f = Poly.of(F(draw(st.integers(-9, 9)), draw(st.integers(1, 4))), 1)
+        else:  # z^2 + b z + c, mostly off the circle
+            c = F(draw(st.integers(-12, 12).filter(bool)), draw(st.integers(1, 4)))
+            f = Poly.of(c, draw(st.integers(-6, 6)), 1)
+        p = p * f ** draw(st.integers(1, 3))
+    return p, r2
+
+
+class TestOneChain:
+    """One Sturm chain of H itself against the square-free part's chain."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=circle_cases())
+    @example(case=(Poly.of(4, -1, 1) ** 2 * Poly.of(-2, 1), F(4)))
+    @example(case=(Poly.of(4, -4, 1) * Poly.of(4, 0, 1), F(4)))  # y^2 = 4 r2 and y = 0
+    @example(case=(Poly.of(F(9, 4), 3, 1) ** 3, F(9, 4)))  # a sixfold end root
+    @example(case=(Poly.of(-1, 1) * Poly.of(F(-1, 2), 0, 1), F(1, 2)))  # 1 is off
+    @example(case=(Poly.of(1, 1, 1, -1, 1, 1, 1), F(1)))
+    def test_matches_the_two_chain_oracle(self, case):
+        p, r2 = case
+        assert roots_on_circle(p, r2) == two_chain_roots_on_circle(p, r2)
+
+    def test_large_coefficients(self):
+        # symmetric, so the whole chain runs, on coefficients of ~480 bits
+        q = 10**9 + 7
+        P = curve_from_point_counts(16, q, [3] * 16).P
+        assert roots_on_circle(P, F(1, q)) is two_chain_roots_on_circle(P, F(1, q)) is False
+
+    def test_one_remainder_sequence(self, monkeypatch):
+        # (T^2 - T + 4)^2 (T - 2): every root on |z|^2 = 4, H not square-free
+        p = Poly.of(4, -1, 1) ** 2 * Poly.of(-2, 1)
+        calls = []
+        prem = nazeta.algebra._int_prem
+
+        def spy(a, b):
+            calls.append((list(a), list(b)))
+            return prem(a, b)
+
+        def refuse(*args):
+            raise AssertionError("a second remainder sequence")
+
+        monkeypatch.setattr(nazeta.algebra, "_int_prem", spy)
+        for name in ("poly_gcd", "_int_gcd", "_derivative", "Fraction"):
+            monkeypatch.setattr(nazeta.algebra, name, refuse)
+        monkeypatch.setattr(Poly, "exact_div", refuse)
+        assert roots_on_circle(p, 4)
+        # each pseudo-division continues the chain of the one before
+        assert calls and all(a == prev[1] for (a, _), prev in zip(calls[1:], calls))
 
 
 class TestAgreementWithFloatRoots:
