@@ -3,16 +3,22 @@
 Scalars in the API are ``fractions.Fraction``.  A polynomial is stored as
 a rational ``content`` times ``prim``, a tuple of integers indexed by
 degree with gcd 1 and a positive leading coefficient, (0, ()) for zero:
-a canonical form (FLINT's fmpq_poly layout) that ``coeffs``, ``p[i]`` and
-``leading()`` read back as Fractions.  The integer kernels (``_int_mul``,
-``_int_gcd``, ``_int_div_exact``, ``_int_prem``) take ``prim`` as it is;
-by Gauss's lemma a product needs no gcd and an exact quotient is
-primitive.  A rational function is a reduced pair with a monic
-denominator, so equality of values is a structural comparison; the
-reduction divides the primitive gcd out of both lists exactly.  The
-circle test runs one Sturm chain over Z, square-free input or not, once
-the roots at the ends of its interval are divided out (Basu, Pollack and
-Roy); positive multipliers keep the signs of its pseudo-remainders over Q.
+a canonical form (FLINT's fmpq_poly layout).  The integer kernels
+(``_int_mul``, ``_int_gcd``, ``_int_div_exact``, ``_int_prem``) take
+``prim`` as it is; by Gauss's lemma a product needs no gcd and an exact
+quotient is primitive.  The constructors and readers around them
+(``from_list``, ``from_ints``, ``make``, ``substitute``, ``mul_monomial``,
+``power_sums``) work on integer numerators and denominators too, and
+build each content or value as one Fraction at the end.  Only ``coeffs``,
+``p[i]`` and ``leading()`` give a Fraction per coefficient, and
+``evaluate`` its one value: ``str``, the JSON writers and the benchmark's
+tracer read them, as do a few checks off the hot paths.  A rational
+function is a reduced pair with a monic denominator, so equality of
+values is a structural comparison; the reduction divides the primitive
+gcd out of both lists exactly.  The circle test runs one Sturm chain over
+Z, square-free input or not, once the roots at the ends of its interval
+are divided out (Basu, Pollack and Roy); positive multipliers keep the
+signs of its pseudo-remainders over Q.
 
 Every change of variable the identities need, the functional equations'
 u -> c/u as well as the reparametrizations, is the one monomial
@@ -93,10 +99,10 @@ class Poly:
 
     @staticmethod
     def from_list(coeffs: Iterable[Rat]) -> "Poly":
-        cs = [_frac(c) for c in coeffs]
+        cs = list(coeffs)  # ints and Fractions both carry numerator/denominator
         den = math.lcm(*(c.denominator for c in cs))
         ints = [c.numerator * (den // c.denominator) for c in cs]
-        return Poly.from_ints(ints, Fraction(1, den))
+        return Poly.from_ints(ints, Fraction(1, den)) if den > 1 else Poly.from_ints(ints)
 
     @staticmethod
     def from_ints(ints: Sequence[int], content: Fraction = Fraction(1)) -> "Poly":
@@ -105,7 +111,10 @@ class Poly:
         if not ints or not content:
             return Poly.zero()
         g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-        return Poly(content * g, tuple(ints) if g == 1 else tuple(v // g for v in ints))
+        if g == 1:
+            return Poly(content, tuple(ints))
+        n, k = content.as_integer_ratio()
+        return Poly(Fraction(n * g, k), tuple(v // g for v in ints))
 
     @staticmethod
     def zero() -> "Poly":
@@ -219,8 +228,7 @@ class Poly:
         P_i = prim_i k^(d-i); Horner passes give the Taylor coefficients
         Q_j of P at n, so p(x + a) = content k^(-d) sum Q_j k^j x^j.
         """
-        a = _frac(a)
-        n, k = a.numerator, a.denominator
+        n, k = a.as_integer_ratio()
         d = self.degree
         cs = [v * k ** (d - i) for i, v in enumerate(self.prim)]
         for j in range(d):
@@ -460,8 +468,8 @@ class RationalFunction:
         g = _int_gcd(a, b)
         if len(g) > 1:
             a, b = _int_div_exact(a, g), _int_div_exact(b, g)
-        content = num.content / (den.content * b[-1])
-        return RationalFunction(Poly(content, tuple(a)), _monic(b), var)
+        s, t = _ratio(num, den)
+        return RationalFunction(Poly(Fraction(s, t * b[-1]), tuple(a)), _monic(b), var)
 
     @staticmethod
     def from_poly(p: Poly, var: str = "u") -> "RationalFunction":
@@ -534,7 +542,7 @@ class RationalFunction:
             num = [0] * k + num
         else:
             den = [0] * -k + den
-        return _coprime_ratio(self.num.content / self.den.content, num, den, self.var)
+        return _coprime_ratio(_ratio(self.num, self.den), num, den, self.var)
 
     def evaluate(self, x: Rat) -> Fraction:
         d = self.den.evaluate(x)
@@ -571,19 +579,26 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
+def _ratio(a: Poly, b: Poly) -> tuple[int, int]:
+    """a.content / b.content as an integer pair, not reduced."""
+    (n, d), (m, k) = a.content.as_integer_ratio(), b.content.as_integer_ratio()
+    return n * k, d * m
+
+
 def _coprime_ratio(
-    scale: Fraction, num: list[int], den: list[int], var: str
+    scale: tuple[int, int], num: list[int], den: list[int], var: str
 ) -> RationalFunction:
-    """scale * num/den for integer lists sharing only a power of the variable:
-    it is stripped and den made monic, with no gcd (0/1 for num = 0)."""
+    """s/t * num/den, (s, t) = scale, for integer lists sharing only a power of
+    the variable: it is stripped and den made monic, with no gcd (0/1 for 0)."""
     if var not in VARIABLES:
         raise DomainError(f"unknown variable tag {var!r}")
     if not any(num):
         return RationalFunction(Poly.zero(), Poly.one(), var)
     low = min(next(i for i, x in enumerate(p) if x) for p in (num, den))
-    bottom = Poly.from_ints(den[low:])
-    top = Poly.from_ints(num[low:], scale / bottom.leading())
-    return RationalFunction(top, _monic(bottom.prim), var)
+    den = _trim(den[low:])
+    g = math.gcd(*den) if den[-1] > 0 else -math.gcd(*den)
+    top = Poly.from_ints(num[low:], Fraction(scale[0], scale[1] * den[-1]))
+    return RationalFunction(top, _monic([v // g for v in den]), var)
 
 
 def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunction:
@@ -597,8 +612,8 @@ def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunctio
     identity of the reduced f survives it, and the placed parts share at
     most a power of v, which is stripped.
     """
-    c = _frac(c)
-    if c == 0:
+    n, k = c.as_integer_ratio()
+    if n == 0:
         raise DomainError("substitution constant must be nonzero")
     if d == 0:
         raise DomainError("substitution exponent must be nonzero")
@@ -606,7 +621,6 @@ def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunctio
     if abs(d) * m > _DEGREE_BOUND:
         raise BoundError("substitution exponent bound exceeded")
     # for c = n/k both parts are multiplied by k^m: a_i c^i -> a_i n^i k^(m-i)
-    n, k = c.as_integer_ratio()
 
     def place(p: Poly) -> list[int]:
         out = [0] * (abs(d) * m + 1)
@@ -614,8 +628,7 @@ def substitute(f: RationalFunction, c: Rat, d: int, var: str) -> RationalFunctio
             out[d * i if d > 0 else -d * (m - i)] = a * n**i * k ** (m - i)
         return out
 
-    scale = f.num.content / f.den.content
-    return _coprime_ratio(scale, place(f.num), place(f.den), var)
+    return _coprime_ratio(_ratio(f.num, f.den), place(f.num), place(f.den), var)
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +671,15 @@ def series_exp(cs: Sequence[Fraction], order: int) -> list[Fraction]:
 
 def power_sums(p: Poly, upto: int) -> list[Fraction]:
     """s_m = sum omega_i^m for m = 1..upto, p = prod (1 - omega_i T) with
-    p(0) = 1, by Newton's identities s_m = -m p_m - sum_{j<m} p_j s_{m-j}."""
-    sums: list[Fraction] = []
+    p(0) = 1, by Newton's identities s_m = -m p_m - sum_{j<m} p_j s_{m-j}, run
+    over Z on k^m s_m: p_j = n a_j / k for the content n/k and a = prim."""
+    n, k = p.content.as_integer_ratio()
+    a, kp = [n * v for v in p.prim] + [0] * (upto + 1), [k**i for i in range(upto + 1)]
+    sums: list[int] = []
     for m in range(1, upto + 1):
-        sums.append(-m * p[m] - sum(p[j] * sums[m - j - 1] for j in range(1, m)))
-    return sums
+        rest = sum(a[j] * kp[j - 1] * sums[m - j - 1] for j in range(1, m))
+        sums.append(-m * a[m] * kp[m - 1] - rest)
+    return [Fraction(s, kp[m]) for m, s in enumerate(sums, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +754,10 @@ def _squarefree_split(p: Poly) -> list[tuple[Poly, int]]:
     as [(p, 1)] itself, after one integer gcd of p and p'.
     """
     dp = _derivative(p)
-    if len(_int_gcd(p.prim, dp.prim)) == 1:
+    g = _int_gcd(p.prim, dp.prim)
+    if len(g) == 1:
         return [(p, 1)]
-    c = poly_gcd(p, dp)
+    c = _monic(g)
     w, y = p.exact_div(c), dp.exact_div(c)
     out = []
     k = 1

@@ -71,12 +71,12 @@ class CurveData:
             raise ValidationError(
                 f"numerator degree {self.P.degree} != 2g = {2 * self.g}"
             )
-        if self.P[0] != 1:
+        (n, k), a, g, q = self.P.content.as_integer_ratio(), self.P.prim, self.g, self.q
+        if n * a[0] != k:  # P = (n/k) a: the symmetry below is a's alone
             raise ValidationError("numerator must have constant term 1")
-        for i in range(2 * self.g + 1):
-            lhs = self.P[2 * self.g - i]
-            rhs = Fraction(self.q) ** (self.g - i) * self.P[i]
-            if lhs != rhs:
+        for i in range(g):  # i and 2g - i state the same equation; i = g holds
+            if a[2 * g - i] != q ** (g - i) * a[i]:
+                lhs, rhs = self.P[2 * g - i], Fraction(q) ** (g - i) * self.P[i]
                 raise ValidationError(
                     "coefficient symmetry a_{2g-i} = q^(g-i) a_i fails at "
                     f"i={i}: {lhs} != {rhs}"
@@ -195,23 +195,24 @@ def _q_power(q: int, j: int) -> Fraction:
     return Fraction(q**j) if j >= 0 else Fraction(1, q**-j)
 
 
-def _atom_ints(c: CurveData, atom: Atom) -> tuple[Fraction, list[int]]:
-    """The atom's polynomial in y = u^m as content times a primitive list."""
+def _atom_ints(c: CurveData, atom: Atom) -> tuple[int, int, list[int]]:
+    """The atom's polynomial in y = u^m as num/den times a primitive list."""
     kind, j, _ = atom
     q = c.q
     if kind == "L":
         if j >= 0:
-            return Fraction(1), [1, -(q**j)]
-        return Fraction(1, q**-j), [q**-j, -1]
-    content, ints = c.P.content, c.P.prim
+            return 1, 1, [1, -(q**j)]
+        return 1, q**-j, [q**-j, -1]
+    (num, den), ints = c.P.content.as_integer_ratio(), c.P.prim
     n = len(ints) - 1
     if j >= 0:
         ints = [v * q ** (i * j) for i, v in enumerate(ints)]
     else:  # P(q^j y) = q^(jn) sum_i a_i q^(-j(n-i)) y^i
         ints = [v * q ** (-j * (n - i)) for i, v in enumerate(ints)]
-        content /= q ** (-j * n)
-    p = Poly.from_ints(ints, content)
-    return p.content, list(p.prim)
+        den *= q ** (-j * n)
+    g = math.gcd(*ints)  # positive, as the lead is
+    r = math.gcd(num * g, den)
+    return num * g // r, den // r, [v // g for v in ints]
 
 
 def line_factor(q: int, j: int, k: int) -> FactorProduct:
@@ -286,14 +287,14 @@ def _expand_parts(
 
     def power(atom: Atom, n: int) -> tuple[int, int, list[int]]:
         if (atom, n) not in powers:
-            content, ints = _atom_ints(c, atom)
+            a, b, ints = _atom_ints(c, atom)
             p = [1]
             for _ in range(n):
                 p = _int_mul(p, ints)
             m = atom[2]
             spread = [0] * (m * (len(p) - 1) + 1)
             spread[::m] = p
-            powers[atom, n] = (content.numerator**n, content.denominator**n, spread)
+            powers[atom, n] = (a**n, b**n, spread)
         return powers[atom, n]
 
     def lift(ints: list[int], exps: dict[Atom, int]) -> tuple[int, int, list[int]]:

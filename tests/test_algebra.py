@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracle
 import nazeta.algebra
+import zeta_series_oracle
 from nazeta.algebra import (
     ROOT_TOL,
     Poly,
@@ -22,6 +23,7 @@ from nazeta.algebra import (
     series_log_coefficients,
     substitute,
 )
+from nazeta.curve import CurveData, expand_sum, zeta_factors
 from nazeta.errors import DomainError, NumericError
 from nazeta.multivar import LaurentPoly, MultiRationalFunction
 
@@ -212,6 +214,50 @@ class TestRationalFunction:
 int_lists = st.lists(st.integers(-6, 6), max_size=5)
 
 
+class TestIntegerReaders:
+    """The constructors and readers run on integers: a Fraction is only
+    built, never added, multiplied, divided or raised to a power."""
+
+    ARITHMETIC = (
+        "__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__pow__",
+    )
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        P = Poly.from_list([1, F(3, 2), 3])  # content 1/2: prim [2, 3, 6]
+        c = CurveData(1, 3, P)
+        f = RationalFunction.make(Poly.of(F(-2, 3), 0, 6), Poly.of(F(1, 5), F(3, 7)))
+        # atoms with q-exponents of both signs: (2, 3) gives P(q^-3 u^2)
+        factors = [zeta_factors(c, k, h) for k, h in ((1, 0), (-2, 1), (3, -2), (2, 3))]
+        # a common factor for make to divide out (Poly.__mul__ keeps its
+        # content product, so the inputs are built first)
+        num, den = f.num * f.den, f.den * Poly.of(-3, F(1, 2))
+
+        def runs():
+            return (
+                Poly.from_list([F(1, 6), 0, F(-5, 4), 2]),
+                RationalFunction.make(num, den),
+                substitute(f, F(-2, 3), -2, "v"),
+                substitute(f, 3, 2, "t"),
+                f.mul_monomial(2),
+                f.mul_monomial(-3),
+                power_sums(P, 6),
+                CurveData(1, 3, P),
+                [expand_sum(c, [t]) for t in factors],
+            )
+
+        expected = runs()
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic")
+
+        with monkeypatch.context() as m:
+            for name in self.ARITHMETIC:
+                m.setattr(F, name, refuse)
+            got = runs()
+        assert got == expected
+
+
 class TestCrossMultiplied:
     """_same_ratio decides a/b = c/d by a d = c b, with neither reduced."""
 
@@ -383,6 +429,15 @@ class TestLogSeries:
     def test_power_sums_of_one_and_two(self):
         # 1 - 3T + 2T^2 = (1 - T)(1 - 2T), so s_m = 1 + 2^m
         assert power_sums(Poly.of(1, -3, 2), 5) == [1 + 2**m for m in range(1, 6)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tail=st.lists(rationals, max_size=5), upto=st.integers(1, 8))
+    @example(tail=[F(1, 2), F(2)], upto=6)  # prim [2, 1, 4]: prim[0] is not 1
+    @example(tail=[F(-3, 2), F(0), F(-4, 3)], upto=8)
+    @example(tail=[], upto=3)
+    def test_power_sums_match_the_fraction_recurrence(self, tail, upto):
+        p = Poly.from_list([1] + tail)
+        assert power_sums(p, upto) == zeta_series_oracle.fraction_power_sums(p, upto)
 
 
 def _residual_ok(p, z):
@@ -584,6 +639,19 @@ class TestComplexRoots:
         assert sorted(len(coeffs) - 1 for coeffs in runs) == [1, 2]
         assert all(max(abs(c) for c in coeffs) == 1 for coeffs in runs)
         assert all(_residual_ok(p, z) for z in roots)
+
+    def test_one_gcd_of_p_and_its_derivative(self, monkeypatch):
+        # (T - 1)^2 (T + 1): the gcd that finds p not square-free is the
+        # one Yun's split starts from; the loop adds one more (its last z
+        # is zero and needs none)
+        calls = []
+        gcd = nazeta.algebra._int_gcd
+        monkeypatch.setattr(
+            nazeta.algebra, "_int_gcd", lambda a, b: calls.append(a) or gcd(a, b)
+        )
+        roots = poly_complex_roots(Poly.of(-1, 1) ** 2 * Poly.of(1, 1))
+        assert roots == [-1, 1, 1]
+        assert len(calls) == 2
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

@@ -1,5 +1,6 @@
 """Curve data, zeta factors and special values."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from zeta_series_oracle import artin_zeta, brute_force_numerator, series_point_c
 from nazeta.algebra import Poly, RationalFunction
 from nazeta.curve import (
     FactorProduct,
+    _atom_ints,
     artin_zeta_value,
     completed_zeta_factor,
     completed_zeta_value,
@@ -48,6 +50,17 @@ class TestConstruction:
         with pytest.raises(ValidationError) as err:
             curve_from_numerator(1, 2, [1, 0, 3])
         assert "i=0" in str(err.value)
+
+    def test_symmetry_violation_message_on_a_rational_numerator(self):
+        # the first failing index, with both sides as Fractions
+        with pytest.raises(ValidationError) as err:
+            curve_from_numerator(2, 2, [1, F(1, 3), F(2, 7), F(5, 7), 4])
+        assert str(err.value) == (
+            "coefficient symmetry a_{2g-i} = q^(g-i) a_i fails at i=1: 5/7 != 2/3"
+        )
+        with pytest.raises(ValidationError) as err:
+            curve_from_numerator(1, 2, [F(3, 2), 0, 3])
+        assert str(err.value) == "numerator must have constant term 1"
 
     def test_genus_zero_rejected(self):
         with pytest.raises(ValidationError):
@@ -237,6 +250,30 @@ class TestExpandSum:
     ])
     def test_matches_the_per_term_fraction_oracle(self, curve, terms):
         assert expand_sum(curve, terms) == fraction_oracle.expand_sum(curve, terms)
+
+
+class TestAtomInts:
+    """Each atom's integer parts, and through expand_sum, against the
+    oracle's Fraction polynomial of the atom."""
+
+    # P = (1/2)(2 + 3T + 6T^2): at j = -1 the scaled list 18, 9, 6 has gcd 3
+    CURVE = curve_from_numerator(1, 3, [1, F(3, 2), 3])
+
+    @pytest.mark.parametrize("kind", ["L", "P"])
+    @pytest.mark.parametrize("j", [-2, -1, 0, 1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_the_fraction_atom(self, kind, j, m):
+        c, atom = self.CURVE, (kind, j, m)
+        num, den, ints = _atom_ints(c, atom)
+        assert den > 0 and math.gcd(num, den) == 1 and math.gcd(*ints) == 1
+        spread = [0] * (m * (len(ints) - 1) + 1)
+        spread[::m] = ints
+        assert Poly.from_list(spread).scale(F(num, den)) == Poly.from_list(
+            fraction_oracle.atom_poly(c, atom)
+        )
+        for e in (2, -1):
+            terms = [FactorProduct(F(-3, 4), 1, ((atom, e),))]
+            assert expand_sum(c, terms) == fraction_oracle.expand_sum(c, terms)
 
 
 X = FactorProduct(F(-3, 2), 1, ((("L", 2, 1), 1), (("P", -1, 2), -2)))

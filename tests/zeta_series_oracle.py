@@ -4,7 +4,9 @@
 identities on power sums.  These are the same maps done through the zeta
 series Z(t) = exp(sum N_m t^m / m) = P(t) / ((1-t)(1-qt)): the numerator's
 lower half as the truncated series of exp(...) times (1-t)(1-qt), and the
-counts as m [t^m] log Z of the reduced rational function.
+counts as m [t^m] log Z of the reduced rational function.  The power sums
+themselves have a plain oracle too: Newton's recurrence on the ``Fraction``
+coefficients, where ``power_sums`` runs it over Z.
 """
 
 from fractions import Fraction
@@ -45,3 +47,11 @@ def series_point_counts(c: CurveData, upto: int) -> list[int]:
             raise ValidationError("non-integer point count")
         counts.append(int(val))
     return counts
+
+
+def fraction_power_sums(p: Poly, upto: int) -> list[Fraction]:
+    """s_m = -m p_m - sum_{j<m} p_j s_{m-j} on the coefficients p[j]."""
+    sums: list[Fraction] = []
+    for m in range(1, upto + 1):
+        sums.append(-m * p[m] - sum(p[j] * sums[m - j - 1] for j in range(1, m)))
+    return sums
