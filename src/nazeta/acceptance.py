@@ -9,7 +9,6 @@ tolerances; exact equalities are Fraction comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -52,6 +51,7 @@ from .purezeta import (
     rh_report,
     zagier_beta,
 )
+from .record import Record
 from .residues import residue_route_equivalence
 from .rootsys import (
     build_root_system,
@@ -61,12 +61,14 @@ from .rootsys import (
 )
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    lines: list[tuple[bool, str]] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)  # failed certificate checks
+class CriterionResult(Record):
+    __slots__ = ("number", "name", "lines", "failures")
+
+    def __init__(self, number: int, name: str) -> None:
+        self.number = number
+        self.name = name
+        self.lines: list[tuple[bool, str]] = []
+        self.failures: list[dict] = []  # failed certificate checks
 
     def check(self, ok: bool, text: str) -> bool:
         self.lines.append((bool(ok), text))

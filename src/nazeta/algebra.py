@@ -43,11 +43,11 @@ import cmath
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import BoundError, CapabilityError, DomainError, NumericError, PoleError
+from .record import Frozen
 
 Rat = Union[Fraction, int]
 
@@ -86,12 +86,14 @@ def parse_rational(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial over Q: ``content`` times ``prim``."""
 
-    content: Fraction
-    prim: tuple[int, ...]
+    __slots__ = ("content", "prim")
+
+    def __init__(self, content: Fraction, prim: tuple[int, ...]) -> None:
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "prim", prim)
 
     @staticmethod
     def of(*coeffs: Rat) -> "Poly":
@@ -440,8 +442,7 @@ def roots_on_circle(p: Poly, r2: Rat) -> bool:
 VARIABLES = ("u", "T", "t", "v")
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Frozen):
     """Reduced ratio of polynomials in a single tagged variable.
 
     The denominator has leading coefficient 1 and shares no factor with
@@ -449,9 +450,12 @@ class RationalFunction:
     functions.
     """
 
-    num: Poly
-    den: Poly
-    var: str = "u"
+    __slots__ = ("num", "den", "var")
+
+    def __init__(self, num: Poly, den: Poly, var: str = "u") -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "var", var)
 
     @staticmethod
     def make(num: Poly, den: Poly, var: str = "u") -> "RationalFunction":

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass
-class Certificate:
+class Certificate(Record):
     """Outcome of a batch of exact identity checks."""
 
-    name: str
-    checks: list[dict] = field(default_factory=list)
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks: list[dict] = []
 
     def record(self, identity: str, ok: bool, **detail) -> None:
         entry = {"identity": identity, "ok": bool(ok)}

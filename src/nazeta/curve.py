@@ -20,7 +20,6 @@ that every special value in the system is an honest rational number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -32,6 +31,7 @@ from .algebra import (
     roots_on_circle,
 )
 from .errors import CapabilityError, DomainError, PoleError, ValidationError
+from .record import Frozen
 
 # curve-validate on point_counts [3] * g (subprocess wall, 2-core Linux host):
 # 0.2 s at g = 50 and 0.7 s at g = 100 for q = 2, 0.3 s and 3.9 s for q = 9
@@ -55,32 +55,28 @@ def check_genus(g: int) -> None:
         raise CapabilityError(f"curves are supported up to genus g = {GENUS_CAP}")
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(Frozen):
     """Genus, field size and Weil numerator of a curve over F_q."""
 
-    g: int
-    q: int
-    P: Poly
+    __slots__ = ("g", "q", "P")
 
-    def __post_init__(self):
-        check_genus(self.g)
-        if self.q < 2:
+    def __init__(self, g: int, q: int, P: Poly) -> None:
+        check_genus(g)
+        if q < 2:
             raise ValidationError("field size q must be >= 2")
-        if self.P.degree != 2 * self.g:
-            raise ValidationError(
-                f"numerator degree {self.P.degree} != 2g = {2 * self.g}"
-            )
-        (n, k), a, g, q = self.P.content.as_integer_ratio(), self.P.prim, self.g, self.q
+        if P.degree != 2 * g:
+            raise ValidationError(f"numerator degree {P.degree} != 2g = {2 * g}")
+        (n, k), a = P.content.as_integer_ratio(), P.prim
         if n * a[0] != k:  # P = (n/k) a: the symmetry below is a's alone
             raise ValidationError("numerator must have constant term 1")
         for i in range(g):  # i and 2g - i state the same equation; i = g holds
             if a[2 * g - i] != q ** (g - i) * a[i]:
-                lhs, rhs = self.P[2 * g - i], Fraction(q) ** (g - i) * self.P[i]
+                lhs, rhs = P[2 * g - i], Fraction(q) ** (g - i) * P[i]
                 raise ValidationError(
                     "coefficient symmetry a_{2g-i} = q^(g-i) a_i fails at "
                     f"i={i}: {lhs} != {rhs}"
                 )
+        self._set(g, q, P)
 
     def weil_numbers_check(self) -> bool:
         """Whether every inverse root has modulus sqrt(q), decided exactly.
@@ -141,17 +137,21 @@ def elliptic_curve(q: int, n_points: int) -> CurveData:
 Atom = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class FactorProduct:
+class FactorProduct(Frozen):
     """const * u^upow * prod atom^e over a multiset of atoms.
 
     Products of zeta factors stay in this form, so multiplying is adding
     exponents and only the final expansion builds polynomials.
     """
 
-    const: Fraction
-    upow: int = 0
-    atoms: tuple[tuple[Atom, int], ...] = ()
+    __slots__ = ("const", "upow", "atoms")
+
+    def __init__(
+        self, const: Fraction, upow: int = 0, atoms: tuple[tuple[Atom, int], ...] = ()
+    ) -> None:
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "upow", upow)
+        object.__setattr__(self, "atoms", atoms)
 
     def __mul__(self, other: "FactorProduct") -> "FactorProduct":
         return product(((self, 1), (other, 1)))

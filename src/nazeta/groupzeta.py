@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -59,6 +58,7 @@ from .curve import (
     zeta_special_residue,
 )
 from .errors import DomainError, NumericError
+from .record import Frozen
 from .rootsys import (
     CountTable,
     ParabolicData,
@@ -70,19 +70,26 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class GroupZetaResult:
+class GroupZetaResult(Frozen):
     """The normalized group zeta with its assembly provenance."""
 
-    zeta: RationalFunction  # variable u = q^{-s}
-    omega: RationalFunction  # the period before normalization
-    normalization: dict  # (k, h) -> exponent, h >= 2
-    c_p: int
-    route: str  # "formula2" or "residue-engine"
-    curve: CurveData
-    rs: RootSystem
-    pd: ParabolicData
-    table: CountTable  # the count tables of (rs, pd) the normalization came from
+    __slots__ = (
+        "zeta", "omega", "normalization", "c_p", "route", "curve", "rs", "pd", "table"
+    )
+
+    def __init__(
+        self,
+        zeta: RationalFunction,  # variable u = q^{-s}
+        omega: RationalFunction,  # the period before normalization
+        normalization: dict,  # (k, h) -> exponent, h >= 2
+        c_p: int,
+        route: str,  # "formula2" or "residue-engine"
+        curve: CurveData,
+        rs: RootSystem,
+        pd: ParabolicData,
+        table: CountTable,  # the count tables of (rs, pd) the normalization came from
+    ) -> None:
+        self._set(zeta, omega, normalization, c_p, route, curve, rs, pd, table)
 
 
 def _zeta_num_factors(c: CurveData, k: int, h: int) -> FactorProduct:
@@ -199,12 +206,17 @@ def fe_check_group(z: GroupZetaResult) -> tuple[bool, Certificate]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    clearing: RationalFunction  # product over positive roots, shifted by 1
-    omega_global: RationalFunction  # clearing * period
-    denominator: RationalFunction  # the count-difference product
-    certificate: Certificate
+class Decomposition(Frozen):
+    __slots__ = ("clearing", "omega_global", "denominator", "certificate")
+
+    def __init__(
+        self,
+        clearing: RationalFunction,  # product over positive roots, shifted by 1
+        omega_global: RationalFunction,  # clearing * period
+        denominator: RationalFunction,  # the count-difference product
+        certificate: Certificate,
+    ) -> None:
+        self._set(clearing, omega_global, denominator, certificate)
 
 
 def omega_D_decompose(z: GroupZetaResult) -> Decomposition:
@@ -322,13 +334,18 @@ def _describe(rs: RootSystem, w: WeylElement) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupZeroReport:
-    zeros_u: tuple[complex, ...]
-    deviations: tuple[float, ...]
-    s_coordinates: tuple[tuple[float, float], ...]
-    center_modulus: float  # q^{c_p/2}
-    verdict: bool
+class GroupZeroReport(Frozen):
+    __slots__ = ("zeros_u", "deviations", "s_coordinates", "center_modulus", "verdict")
+
+    def __init__(
+        self,
+        zeros_u: tuple[complex, ...],
+        deviations: tuple[float, ...],
+        s_coordinates: tuple[tuple[float, float], ...],
+        center_modulus: float,  # q^{c_p/2}
+        verdict: bool,
+    ) -> None:
+        self._set(zeros_u, deviations, s_coordinates, center_modulus, verdict)
 
     def to_json(self) -> dict:
         return {
@@ -367,13 +384,15 @@ def group_zeta_zeros(z: GroupZetaResult) -> GroupZeroReport:
     return GroupZeroReport(tuple(zeros), tuple(devs), tuple(coords), center, verdict)
 
 
-@dataclass(frozen=True)
-class EdgeResidue:
+class EdgeResidue(Frozen):
     """Stripped residue of the zeta at its edge pole u = q^{c_p}."""
 
-    value: Fraction | None
-    order: int
-    principal: tuple[Fraction, ...] = ()
+    __slots__ = ("value", "order", "principal")
+
+    def __init__(
+        self, value: Fraction | None, order: int, principal: tuple[Fraction, ...] = ()
+    ) -> None:
+        self._set(value, order, principal)
 
 
 def edge_residue(z: GroupZetaResult) -> EdgeResidue:
@@ -409,12 +428,11 @@ def edge_residue(z: GroupZetaResult) -> EdgeResidue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformityMatch:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    verified: bool
+class UniformityMatch(Frozen):
+    __slots__ = ("a", "b", "c", "verified")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, verified: bool) -> None:
+        self._set(a, b, c, verified)
 
     def to_json(self) -> dict:
         return {
@@ -425,10 +443,15 @@ class UniformityMatch:
         }
 
 
-@dataclass(frozen=True)
-class UniformityNotFound:
-    tried: tuple[tuple[Fraction, Fraction], ...]
-    skipped: tuple[tuple[Fraction, Fraction], ...]
+class UniformityNotFound(Frozen):
+    __slots__ = ("tried", "skipped")
+
+    def __init__(
+        self,
+        tried: tuple[tuple[Fraction, Fraction], ...],
+        skipped: tuple[tuple[Fraction, Fraction], ...],
+    ) -> None:
+        self._set(tried, skipped)
 
 
 def _pole_lines(f: RationalFunction, q: int) -> list[float]:

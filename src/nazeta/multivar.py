@@ -20,7 +20,6 @@ multivariate gcd, its ``equal`` decides equality by cross-multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
@@ -34,18 +33,21 @@ from .algebra import (
 )
 from .curve import CurveData
 from .errors import CapabilityError, DomainError
+from .record import Frozen
 
 MAX_VARS = 5
 
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Sparse Laurent polynomial: exponent tuple -> nonzero Fraction."""
 
-    nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: tuple[tuple[Monomial, Fraction], ...]) -> None:
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def make(nvars: int, terms: Mapping[Monomial, Rat]) -> "LaurentPoly":
@@ -144,12 +146,14 @@ class LaurentPoly:
         return Poly.from_list(coeffs), lo
 
 
-@dataclass(frozen=True)
-class MultiRationalFunction:
+class MultiRationalFunction(Frozen):
     """Fraction of sparse Laurent polynomials in up to five variables."""
 
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def make(num: LaurentPoly, den: LaurentPoly) -> "MultiRationalFunction":
@@ -273,18 +277,26 @@ Atom = tuple[str, int, Monomial]
 Terms = dict[Monomial, int]
 
 
-@dataclass(frozen=True)
-class AtomProduct:
+class AtomProduct(Frozen):
     """content * num * prod atom^e over a multiset of atoms, never expanded.
 
     num is a primitive integer Laurent polynomial as (monomial,
     coefficient) pairs, with no pairs for the zero product.
     """
 
-    nvars: int
-    content: Fraction
-    num: tuple[tuple[Monomial, int], ...]
-    atoms: tuple[tuple[Atom, int], ...] = ()
+    __slots__ = ("nvars", "content", "num", "atoms")
+
+    def __init__(
+        self,
+        nvars: int,
+        content: Fraction,
+        num: tuple[tuple[Monomial, int], ...],
+        atoms: tuple[tuple[Atom, int], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "atoms", atoms)
 
     def is_zero(self) -> bool:
         return not self.num

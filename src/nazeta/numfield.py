@@ -9,10 +9,9 @@ function-field mass formula; only the scalar type differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .compositions import parabolic_mass_sum
 from .errors import DomainError
+from .record import Frozen
 
 # pi^{-n/2} Gamma(n/2) zeta(n) for n = 1..8 (the residue at n = 1), each
 # the double nearest its 25-digit value
@@ -59,12 +58,17 @@ def moduli_volume(r: int) -> float:
     return r * total
 
 
-@dataclass(frozen=True)
-class VolumeTable:
-    max_rank: int
-    siegel: tuple[float, ...]
-    moduli: tuple[float, ...]
-    precision: str = "double (tested to 1e-10)"
+class VolumeTable(Frozen):
+    __slots__ = ("max_rank", "siegel", "moduli", "precision")
+
+    def __init__(
+        self,
+        max_rank: int,
+        siegel: tuple[float, ...],
+        moduli: tuple[float, ...],
+        precision: str = "double (tested to 1e-10)",
+    ) -> None:
+        self._set(max_rank, siegel, moduli, precision)
 
     def to_json(self) -> dict:
         return {

@@ -20,7 +20,6 @@ root lists and their deviations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -43,15 +42,16 @@ from .curve import (
     zeta_special_residue,
 )
 from .errors import DomainError, NumericError, ValidationError
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class PureZetaInputs:
+class PureZetaInputs(Frozen):
     """Alpha-table and mass feeding the rank-r pure zeta."""
 
-    r: int
-    alphas: tuple[Fraction, ...]
-    beta0: Fraction
+    __slots__ = ("r", "alphas", "beta0")
+
+    def __init__(self, r: int, alphas: tuple[Fraction, ...], beta0: Fraction) -> None:
+        self._set(r, alphas, beta0)
 
     @staticmethod
     def make(r: int, alphas, beta0: Rat) -> "PureZetaInputs":
@@ -64,16 +64,21 @@ class PureZetaInputs:
         return PureZetaInputs(r, alphas, beta0)
 
 
-@dataclass(frozen=True)
-class PureZetaResult:
+class PureZetaResult(Frozen):
     """Rank-r pure zeta in T = t^r plus its completed variant in t."""
 
-    zeta: RationalFunction  # variable T
-    completed: RationalFunction  # variable t
-    numerator: Poly  # degree-2g numerator over (1-T)(1-QT)
-    Q: Fraction
-    r: int
-    g: int
+    __slots__ = ("zeta", "completed", "numerator", "Q", "r", "g")
+
+    def __init__(
+        self,
+        zeta: RationalFunction,  # variable T
+        completed: RationalFunction,  # variable t
+        numerator: Poly,  # degree-2g numerator over (1-T)(1-QT)
+        Q: Fraction,
+        r: int,
+        g: int,
+    ) -> None:
+        self._set(zeta, completed, numerator, Q, r, g)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +283,21 @@ def fe_check_pure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RHReport:
+class RHReport(Frozen):
     """Zero locations of a zeta numerator against the critical circle."""
 
-    polynomial: Poly
-    Q: Fraction
-    roots: tuple[complex, ...]
-    deviations: tuple[float, ...]
-    verdict: bool
+    __slots__ = ("polynomial", "Q", "roots", "deviations", "verdict")
     exact = True  # the verdict comes from roots_on_circle, never from floats
+
+    def __init__(
+        self,
+        polynomial: Poly,
+        Q: Fraction,
+        roots: tuple[complex, ...],
+        deviations: tuple[float, ...],
+        verdict: bool,
+    ) -> None:
+        self._set(polynomial, Q, roots, deviations, verdict)
 
     def max_deviation(self) -> float:
         return max(self.deviations) if self.deviations else 0.0

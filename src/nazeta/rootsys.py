@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import Certificate
 from .errors import CapabilityError, DomainError, ValidationError
+from .record import Frozen
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -85,24 +85,29 @@ def _unit(i: int, n: int) -> IntVector:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Frozen):
     """Roots, coroots and weights of a split simple group."""
 
-    type_label: str
-    rank: int
-    cartan: tuple[IntVector, ...]  # cartan[i][j] = <alpha_j, alpha_i^vee>
-    gram: tuple[IntVector, ...]  # (alpha_i, alpha_j)
-    roots: tuple[IntVector, ...]  # coordinates in the simple-root basis
-    coroot_coords: tuple[IntVector, ...]  # alpha^vee in the coroot basis
-    weights: tuple[Vector, ...]  # lambda_i in simple-root coordinates
+    __slots__ = (
+        "type_label", "rank", "cartan", "gram", "roots", "coroot_coords", "weights",
+        "_idx", "_simple",  # derived from the roots, not fields
+    )
 
-    def __post_init__(self) -> None:
-        index = {r: i for i, r in enumerate(self.roots)}
+    def __init__(
+        self,
+        type_label: str,
+        rank: int,
+        cartan: tuple[IntVector, ...],  # cartan[i][j] = <alpha_j, alpha_i^vee>
+        gram: tuple[IntVector, ...],  # (alpha_i, alpha_j)
+        roots: tuple[IntVector, ...],  # coordinates in the simple-root basis
+        coroot_coords: tuple[IntVector, ...],  # alpha^vee in the coroot basis
+        weights: tuple[Vector, ...],  # lambda_i in simple-root coordinates
+    ) -> None:
+        self._set(type_label, rank, cartan, gram, roots, coroot_coords, weights)
+        index = {r: i for i, r in enumerate(roots)}
         object.__setattr__(self, "_idx", index)
-        object.__setattr__(
-            self, "_simple", tuple(index[_unit(i, self.rank)] for i in range(self.rank))
-        )
+        simple = tuple(index[_unit(i, rank)] for i in range(rank))
+        object.__setattr__(self, "_simple", simple)
 
     # -- lookups ------------------------------------------------------
 
@@ -267,11 +272,13 @@ def _validate_root_system(rs: RootSystem) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """A Weyl element as the permutation it induces on the root list."""
 
-    perm: tuple[int, ...]
+    __slots__ = ("perm",)
+
+    def __init__(self, perm: tuple[int, ...]) -> None:
+        object.__setattr__(self, "perm", perm)
 
     def apply(self, idx: int) -> int:
         return self.perm[idx]
@@ -287,13 +294,18 @@ class WeylElement:
         return WeylElement(tuple(inv))
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    rs: RootSystem
-    elements: tuple[WeylElement, ...]
-    simple_reflections: tuple[WeylElement, ...]
-    identity: WeylElement
-    longest: WeylElement
+class WeylGroup(Frozen):
+    __slots__ = ("rs", "elements", "simple_reflections", "identity", "longest")
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        elements: tuple[WeylElement, ...],
+        simple_reflections: tuple[WeylElement, ...],
+        identity: WeylElement,
+        longest: WeylElement,
+    ) -> None:
+        self._set(rs, elements, simple_reflections, identity, longest)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -377,19 +389,24 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(Frozen):
     """Derived data for the maximal parabolic that removes alpha_p."""
 
-    rs: RootSystem
-    p: int  # 1-based index of the removed simple root
-    rho_p: Vector
-    c_p: int
-    weyl_subset: tuple[WeylElement, ...]  # {w : w Delta_p in Delta u Phi^-}
-    levi_longest: WeylElement  # w_p
-    # (k, h) = (<lambda_p, alpha^vee>, ht alpha^vee) per root index; the key
-    # (0, 1) marks exactly the roots of Delta_p
-    keys: tuple[tuple[int, int], ...]
+    __slots__ = ("rs", "p", "rho_p", "c_p", "weyl_subset", "levi_longest", "keys")
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        p: int,  # 1-based index of the removed simple root
+        rho_p: Vector,
+        c_p: int,
+        weyl_subset: tuple[WeylElement, ...],  # {w : w Delta_p in Delta u Phi^-}
+        levi_longest: WeylElement,  # w_p
+        # (k, h) = (<lambda_p, alpha^vee>, ht alpha^vee) per root index; the
+        # key (0, 1) marks exactly the roots of Delta_p
+        keys: tuple[tuple[int, int], ...],
+    ) -> None:
+        self._set(rs, p, rho_p, c_p, weyl_subset, levi_longest, keys)
 
     @property
     def p0(self) -> int:
@@ -459,16 +476,23 @@ def _weyl_vector_identity(pd: ParabolicData, W: WeylGroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Frozen):
     """Occupancy counts over (pairing k, coroot height h) pairs."""
 
-    per_w: tuple[dict, ...]  # N_{p,w} for each w in the Weyl subset
-    global_counts: dict  # N_p over all roots
-    max_diff: dict  # M_p
-    max_diff_clamped: dict  # same with differences clamped at zero
-    k_range: tuple[int, int]
-    h_range: tuple[int, int]
+    __slots__ = (
+        "per_w", "global_counts", "max_diff", "max_diff_clamped", "k_range", "h_range"
+    )
+
+    def __init__(
+        self,
+        per_w: tuple[dict, ...],  # N_{p,w} for each w in the Weyl subset
+        global_counts: dict,  # N_p over all roots
+        max_diff: dict,  # M_p
+        max_diff_clamped: dict,  # same with differences clamped at zero
+        k_range: tuple[int, int],
+        h_range: tuple[int, int],
+    ) -> None:
+        self._set(per_w, global_counts, max_diff, max_diff_clamped, k_range, h_range)
 
     def normalization_exponents(self) -> dict[tuple[int, int], int]:
         """The positive M_p entries with h >= 2, k >= 0."""

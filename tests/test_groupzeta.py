@@ -1,6 +1,5 @@
 """Group zeta assembly, functional equations, zeros, uniformity."""
 
-import dataclasses
 import sys
 from fractions import Fraction as F
 
@@ -10,6 +9,7 @@ import nazeta.algebra
 import nazeta.curve
 import nazeta.groupzeta
 import per_root_oracle
+import records
 
 from nazeta.algebra import Poly, RationalFunction
 from nazeta.curve import (
@@ -243,7 +243,7 @@ class TestFunctionalEquation:
             [z.zeta.num[0] + 1] + list(z.zeta.num.coeffs[1:])
         )
         bad_zeta = RationalFunction.make(bad_num, z.zeta.den, "u")
-        bad = dataclasses.replace(z, zeta=bad_zeta)
+        bad = records.replace(z, zeta=bad_zeta)
         ok, _ = fe_check_group(bad)
         assert not ok
 
@@ -268,7 +268,7 @@ class TestDecomposition:
     def test_perturbed_zeta_fails_one_identity(self):
         rs, W, pd = pair("A", 2, 1)
         z = group_zeta(E23, rs, W, pd)
-        bad = dataclasses.replace(z, zeta=z.zeta.scale(F(1001, 1000)))
+        bad = records.replace(z, zeta=z.zeta.scale(F(1001, 1000)))
         cert = omega_D_decompose(bad).certificate
         assert not cert.passed
         assert [c["identity"] for c in cert.failures()] == [
@@ -390,7 +390,7 @@ class TestInvolution:
     def test_partner_outside_the_subset_is_a_recorded_failure(self):
         rs, W, pd = pair("A", 2, 1)
         partner = W.longest.compose(W.identity).compose(pd.levi_longest)
-        cut = dataclasses.replace(
+        cut = records.replace(
             pd, weyl_subset=tuple(w for w in pd.weyl_subset if w != partner)
         )
         cert = involution_certificate(E23, rs, W, cut)
@@ -447,7 +447,7 @@ class TestEdgeResidue:
         rs, W, pd = A1
         z = group_zeta(E23, rs, W, pd)
         no_pole = RationalFunction.make(Poly.of(1), Poly.of(1, 1), "u")
-        shifted = dataclasses.replace(z, zeta=no_pole)
+        shifted = records.replace(z, zeta=no_pole)
         er = edge_residue(shifted)
         assert er.order == 0 and er.value == 0
 
@@ -457,7 +457,7 @@ class TestEdgeResidue:
         f = RationalFunction.make(
             Poly.of(1), Poly.from_list([-4, 1]) ** 2, "u"
         )
-        fake = dataclasses.replace(z, zeta=f)
+        fake = records.replace(z, zeta=f)
         er = edge_residue(fake)
         assert er.order == 2 and er.value is None
         # zeta/u = 1/(u (u-4)^2) and 1/u = 1/4 - (u-4)/16 + ..., negated

@@ -1,6 +1,5 @@
 """Iterated residues against the closed Weyl-subset formula."""
 
-import dataclasses
 import sys
 from fractions import Fraction as F
 from math import prod
@@ -11,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import nazeta.algebra
 import nazeta.residues
 import per_root_oracle
+import records
 from multivar_oracle import atom_product, collapse_sum
 from nazeta.curve import FactorProduct, curve_from_numerator, elliptic_curve
 from nazeta.errors import CapabilityError, DomainError
@@ -357,7 +357,7 @@ class TestRouteEquivalence:
         def faulty(c, rs, W, w):
             term = exact(c, rs, W, w)
             if w.perm == target:
-                term = dataclasses.replace(term, content=term.content * F(1001, 1000))
+                term = records.replace(term, content=term.content * F(1001, 1000))
             return term
 
         monkeypatch.setattr(nazeta.residues, "weyl_term_full", faulty)

@@ -1,12 +1,12 @@
 """Root systems, Weyl groups and the parabolic count tables."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import nazeta.rootsys
+import records
 import weyl_oracle
 from per_root_oracle import coroot_vector, inner, pairing_with_coroot
 from nazeta.errors import CapabilityError, DomainError, ValidationError
@@ -78,7 +78,7 @@ class TestRootSystems:
         top = rs.n_positive - 1  # the highest root, never simple
         coords = list(rs.coroot_coords)
         coords[top] = (coords[top][0] + 1,) + coords[top][1:]
-        bad = dataclasses.replace(rs, coroot_coords=tuple(coords))
+        bad = records.replace(rs, coroot_coords=tuple(coords))
         with pytest.raises(ValidationError, match="coroot coordinate inconsistency"):
             nazeta.rootsys._validate_root_system(bad)
 
@@ -87,7 +87,7 @@ class TestRootSystems:
         rs = build_root_system(label, rank)
         weights = list(rs.weights)
         weights[-1] = (weights[-1][0] + F(1, 2),) + weights[-1][1:]
-        bad = dataclasses.replace(rs, weights=tuple(weights))
+        bad = records.replace(rs, weights=tuple(weights))
         with pytest.raises(ValidationError, match="coroot coordinate inconsistency"):
             nazeta.rootsys._validate_root_system(bad)
 
@@ -97,7 +97,7 @@ class TestRootSystems:
         rs = build_root_system(label, rank)
         rows = [list(row) for row in getattr(rs, field)]
         rows[0][1] += 1
-        bad = dataclasses.replace(rs, **{field: tuple(map(tuple, rows))})
+        bad = records.replace(rs, **{field: tuple(map(tuple, rows))})
         with pytest.raises(ValidationError, match="Cartan matrix disagrees"):
             nazeta.rootsys._validate_root_system(bad)
 
@@ -347,7 +347,7 @@ class TestCountTables:
         bad = dict(table.max_diff_clamped)
         bad[(1, 2)] = bad.get((1, 2), 0) + 1
         cert = verify_count_identities(
-            rs, W, pd, dataclasses.replace(table, max_diff_clamped=bad)
+            rs, W, pd, records.replace(table, max_diff_clamped=bad)
         )
         assert not cert.passed
         assert cert.failures() == [
@@ -363,7 +363,7 @@ class TestCountTables:
         bad = dict(table.global_counts)
         bad[(k, h0 - 1)] = bad.get((k, h0 - 1), 0) + 1
         cert = verify_count_identities(
-            rs, W, pd, dataclasses.replace(table, global_counts=bad)
+            rs, W, pd, records.replace(table, global_counts=bad)
         )
         witnesses = {(c["k"], c["h"]) for c in cert.failures()}
         assert {c["identity"] for c in cert.failures()} == {
