@@ -103,34 +103,50 @@ def zagier_beta(c: CurveData, r: int, d: int = 0) -> Fraction:
     the value as powers of q.  The fractional-part exponents of a
     composition always sum to an integer, so every final state has
     e = 0; this is asserted rather than assumed.
+
+    Each state holds an unreduced pair of integers (numerator, positive
+    denominator): a contribution is a product of integers, adding it in
+    costs one lcm of the two denominators, and the one reduction is the
+    ``Fraction`` built from the final pair.  Only the O(r) zeta values
+    v_n are computed as ``Fraction``s.
     """
     check_mass_rank(r)
     q, g = c.q, c.g
     zeta_prod = c.P.evaluate(1) / (q - 1)  # v_n without its q-power
-    v = [None, zeta_prod]
+    v = [None, zeta_prod.as_integer_ratio()]
     for n in range(2, r + 1):
         zeta_prod *= artin_zeta_value(c, n)
-        v.append(zeta_prod * Fraction(q) ** ((n * n - 1) * (g - 1)))
-    # states[s][(last, e)]: summed value over compositions of s so far
-    states: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(r + 1)]
+        num, den = zeta_prod.as_integer_ratio()
+        v.append((num * q ** ((n * n - 1) * (g - 1)), den))
+    # states[s][(last, e)]: (num, den) summed over compositions of s so far
+    states: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(r + 1)]
     for s in range(1, r + 1):
         states[s][s, 0] = v[s]
-        for (last, e), val in states[s].items():
+        for (last, e), (a, b) in states[s].items():
             for n in range(1, r - s + 1):
                 carry, e_new = divmod(e + (last + n) * (s * d % r), r)
-                step = Fraction(q ** ((g - 1) * n * s + carry), 1 - q ** (last + n))
+                vn, vd = v[n]
+                # a/b * q^(...) / (1 - q^(last+n)) * v_n, the sign moved up
+                num = -a * vn * q ** ((g - 1) * n * s + carry)
+                den = b * vd * (q ** (last + n) - 1)
                 key = (n, e_new)
                 target = states[s + n]
-                target[key] = target.get(key, 0) + val * step * v[n]
-    total = Fraction(0)
-    for (last, e), val in states[r].items():
+                if key in target:
+                    tn, td = target[key]
+                    l = math.lcm(td, den)
+                    target[key] = (tn * (l // td) + num * (l // den), l)
+                else:
+                    target[key] = (num, den)
+    total_num, total_den = 0, 1
+    for (last, e), (a, b) in states[r].items():
         if e != 0:
             raise ValidationError(
                 f"non-integer q-exponent {e}/{r} for a composition of {r} "
                 f"ending in {last}"
             )
-        total += val
-    return total
+        l = math.lcm(total_den, b)
+        total_num, total_den = total_num * (l // total_den) + a * (l // b), l
+    return Fraction(total_num, total_den)
 
 
 def mass_reformulated(c: CurveData, r: int) -> Fraction:
@@ -262,17 +278,29 @@ def pure_numerator(z: RationalFunction, Q: Fraction) -> Poly:
 def fe_check_pure(
     z: RationalFunction, g: int, q: int, r: int
 ) -> tuple[bool, Certificate]:
-    """Verify the numerator symmetry p_{2g-i} = Q^{g-i} p_i exactly."""
-    Q = Fraction(q) ** r
+    """Verify the numerator symmetry p_{2g-i} = Q^{g-i} p_i exactly.
+
+    Each line is decided over Z on the primitive part, where the content
+    cancels: the side with the smaller index is multiplied by Q^|g-i|.
+    The certificate shows both sides as rationals, one ``Fraction`` each.
+    """
+    Q = q**r
     p = pure_numerator(z, Q)
+    cn, cd = p.content.as_integer_ratio()
+    a = list(p.prim) + [0] * (2 * g + 1 - len(p.prim))
     cert = Certificate("pure-zeta functional equation")
     for i in range(2 * g + 1):
-        lhs = p[2 * g - i]
-        rhs = Q ** (g - i) * p[i]
+        j, scale = 2 * g - i, Q ** abs(g - i)
+        if i <= g:
+            holds = a[j] == scale * a[i]
+            rhs = Fraction(cn * scale * a[i], cd)
+        else:
+            holds = scale * a[j] == a[i]
+            rhs = Fraction(cn * a[i], cd * scale)
         cert.record(
-            f"p[{2 * g - i}] = Q^{g - i} * p[{i}]",
-            lhs == rhs,
-            lhs=str(lhs),
+            f"p[{j}] = Q^{g - i} * p[{i}]",
+            holds,
+            lhs=str(Fraction(cn * a[j], cd)),
             rhs=str(rhs),
         )
     return cert.passed, cert

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nazeta.purezeta
 from nazeta.acceptance import hasse_range
@@ -39,7 +39,7 @@ from nazeta.purezeta import (
     zagier_beta,
 )
 
-from composition_oracle import COMPOSITION_RANK_CAP, compositions
+from composition_oracle import COMPOSITION_RANK_CAP, compositions, fraction_zagier_beta
 from genus2_oracle import genus2_numerator, genus2_rh_criterion
 from zeta_series_oracle import artin_zeta
 
@@ -247,6 +247,66 @@ class TestMassRecurrences:
             assert mass_digits_estimate(c, r) <= MASS_DIGITS_SLACK * digits
 
 
+# the benchmark's seed-1 genus-2 curve G(q=2,a=0,b=-1), a numerator with
+# rational content (1 + 3/2 T + 3 T^2 over F_3), a genus-3 curve and a
+# large field
+SEED1_GENUS2 = curve_from_numerator(2, 2, (Poly.of(1, 0, 2) * Poly.of(1, 1, 2)).coeffs)
+RATIONAL_CONTENT = curve_from_numerator(1, 3, [1, F(3, 2), 3])
+GENUS3 = curve_from_numerator(3, 2, (Poly.of(1, 0, 2) ** 3).coeffs)
+LARGE_Q = elliptic_curve(10**9, 10**9 + 1)
+
+
+class TestIntegerPairRecurrence:
+    """zagier_beta's integer-pair states against the same recurrence on
+    reduced Fractions, beyond the reach of the enumeration."""
+
+    ARITHMETIC = (
+        "__add__", "__radd__", "__mul__", "__rmul__", "__truediv__",
+        "__rtruediv__", "__sub__", "__rsub__", "__pow__",
+    )
+
+    @pytest.mark.parametrize(
+        "c", [elliptic_curve(2, 3), SEED1_GENUS2], ids=["E(2,3)", "SEED1_GENUS2"]
+    )
+    def test_high_rank(self, c):
+        for r, d in ((16, 1), (24, 0), (32, 1), (40, 0)):
+            assert zagier_beta(c, r, d) == fraction_zagier_beta(c, r, d), (r, d)
+
+    def test_large_q(self):
+        for r in (2, 7, 13, 20):
+            assert zagier_beta(LARGE_Q, r, 0) == fraction_zagier_beta(LARGE_Q, r, 0), r
+
+    @pytest.mark.parametrize(
+        "c", [RATIONAL_CONTENT, GENUS3], ids=["RATIONAL_CONTENT", "GENUS3"]
+    )
+    def test_every_degree(self, c):
+        for r in range(1, 11):
+            for d in range(-r - 2, 2 * r + 3):
+                assert zagier_beta(c, r, d) == fraction_zagier_beta(c, r, d), (r, d)
+
+    def test_fraction_arithmetic_only_in_the_zeta_values(self, monkeypatch):
+        # the O(r) zeta values may use Fractions, the O(r^3) loop may not
+        calls = [0]
+
+        def counted(method):
+            def wrapper(*args):
+                calls[0] += 1
+                return method(*args)
+
+            return wrapper
+
+        counts = {}
+        for r in (6, 12):
+            calls[0] = 0
+            with monkeypatch.context() as m:
+                for name in self.ARITHMETIC:
+                    m.setattr(F, name, counted(getattr(F, name)))
+                got = zagier_beta(SEED1_GENUS2, r, 1)
+            counts[r] = calls[0]
+            assert got == fraction_zagier_beta(SEED1_GENUS2, r, 1)
+        assert counts[12] <= 2 * counts[6] + 16, counts
+
+
 class TestPureZeta:
     def test_elliptic_rank2_closed_form(self):
         c = elliptic_curve(2, 3)
@@ -298,6 +358,44 @@ class TestFECheck:
         assert not ok
         failing = [line for line in cert.checks if not line["ok"]]
         assert failing and "p[2]" in failing[0]["identity"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        g=st.integers(1, 3),
+        q=st.sampled_from([2, 3, 5]),
+        r=st.integers(1, 3),
+        half=st.lists(st.fractions(-20, 20, max_denominator=6), min_size=4, max_size=4),
+        bump=st.tuples(st.integers(0, 6), st.fractions(-3, 3, max_denominator=4)),
+    )
+    def test_lines_match_the_fraction_comparison(self, g, q, r, half, bump):
+        # symmetric numerators, some with one coefficient moved; each line's
+        # verdict and both strings as the Fraction comparison gives them
+        Q = F(q) ** r
+        coeffs = [F(0)] * (2 * g + 1)
+        for i in range(g + 1):
+            coeffs[i] = half[i]
+            coeffs[2 * g - i] = Q ** (g - i) * half[i]
+        k, delta = bump
+        if k <= 2 * g:
+            coeffs[k] += delta
+        num = Poly.from_list(coeffs)
+        assume(not num.is_zero())
+        z = RationalFunction.make(num, Poly.of(1, -1) * Poly.from_list([1, -Q]), "T")
+        p = pure_numerator(z, Q)
+        expected = []
+        for i in range(2 * g + 1):
+            lhs, rhs = p[2 * g - i], Q ** (g - i) * p[i]
+            expected.append(
+                {
+                    "identity": f"p[{2 * g - i}] = Q^{g - i} * p[{i}]",
+                    "ok": lhs == rhs,
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                }
+            )
+        ok, cert = fe_check_pure(z, g, q, r)
+        assert cert.checks == expected
+        assert ok == all(line["ok"] for line in expected)
 
     @settings(max_examples=30, deadline=None)
     @given(
