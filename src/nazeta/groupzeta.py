@@ -175,7 +175,7 @@ def group_zeta(
         omega = residue_period(c, rs, W, pd)
     else:
         raise DomainError(f"unknown route {route!r}")
-    table = count_tables(rs, W, pd)
+    table = count_tables(pd)
     exponents = table.normalization_exponents()
     zeta = omega * _zeta_product(c, exponents).expand(c)
     return GroupZetaResult(zeta, omega, exponents, pd.c_p, route, c, rs, pd, table)

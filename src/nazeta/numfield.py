@@ -59,16 +59,15 @@ def moduli_volume(r: int) -> float:
 
 
 class VolumeTable(Frozen):
-    __slots__ = ("max_rank", "siegel", "moduli", "precision")
+    __slots__ = ("siegel", "moduli", "precision")
 
     def __init__(
         self,
-        max_rank: int,
         siegel: tuple[float, ...],
         moduli: tuple[float, ...],
         precision: str = "double (tested to 1e-10)",
     ) -> None:
-        self._set(max_rank, siegel, moduli, precision)
+        self._set(siegel, moduli, precision)
 
     def to_json(self) -> dict:
         return {
@@ -84,7 +83,6 @@ class VolumeTable(Frozen):
 
 def volume_table(max_rank: int) -> VolumeTable:
     return VolumeTable(
-        max_rank,
         tuple(siegel_volume(r) for r in range(1, max_rank + 1)),
         tuple(moduli_volume(r) for r in range(1, max_rank + 1)),
     )

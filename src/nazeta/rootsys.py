@@ -392,13 +392,12 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
 class ParabolicData(Frozen):
     """Derived data for the maximal parabolic that removes alpha_p."""
 
-    __slots__ = ("rs", "p", "rho_p", "c_p", "weyl_subset", "levi_longest", "keys")
+    __slots__ = ("rs", "p", "c_p", "weyl_subset", "levi_longest", "keys")
 
     def __init__(
         self,
         rs: RootSystem,
         p: int,  # 1-based index of the removed simple root
-        rho_p: Vector,
         c_p: int,
         weyl_subset: tuple[WeylElement, ...],  # {w : w Delta_p in Delta u Phi^-}
         levi_longest: WeylElement,  # w_p
@@ -406,7 +405,7 @@ class ParabolicData(Frozen):
         # key (0, 1) marks exactly the roots of Delta_p
         keys: tuple[tuple[int, int], ...],
     ) -> None:
-        self._set(rs, p, rho_p, c_p, weyl_subset, levi_longest, keys)
+        self._set(rs, p, c_p, weyl_subset, levi_longest, keys)
 
     @property
     def p0(self) -> int:
@@ -419,10 +418,6 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
         raise DomainError(f"parabolic index must be in 1..{rs.rank}")
     p0 = p - 1
     levi_pos = [i for i in range(rs.n_positive) if rs.roots[i][p0] == 0]
-    rho_p = tuple(
-        Fraction(sum(rs.roots[i][j] for i in levi_pos), 2)
-        for j in range(rs.rank)
-    )
     # c_p = 2<lambda_p - rho_p, alpha_p^vee> = 2 - <2 rho_p, alpha_p^vee> is
     # an integer: 2 rho_p is the sum of the positive Levi roots
     c_p = 2 - sum(
@@ -445,7 +440,7 @@ def parabolic_data(rs: RootSystem, W: WeylGroup, p: int) -> ParabolicData:
     keys = tuple(
         (rs.weight_pairing(p0, i), rs.coroot_height(i)) for i in range(len(rs.roots))
     )
-    pd = ParabolicData(rs, p, rho_p, c_p, subset, w_p, keys)
+    pd = ParabolicData(rs, p, c_p, subset, w_p, keys)
     _validate_parabolic(pd, W)
     return pd
 
@@ -479,20 +474,17 @@ def _weyl_vector_identity(pd: ParabolicData, W: WeylGroup) -> bool:
 class CountTable(Frozen):
     """Occupancy counts over (pairing k, coroot height h) pairs."""
 
-    __slots__ = (
-        "per_w", "global_counts", "max_diff", "max_diff_clamped", "k_range", "h_range"
-    )
+    __slots__ = ("per_w", "global_counts", "max_diff", "k_range", "h_range")
 
     def __init__(
         self,
         per_w: tuple[dict, ...],  # N_{p,w} for each w in the Weyl subset
         global_counts: dict,  # N_p over all roots
         max_diff: dict,  # M_p
-        max_diff_clamped: dict,  # same with differences clamped at zero
         k_range: tuple[int, int],
         h_range: tuple[int, int],
     ) -> None:
-        self._set(per_w, global_counts, max_diff, max_diff_clamped, k_range, h_range)
+        self._set(per_w, global_counts, max_diff, k_range, h_range)
 
     def normalization_exponents(self) -> dict[tuple[int, int], int]:
         """The positive M_p entries with h >= 2, k >= 0."""
@@ -509,37 +501,27 @@ def negative_preimage_counts(pd: ParabolicData, w: WeylElement) -> Counter:
     return Counter(pd.keys[i] for i, image in enumerate(w.perm) if image >= n_pos)
 
 
-def count_tables(rs: RootSystem, W: WeylGroup, pd: ParabolicData) -> CountTable:
-    """Build N_{p,w}, N_p and the max-difference tables M_p, clamped M_p."""
+def count_tables(pd: ParabolicData) -> CountTable:
+    """Build N_{p,w}, N_p and the max-difference table M_p."""
     per_w = [negative_preimage_counts(pd, w) for w in pd.weyl_subset]
     global_counts = Counter(pd.keys)
+    if sum(global_counts.values()) != len(pd.rs.roots):
+        raise ValidationError("global count table does not cover all roots")
     kmax = max(abs(k) for k, _ in global_counts)
     hmax = max(abs(h) for _, h in global_counts)
     max_diff: dict[tuple[int, int], int] = {}
-    max_clamped: dict[tuple[int, int], int] = {}
     for k in range(-kmax, kmax + 1):
         for h in range(-hmax - 1, hmax + 2):
-            diffs = [
-                nw.get((k, h - 1), 0) - nw.get((k, h), 0) for nw in per_w
-            ]
-            m = max(diffs)
-            mc = max(max(d, 0) for d in diffs)
+            m = max([nw.get((k, h - 1), 0) - nw.get((k, h), 0) for nw in per_w])
             if m != 0:
                 max_diff[(k, h)] = m
-            if mc != 0:
-                max_clamped[(k, h)] = mc
-    table = CountTable(
+    return CountTable(
         tuple(per_w),
         global_counts,
         max_diff,
-        max_clamped,
         (-kmax, kmax),
         (-hmax, hmax),
     )
-    total = sum(global_counts.values())
-    if total != len(rs.roots):
-        raise ValidationError("global count table does not cover all roots")
-    return table
 
 
 def verify_count_identities(
@@ -548,7 +530,8 @@ def verify_count_identities(
     """Exact checks of the count-table identities used by the zeta layer.
 
     Checks, over the full support rectangle:
-      (a) clamped and unclamped max-difference tables agree for h >= 1;
+      (a) clamped and unclamped max-difference tables agree for h >= 1:
+          clamping M_p at zero gives max(M_p, 0), so this is M_p(k, h) >= 0;
       (b) the reflection symmetry
           N_p(k, k c_p - h) - M_p(k, k c_p - h + 1) = N_p(k, h-1) - M_p(k, h);
       (c) the Weyl-vector identity c_p lambda_p - w_p rho = rho;
@@ -562,12 +545,11 @@ def verify_count_identities(
     hmin, hmax = table.h_range
     cp = pd.c_p
     M = table.max_diff
-    Mc = table.max_diff_clamped
     N = table.global_counts
 
     for k in range(kmin, kmax + 1):
         for h in range(1, hmax + 2):
-            ok = M.get((k, h), 0) == Mc.get((k, h), 0)
+            ok = M.get((k, h), 0) >= 0
             cert.record(
                 "clamped-max agreement (h>=1)", ok, k=k, h=h
             )

@@ -53,14 +53,14 @@ def test_criterion_5_symbolic_identity_suite():
 
 
 def test_criterion_5_builds_one_count_table_per_group_zeta(monkeypatch):
-    # the tables depend on (rs, W, pd) alone: group_zeta keeps the one it
-    # builds, and the decomposition and the count identities read it
+    # the tables depend on pd alone: group_zeta keeps the one it builds,
+    # and the decomposition and the count identities read it
     calls = []
     real = nazeta.rootsys.count_tables
 
-    def counted(rs, W, pd):
-        calls.append(f"{rs.type_label}{rs.rank} p={pd.p}")
-        return real(rs, W, pd)
+    def counted(pd):
+        calls.append(f"{pd.rs.type_label}{pd.rs.rank} p={pd.p}")
+        return real(pd)
 
     monkeypatch.setattr(nazeta.groupzeta, "count_tables", counted)
     monkeypatch.setattr(nazeta.rootsys, "count_tables", counted)

@@ -513,6 +513,20 @@ class TestUniformity:
         match = uniformity_match(pz.completed.retag("u"), z2)
         assert isinstance(match, UniformityNotFound)
 
+    def test_irrational_offsets_are_skipped_not_tried(self):
+        # the lines {0, 1} of 1/((1 - u)(1 - 2u)) map onto the lines
+        # {-1/2, 1/2} of 1/((1 - u^2/2)(1 - 2u^2)) only at b = -+1/2, and
+        # 2^(-+1/2) is irrational, so no candidate is verified
+        z = group_zeta(E23, *A1)
+        pure = RationalFunction.make(
+            Poly.of(1), Poly.of(1, -1) * Poly.of(1, -2), "u"
+        )
+        group = RationalFunction.make(
+            Poly.of(1), Poly.of(1, 0, F(-1, 2)) * Poly.of(1, 0, -2), "u"
+        )
+        match = uniformity_match(pure, records.replace(z, zeta=group))
+        assert match == UniformityNotFound((), ((1, F(-1, 2)), (-1, F(1, 2))))
+
     def test_q_power_root_beyond_float_precision(self):
         # a float square root of (2^61 - 1)^2 is off by one after rounding
         q = (2**61 - 1) ** 2

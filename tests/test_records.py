@@ -63,11 +63,11 @@ def _a1():
 
 
 def _group_zeta_fields():
-    rs, W, pd = _a1()
+    rs, _, pd = _a1()
     return {
         "zeta": _rf(), "omega": _rf(), "normalization": {}, "c_p": 2,
         "route": "formula2", "curve": _curve(), "rs": rs, "pd": pd,
-        "table": count_tables(rs, W, pd),
+        "table": count_tables(pd),
     }
 
 
@@ -102,7 +102,7 @@ FIELDS = {
         "atoms": ((("P", 0, (1,)), 1),),
     },
     VolumeTable: lambda: {
-        "max_rank": 1, "siegel": (1.0,), "moduli": (0.5,),
+        "siegel": (1.0,), "moduli": (0.5,),
         "precision": "double (tested to 1e-10)",
     },
     PureZetaInputs: lambda: {"r": 2, "alphas": (F(1), F(2)), "beta0": F(3)},
@@ -126,13 +126,13 @@ FIELDS = {
         "longest": WeylElement((1, 0)),
     },
     ParabolicData: lambda: {
-        "rs": _a1()[0], "p": 1, "rho_p": (F(0),), "c_p": 2,
+        "rs": _a1()[0], "p": 1, "c_p": 2,
         "weyl_subset": (WeylElement((0, 1)), WeylElement((1, 0))),
         "levi_longest": WeylElement((0, 1)), "keys": ((1, 1), (-1, -1)),
     },
     CountTable: lambda: {
         "per_w": ({(1, 1): 1}, {}), "global_counts": {(1, 1): 1, (-1, -1): 1},
-        "max_diff": {(1, 2): 1}, "max_diff_clamped": {(1, 2): 1},
+        "max_diff": {(1, 2): 1},
         "k_range": (-1, 1), "h_range": (-1, 1),
     },
 }

@@ -199,7 +199,9 @@ ALL_TRIPLES = [
 def test_matches_the_rational_length_maximising_oracle(label, rank, p):
     # integer root data, the simple-image closure key and the sign tests
     # for w_0 and w_p against the Fraction Gram, the composing closure
-    # and the maximal-length search
+    # and the maximal-length search; then the count tables against counts
+    # over the oracle's subset, maximised by brute force over a box one
+    # wider than the library's on every side
     expect = weyl_oracle.weyl_data(label, rank)
     rs, W, pd = make(label, rank, p)
     assert rs.roots == expect["roots"]
@@ -207,8 +209,33 @@ def test_matches_the_rational_length_maximising_oracle(label, rank, p):
     assert rs.weights == expect["weights"]
     assert [w.perm for w in W.elements] == expect["elements"]
     assert W.longest.perm == expect["longest"]
-    assert [w.perm for w in pd.weyl_subset] == expect["parabolics"][p]["weyl_subset"]
+    subset = expect["parabolics"][p]["weyl_subset"]
+    assert [w.perm for w in pd.weyl_subset] == subset
     assert pd.levi_longest.perm == expect["parabolics"][p]["levi_longest"]
+
+    keys = [(cc[p - 1], sum(cc)) for cc in expect["coroot_coords"]]
+    n_pos = len(keys) // 2
+
+    def tally(indices):
+        counts = {}
+        for i in indices:
+            counts[keys[i]] = counts.get(keys[i], 0) + 1
+        return counts
+
+    per_w = [tally(i for i in range(len(keys)) if w[i] >= n_pos) for w in subset]
+    kmax = max(abs(k) for k, _ in keys)
+    hmax = max(abs(h) for _, h in keys)
+    max_diff = {}
+    for k in range(-kmax - 1, kmax + 2):
+        for h in range(-hmax - 2, hmax + 3):
+            m = max(nw.get((k, h - 1), 0) - nw.get((k, h), 0) for nw in per_w)
+            if m:
+                max_diff[(k, h)] = m
+    table = count_tables(pd)
+    assert table.per_w == tuple(per_w)
+    assert table.global_counts == tally(range(len(keys)))
+    assert table.max_diff == max_diff
+    assert (table.k_range, table.h_range) == ((-kmax, kmax), (-hmax, hmax))
 
 
 class TestParabolicData:
@@ -246,17 +273,20 @@ class TestParabolicData:
         assert {i for i, key in enumerate(pd.keys) if key == (0, 1)} == delta_p
 
     def test_cp_is_the_defining_pairing_on_every_supported_pair(self):
-        # c_p = 2<lambda_p - rho_p, alpha_p^vee>, evaluated in rationals
+        # c_p = 2<lambda_p - rho_p, alpha_p^vee>, evaluated in rationals,
+        # with rho_p half the sum of the positive roots of the Levi
         count = 0
         for label, ranks in SUPPORTED.items():
             for rank in ranks:
                 rs, W = make(label, rank)
                 for p in range(1, rank + 1):
                     pd = parabolic_data(rs, W, p)
+                    levi = [r for r in rs.roots[: rs.n_positive] if r[p - 1] == 0]
+                    rho_p = tuple(F(sum(r[j] for r in levi), 2) for j in range(rank))
                     alpha_p = rs.simple_indices()[p - 1]
                     lam_p = rs.weights[p - 1]
                     pairing = pairing_with_coroot(rs, lam_p, alpha_p)
-                    pairing -= pairing_with_coroot(rs, pd.rho_p, alpha_p)
+                    pairing -= pairing_with_coroot(rs, rho_p, alpha_p)
                     assert type(pd.c_p) is int and pd.c_p == 2 * pairing
                     count += 1
         assert count == 27
@@ -288,7 +318,7 @@ class TestParabolicData:
 class TestCountTables:
     def test_a1_longest_row(self):
         rs, W, pd = make("A", 1, 1)
-        table = count_tables(rs, W, pd)
+        table = count_tables(pd)
         w0_row = next(
             row
             for w, row in zip(pd.weyl_subset, table.per_w)
@@ -299,26 +329,29 @@ class TestCountTables:
 
     def test_global_covers_all_roots(self):
         rs, W, pd = make("A", 2, 1)
-        table = count_tables(rs, W, pd)
+        table = count_tables(pd)
         assert sum(table.global_counts.values()) == 6
 
     def test_per_w_covers_half(self):
         rs, W, pd = make("A", 3, 2)
-        table = count_tables(rs, W, pd)
+        table = count_tables(pd)
         for row in table.per_w:
             assert sum(row.values()) == rs.n_positive
 
     def test_clamped_relation(self):
         for label, rank, p in (("A", 2, 1), ("A", 3, 2), ("C", 3, 1)):
             rs, W, pd = make(label, rank, p)
-            table = count_tables(rs, W, pd)
-            keys = set(table.max_diff) | set(table.max_diff_clamped)
-            for key in keys:
-                m = table.max_diff.get(key, 0)
-                mc = table.max_diff_clamped.get(key, 0)
-                assert mc == max(m, 0)
-                if key[1] >= 1:
-                    assert m == mc
+            table = count_tables(pd)
+            # clamping M_p at zero changes nothing for h >= 1
+            kmin, kmax = table.k_range
+            for k in range(kmin, kmax + 1):
+                for h in range(1, table.h_range[1] + 2):
+                    assert table.max_diff.get((k, h), 0) >= 0
+            assert table.normalization_exponents() == {
+                (k, h): m
+                for (k, h), m in table.max_diff.items()
+                if k >= 0 and h >= 2 and m > 0
+            }
 
     @pytest.mark.parametrize(
         "label,rank,ps",
@@ -335,30 +368,37 @@ class TestCountTables:
         rs, W = make(label, rank)
         for p in ps:
             pd = parabolic_data(rs, W, p)
-            cert = verify_count_identities(rs, W, pd, count_tables(rs, W, pd))
+            cert = verify_count_identities(rs, W, pd, count_tables(pd))
             assert cert.passed
             names = {c["identity"] for c in cert.checks}
             assert any("reflection symmetry" in n for n in names)
             assert any("longest-element" in n for n in names)
 
     def test_corrupted_clamped_table_fails_at_its_witness(self):
+        # a negative M_p(1, 2) is not its own clamp, and it breaks the
+        # longest-element formula there; with c_p = 3 the reflection
+        # identity at (1, 2) reads M_p(1, 2) on both sides
         rs, W, pd = make("A", 2, 1)
-        table = count_tables(rs, W, pd)
-        bad = dict(table.max_diff_clamped)
-        bad[(1, 2)] = bad.get((1, 2), 0) + 1
+        table = count_tables(pd)
+        bad = dict(table.max_diff)
+        bad[(1, 2)] = -1
         cert = verify_count_identities(
-            rs, W, pd, records.replace(table, max_diff_clamped=bad)
+            rs, W, pd, records.replace(table, max_diff=bad)
         )
         assert not cert.passed
         assert cert.failures() == [
-            {"identity": "clamped-max agreement (h>=1)", "ok": False, "k": 1, "h": 2}
+            {"identity": "clamped-max agreement (h>=1)", "ok": False, "k": 1, "h": 2},
+            {
+                "identity": "longest-element difference formula (h>=2, clamped)",
+                "ok": False, "k": 1, "h": 2,
+            },
         ]
 
     def test_corrupted_global_counts_record_every_witness(self):
         # N_p(k, h0 - 1) enters the reflection identity twice: as the
         # right side at h = h0 and as the left side at h = k c_p - h0 + 1
         rs, W, pd = make("A", 3, 2)
-        table = count_tables(rs, W, pd)
+        table = count_tables(pd)
         k, h0 = 1, 3
         bad = dict(table.global_counts)
         bad[(k, h0 - 1)] = bad.get((k, h0 - 1), 0) + 1
