@@ -315,7 +315,6 @@ class RHReport(Frozen):
     """Zero locations of a zeta numerator against the critical circle."""
 
     __slots__ = ("polynomial", "Q", "roots", "deviations", "verdict")
-    exact = True  # the verdict comes from roots_on_circle, never from floats
 
     def __init__(
         self,
@@ -337,7 +336,6 @@ class RHReport(Frozen):
             "roots": [[z.real, z.imag] for z in self.roots],
             "deviations": list(self.deviations),
             "verdict": "pass" if self.verdict else "fail",
-            "exact": self.exact,
         }
 
 
