@@ -163,7 +163,7 @@ def criterion_2() -> CriterionResult:
             expected = Poly.from_list([alpha0, alpha0 * (n - 2), alpha0 * Q])
             if z.numerator != expected:
                 ok_num = False
-            if not fe_check_pure(z.zeta, 1, q, 2)[0]:
+            if not fe_check_pure(z.zeta, 1, q, 2).passed:
                 ok_fe = False
             # ok_num pins the numerator to alpha(0)(1 + (N-2)T + QT^2), so
             # RH is the sign of its discriminant
@@ -247,7 +247,7 @@ def criterion_4() -> CriterionResult:
     ]
     for cc in curves:
         zz = _a1_group(cc)
-        if not fe_check_group(zz)[0]:
+        if not fe_check_group(zz).passed:
             ok_fe = False
         rep = group_zeta_zeros(zz)
         if not rep.verdict:
@@ -273,7 +273,7 @@ def criterion_5() -> CriterionResult:
             for idx, z in enumerate(zs):
                 decomp = omega_D_decompose(z)
                 certs = [
-                    fe_check_group(z)[1],
+                    fe_check_group(z),
                     decomp.certificate,
                     fg_involution_check(z, W, decomp),
                 ]

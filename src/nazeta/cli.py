@@ -159,7 +159,7 @@ def cmd_pure(args) -> int:
     if alpha0 == 0:
         raise DomainError("alpha(0) must be nonzero")
     result = pure_zeta(curve, inputs)
-    ok_fe, cert = fe_check_pure(result.zeta, curve.g, curve.q, inputs.r)
+    cert = fe_check_pure(result.zeta, curve.g, curve.q, inputs.r)
     report = rh_report(result.numerator.scale(1 / alpha0), result.Q)
     counts = bundle_counts(result.zeta, alpha0, result.Q, 2 * curve.g)
     payload = {
@@ -167,7 +167,7 @@ def cmd_pure(args) -> int:
         "completed_t": _rf_json(result.completed),
         "numerator": [str(c) for c in result.numerator.coeffs],
         "Q": str(result.Q),
-        "fe": ok_fe,
+        "fe": cert.passed,
         "fe_certificate": cert.to_json(),
         "rh": report.to_json(),
         "bundle_counts": [str(x) for x in counts],
@@ -185,7 +185,7 @@ def cmd_pure(args) -> int:
             for z, dev in zip(report.roots, report.deviations)
         ]
         emit_zero_plot_data(rows, args.csv_out)
-    return EXIT_OK if ok_fe and report.verdict else EXIT_MATH_FAIL
+    return EXIT_OK if cert.passed and report.verdict else EXIT_MATH_FAIL
 
 
 def cmd_mass(args) -> int:
@@ -241,7 +241,7 @@ def cmd_group(args) -> int:
     curve = _load_curve(args)
     rs, W, pd = _group_data(args.type, args.rank, args.p)
     z = group_zeta(curve, rs, W, pd)
-    ok_fe, _ = fe_check_group(z)
+    ok_fe = fe_check_group(z).passed
     zeros = group_zeta_zeros(z)
     er = edge_residue(z)
     payload = {

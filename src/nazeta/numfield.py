@@ -21,6 +21,8 @@ _ZHAT = (
     0.06184704192635075,
 )
 
+PRECISION = "double (tested to 1e-10)"
+
 
 def completed_riemann(n: int) -> float:
     """pi^{-n/2} Gamma(n/2) zeta(n) for n in 1..8, from a table.
@@ -59,19 +61,14 @@ def moduli_volume(r: int) -> float:
 
 
 class VolumeTable(Frozen):
-    __slots__ = ("siegel", "moduli", "precision")
+    __slots__ = ("siegel", "moduli")
 
-    def __init__(
-        self,
-        siegel: tuple[float, ...],
-        moduli: tuple[float, ...],
-        precision: str = "double (tested to 1e-10)",
-    ) -> None:
-        self._set(siegel, moduli, precision)
+    def __init__(self, siegel: tuple[float, ...], moduli: tuple[float, ...]) -> None:
+        self._set(siegel, moduli)
 
     def to_json(self) -> dict:
         return {
-            "precision": self.precision,
+            "precision": PRECISION,
             "siegel": {
                 str(r + 1): v for r, v in enumerate(self.siegel)
             },

@@ -275,9 +275,7 @@ def pure_numerator(z: RationalFunction, Q: Fraction) -> Poly:
     return z.num * cofactor
 
 
-def fe_check_pure(
-    z: RationalFunction, g: int, q: int, r: int
-) -> tuple[bool, Certificate]:
+def fe_check_pure(z: RationalFunction, g: int, q: int, r: int) -> Certificate:
     """Verify the numerator symmetry p_{2g-i} = Q^{g-i} p_i exactly.
 
     Each line is decided over Z on the primitive part, where the content
@@ -303,7 +301,7 @@ def fe_check_pure(
             lhs=str(Fraction(cn * a[j], cd)),
             rhs=str(rhs),
         )
-    return cert.passed, cert
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ c_p = 2<lambda_p - rho_p, alpha_p^vee>, the surviving Weyl subset
 {w : w Delta_p subset Delta union Phi^-}, the key
 (k, h) = (<lambda_p, alpha^vee>, ht alpha^vee) of every root, built once
 and read by every per-root product, and the occupancy tables N_{p,w},
-N_p, M_p over those keys that drive the zeta normalization.
+N_p, M_p over those keys that drive the zeta normalization.  The tables
+hold their entries and no bounding box; every loop over them runs on the
+entries, and the count difference N_p(k, h-1) - M_p(k, h) is formed once.
 """
 
 from __future__ import annotations
@@ -468,17 +470,15 @@ def _validate_parabolic(pd: ParabolicData, W: WeylGroup) -> None:
 class CountTable(Frozen):
     """Occupancy counts over (pairing k, coroot height h) pairs."""
 
-    __slots__ = ("per_w", "global_counts", "max_diff", "k_range", "h_range")
+    __slots__ = ("per_w", "global_counts", "max_diff")
 
     def __init__(
         self,
         per_w: tuple[dict, ...],  # N_{p,w} for each w in the Weyl subset
         global_counts: dict,  # N_p over all roots
         max_diff: dict,  # M_p
-        k_range: tuple[int, int],
-        h_range: tuple[int, int],
     ) -> None:
-        self._set(per_w, global_counts, max_diff, k_range, h_range)
+        self._set(per_w, global_counts, max_diff)
 
     def normalization_exponents(self) -> dict[tuple[int, int], int]:
         """The positive M_p entries with h >= 2, k >= 0."""
@@ -487,6 +487,19 @@ class CountTable(Frozen):
             for (k, h), m in self.max_diff.items()
             if h >= 2 and k >= 0 and m > 0
         }
+
+    def difference(self) -> dict[tuple[int, int], int]:
+        """F(k, h) = N_p(k, h-1) - M_p(k, h) on the cells where either
+        entry exists, in sorted (k, h) order."""
+        N, M = self.global_counts, self.max_diff
+        cells = sorted({(k, h + 1) for k, h in N} | M.keys())
+        return {(k, h): N.get((k, h - 1), 0) - M.get((k, h), 0) for k, h in cells}
+
+
+def _next_to(counts) -> set[tuple[int, int]]:
+    """The cells (k, h) and (k, h+1) for every key (k, h) of ``counts``:
+    the only cells where ``counts(k, h-1) - counts(k, h)`` can be nonzero."""
+    return {(k, h + dh) for k, h in counts for dh in (0, 1)}
 
 
 def negative_preimage_counts(pd: ParabolicData, w: WeylElement) -> Counter:
@@ -501,21 +514,13 @@ def count_tables(pd: ParabolicData) -> CountTable:
     global_counts = Counter(pd.keys)
     if sum(global_counts.values()) != len(pd.rs.roots):
         raise ValidationError("global count table does not cover all roots")
-    kmax = max(abs(k) for k, _ in global_counts)
-    hmax = max(abs(h) for _, h in global_counts)
+    # every N_{p,w} lives on the keys of N_p, so M_p does next to them
     max_diff: dict[tuple[int, int], int] = {}
-    for k in range(-kmax, kmax + 1):
-        for h in range(-hmax - 1, hmax + 2):
-            m = max([nw.get((k, h - 1), 0) - nw.get((k, h), 0) for nw in per_w])
-            if m != 0:
-                max_diff[(k, h)] = m
-    return CountTable(
-        tuple(per_w),
-        global_counts,
-        max_diff,
-        (-kmax, kmax),
-        (-hmax, hmax),
-    )
+    for k, h in sorted(_next_to(global_counts)):
+        m = max([nw.get((k, h - 1), 0) - nw.get((k, h), 0) for nw in per_w])
+        if m != 0:
+            max_diff[(k, h)] = m
+    return CountTable(tuple(per_w), global_counts, max_diff)
 
 
 def verify_count_identities(
@@ -523,28 +528,25 @@ def verify_count_identities(
 ) -> Certificate:
     """Exact checks of the count-table identities used by the zeta layer.
 
-    Checks, over the full support rectangle:
-      (b) the reflection symmetry
-          N_p(k, k c_p - h) - M_p(k, k c_p - h + 1) = N_p(k, h-1) - M_p(k, h);
-      (d) for h >= 2, M_p(k, h) equals the longest-element difference
-          N_{p,w_0}(k, h-1) - N_{p,w_0}(k, h).
+    Checks, on the cells that read an entry (elsewhere both sides are 0):
+      (b) the reflection symmetry F(k, k c_p - h + 1) = F(k, h) of
+          F = ``table.difference()``, on supp F and its mirror;
+      (d) for k >= 0, h >= 2, M_p(k, h) equals the longest-element
+          difference N_{p,w_0}(k, h-1) - N_{p,w_0}(k, h), where M_p or
+          N_{p,w_0} has an entry.
     Every check is recorded with its witness; a failed identity fails the
     certificate, it does not raise.
     """
     rs = pd.rs
     cert = Certificate(f"count identities {rs.type_label}{rs.rank} p={pd.p}")
-    kmin, kmax = table.k_range
-    _, hmax = table.h_range
     cp = pd.c_p
     M = table.max_diff
-    N = table.global_counts
 
-    for k in range(kmin, kmax + 1):
-        for h in range(-hmax - abs(cp) * max(abs(kmin), kmax) - 2,
-                       hmax + abs(cp) * max(abs(kmin), kmax) + 3):
-            lhs = N.get((k, k * cp - h), 0) - M.get((k, k * cp - h + 1), 0)
-            rhs = N.get((k, h - 1), 0) - M.get((k, h), 0)
-            cert.record("reflection symmetry of counts", lhs == rhs, k=k, h=h)
+    F = table.difference()
+    for k, h in sorted(F.keys() | {(k, k * cp - h + 1) for k, h in F}):
+        lhs = F.get((k, k * cp - h + 1), 0)
+        rhs = F.get((k, h), 0)
+        cert.record("reflection symmetry of counts", lhs == rhs, k=k, h=h)
 
     # longest-element difference formula for the normalization exponents;
     # the difference needs clamping at zero (it can be negative where the
@@ -553,14 +555,15 @@ def verify_count_identities(
         i for i, w in enumerate(pd.weyl_subset) if w.perm == W.longest.perm
     )
     nw0 = table.per_w[w0_idx]
-    for k in range(0, kmax + 1):
-        for h in range(2, hmax + 2):
-            lhs = M.get((k, h), 0)
-            rhs = max(0, nw0.get((k, h - 1), 0) - nw0.get((k, h), 0))
-            cert.record(
-                "longest-element difference formula (h>=2, clamped)",
-                lhs == rhs,
-                k=k,
-                h=h,
-            )
+    for k, h in sorted(M.keys() | _next_to(nw0)):
+        if k < 0 or h < 2:
+            continue
+        lhs = M.get((k, h), 0)
+        rhs = max(0, nw0.get((k, h - 1), 0) - nw0.get((k, h), 0))
+        cert.record(
+            "longest-element difference formula (h>=2, clamped)",
+            lhs == rhs,
+            k=k,
+            h=h,
+        )
     return cert

@@ -57,7 +57,7 @@ def count_certificate(c, pair):
 
 
 def fe_certificate(c, pair):
-    return fe_check_group(group_zeta(c, *_pair(*pair)))[1]
+    return fe_check_group(group_zeta(c, *_pair(*pair)))
 
 
 def decomposition_certificate(c, pair):
@@ -80,7 +80,7 @@ def pure_certificate(c, pair):
         else PureZetaInputs.make(2, range(1, c.g + 1), c.g + 1)
     )
     res = nazeta.purezeta.pure_zeta(c, inputs)
-    return fe_check_pure(res.zeta, c.g, c.q, res.r)[1]
+    return fe_check_pure(res.zeta, c.g, c.q, res.r)
 
 
 # -- the faults ---------------------------------------------------------------

@@ -101,10 +101,7 @@ FIELDS = {
         "nvars": 1, "content": F(1, 3), "num": (((1,), 2),),
         "atoms": ((("P", 0, (1,)), 1),),
     },
-    VolumeTable: lambda: {
-        "siegel": (1.0,), "moduli": (0.5,),
-        "precision": "double (tested to 1e-10)",
-    },
+    VolumeTable: lambda: {"siegel": (1.0,), "moduli": (0.5,)},
     PureZetaInputs: lambda: {"r": 2, "alphas": (F(1), F(2)), "beta0": F(3)},
     PureZetaResult: lambda: {
         "zeta": _rf("T"), "completed": _rf("t"), "numerator": _poly(),
@@ -133,7 +130,6 @@ FIELDS = {
     CountTable: lambda: {
         "per_w": ({(1, 1): 1}, {}), "global_counts": {(1, 1): 1, (-1, -1): 1},
         "max_diff": {(1, 2): 1},
-        "k_range": (-1, 1), "h_range": (-1, 1),
     },
 }
 MUTABLE = {Certificate: 1, CriterionResult: 2}  # class -> constructor arguments

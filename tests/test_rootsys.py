@@ -235,7 +235,6 @@ def test_matches_the_rational_length_maximising_oracle(label, rank, p):
     assert table.per_w == tuple(per_w)
     assert table.global_counts == tally(range(len(keys)))
     assert table.max_diff == max_diff
-    assert (table.k_range, table.h_range) == ((-kmax, kmax), (-hmax, hmax))
 
 
 class TestParabolicData:
@@ -344,9 +343,10 @@ class TestCountTables:
             table = count_tables(pd)
             # clamping M_p at zero changes nothing for h >= 1; no certificate
             # records this, since it holds once the identity is in the subset
-            kmin, kmax = table.k_range
-            for k in range(kmin, kmax + 1):
-                for h in range(1, table.h_range[1] + 2):
+            kmax = max(abs(k) for k, _ in pd.keys)
+            hmax = max(h for _, h in pd.keys)
+            for k in range(-kmax, kmax + 1):
+                for h in range(1, hmax + 2):
                     assert table.max_diff.get((k, h), 0) >= 0
             assert table.normalization_exponents() == {
                 (k, h): m
@@ -409,3 +409,47 @@ class TestCountTables:
         }
         assert witnesses == {(k, h0), (k, k * pd.c_p - h0 + 1)}
         assert len(witnesses) == 2
+
+    @pytest.mark.parametrize("label,rank,p", ALL_TRIPLES)
+    def test_every_check_reads_an_entry(self, label, rank, p):
+        # each recorded line reads a present entry of N_p, M_p or w_0's
+        # row; a line that reads none would compare 0 = 0
+        rs, W, pd = make(label, rank, p)
+        table = count_tables(pd)
+        N, M = table.global_counts, table.max_diff
+        nw0 = next(
+            row
+            for w, row in zip(pd.weyl_subset, table.per_w)
+            if w.perm == W.longest.perm
+        )
+        cert = verify_count_identities(W, pd, table)
+        assert cert.checks
+        for line in cert.checks:
+            k, h = line["k"], line["h"]
+            if line["identity"] == "reflection symmetry of counts":
+                mirror = k * pd.c_p - h + 1
+                read = [
+                    (N, (k, mirror - 1)), (M, (k, mirror)),
+                    (N, (k, h - 1)), (M, (k, h)),
+                ]
+            else:
+                read = [(M, (k, h)), (nw0, (k, h - 1)), (nw0, (k, h))]
+            assert any(key in counts for counts, key in read), line
+
+    def test_max_difference_outside_the_pairing_range_fails(self):
+        # on A2 p=1 every key has |k| <= 1; M_p(2, 2) = 1 breaks the
+        # reflection identity at (2, 2) and at its mirror (2, 3*2 - 2 + 1),
+        # and the longest-element formula at (2, 2)
+        rs, W, pd = make("A", 2, 1)
+        table = count_tables(pd)
+        bad = dict(table.max_diff)
+        bad[(2, 2)] = 1
+        cert = verify_count_identities(W, pd, records.replace(table, max_diff=bad))
+        assert cert.failures() == [
+            {"identity": "reflection symmetry of counts", "ok": False, "k": 2, "h": 2},
+            {"identity": "reflection symmetry of counts", "ok": False, "k": 2, "h": 5},
+            {
+                "identity": "longest-element difference formula (h>=2, clamped)",
+                "ok": False, "k": 2, "h": 2,
+            },
+        ]
