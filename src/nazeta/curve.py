@@ -13,6 +13,8 @@ of such factors are taken in one pass (product), constants as integer
 pairs, and stay factored until one expansion into a pair of integer
 coefficient lists in u, which a single reduction turns into a rational
 function of u; completed_zeta_factor returns that function itself.  The
+reflection u -> q^c/u maps atoms to atoms, so reflect_factors applies it
+to a FactorProduct without expanding.  The
 residue at s = 1 is kept in "stripped" form, multiplied by log q, so
 that every special value in the system is an honest rational number.
 """
@@ -237,6 +239,23 @@ def _numerator_factor(c: CurveData, j: int, k: int) -> FactorProduct:
             ((("P", -1 - j, -k), 1),),
         )
     return FactorProduct(c.P.evaluate(_q_power(c.q, j)))
+
+
+def reflect_factors(c: CurveData, f: FactorProduct, c_p: int) -> FactorProduct:
+    """f under u -> q^{c_p}/u, atom by atom, without expanding.
+
+    q^j u^m goes to q^{j + c_p m} u^{-m}, so ("L", j, m) becomes the line
+    1 - q^{j + c_p m} u^{-m}, ("P", j, m) the numerator factor
+    P(q^{j + c_p m} u^{-m}), each folded back to m >= 1, and u^upow
+    becomes q^{c_p upow} u^{-upow}.
+    """
+    q = c.q
+    pairs = [(FactorProduct(f.const * _q_power(q, c_p * f.upow), -f.upow), 1)]
+    for (kind, j, m), e in f.atoms:
+        j, m = j + c_p * m, -m
+        image = line_factor(q, j, m) if kind == "L" else _numerator_factor(c, j, m)
+        pairs.append((image, e))
+    return product(pairs)
 
 
 def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:

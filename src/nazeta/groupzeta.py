@@ -23,9 +23,12 @@ curve.FactorProduct (a constant, a power of u and powers of the atoms
 period lifts each numerator to the common denominator of all summands
 and reduces the sum once.  Single terms and the products over root keys
 expand their factor multisets the same way, with one reduction each.
-The involution certificate builds each element's factored f and g once,
-expands each once for the substitution identities, and reduces the sum
-of the f*g products once.
+An identity between two single products is decided on the factored
+forms: the quotient of its sides, the reflected side mapped atom by atom
+by curve.reflect_factors, reduces to 1.  Distinct atoms need not be
+coprime polynomials, so a quotient that does not reduce is decided again
+on the expansions.  The involution certificate builds each element's
+factored f and g once and reduces the sum of the f*g products once.
 
 Multiplying the period by the minimal normalization product, the
 positive max-difference exponents over h >= 2, yields the group zeta,
@@ -54,6 +57,7 @@ from .curve import (
     expand_sum,
     line_factor,
     product,
+    reflect_factors,
     zeta_factors,
     zeta_special_residue,
 )
@@ -191,6 +195,22 @@ def fe_substitution(f: RationalFunction, q: int, c_p: int) -> RationalFunction:
     return substitute(f, Fraction(q) ** c_p, -1, f.var)
 
 
+def _same_product(a: FactorProduct, b: FactorProduct) -> bool:
+    """Whether a / b reduces to 1 atom by atom: no atom, no power of u, a
+    constant of 1.  True proves a = b; False proves nothing, since
+    distinct atoms need not be coprime, and callers then compare the
+    expansions."""
+    return product(((a, 1), (b, -1))) == FactorProduct(Fraction(1))
+
+
+def _reflects_to(c: CurveData, a: FactorProduct, b: FactorProduct, c_p: int) -> bool:
+    """Whether a(q^{c_p}/u) = b(u), on the factored forms when they agree
+    and by fe_substitution of the expansions otherwise."""
+    if _same_product(reflect_factors(c, a, c_p), b):
+        return True
+    return fe_substitution(a.expand(c), c.q, c_p) == b.expand(c)
+
+
 def fe_check_group(z: GroupZetaResult) -> Certificate:
     """Exact check of zeta(-c_p - s) = zeta(s)."""
     cert = Certificate(
@@ -226,22 +246,29 @@ def omega_D_decompose(z: GroupZetaResult) -> Decomposition:
     all positive roots; its equality with the product over negative
     roots at (k, h) (a functional-equation reindexing) is certified,
     together with both reflection identities and the exact equation
-    zeta * denominator = clearing * period.
+    zeta * denominator = clearing * period.  The clearing equality and
+    the denominator's reflection compare single products, so they are
+    decided on the factored forms, falling back on the expansions when
+    the quotient does not reduce to 1; the two identities over sums are
+    decided on the expansions.
     """
     c, rs, pd, table = z.curve, z.rs, z.pd, z.table
     cert = Certificate(
         f"global decomposition {rs.type_label}{rs.rank} p={pd.p}"
     )
     positive, negative = pd.keys[: rs.n_positive], pd.keys[rs.n_positive :]
-    clearing = _zeta_product(
-        c, Counter((k, h + 1) for k, h in positive)
-    ).expand(c)
+    clearing_f = _zeta_product(c, Counter((k, h + 1) for k, h in positive))
+    clearing = clearing_f.expand(c)
     alt = _zeta_product(c, Counter(negative))
-    cert.record("clearing product: two forms agree", clearing == alt.expand(c))
+    cert.record(
+        "clearing product: two forms agree",
+        _same_product(clearing_f, alt) or clearing == alt.expand(c),
+    )
 
-    den = _zeta_product(c, {
+    den_f = _zeta_product(c, {
         (k, h): f for (k, h), f in table.difference().items() if k >= 0 and h >= 2
-    }).expand(c)
+    })
+    den = den_f.expand(c)
     omega_global = clearing * z.omega
     cert.record(
         "zeta * denominator = clearing * period",
@@ -249,7 +276,9 @@ def omega_D_decompose(z: GroupZetaResult) -> Decomposition:
     )
     q, cp = c.q, pd.c_p
     cert.record(
-        "denominator reflection", fe_substitution(den, q, cp) == den
+        "denominator reflection",
+        _same_product(reflect_factors(c, den_f, cp), den_f)
+        or fe_substitution(den, q, cp) == den,
     )
     cert.record(
         "global numerator reflection",
@@ -283,32 +312,31 @@ def fg_involution_check(
     f_w(-c_p-s) = f_{w_0 w w_p}(s) and g_w(-c_p-s) = g_{w_0 w w_p}(s)
     must hold exactly, and sum_w f_w g_w, reduced once from the factored
     products, must equal the decomposition's clearing * period.  Each
-    f_w and g_w is factored and expanded once; a partner is looked up.
-    An involution partner outside the Weyl subset is a recorded
-    failure, like a failed identity.
+    f_w and g_w is factored once; a partner is looked up.  The
+    substitution identities are decided on the factored forms, and only
+    a pair whose quotient does not reduce to 1 is expanded.  An
+    involution partner outside the Weyl subset is a recorded failure,
+    like a failed identity.
     """
     c, rs, pd = z.curve, z.rs, z.pd
     cert = Certificate(
         f"involution structure {rs.type_label}{rs.rank} p={pd.p}"
     )
-    q, cp = c.q, pd.c_p
+    cp = pd.c_p
     factored = {
         w.perm: (_rational_factors(c, rs, pd, w), _g_factors(c, pd, w))
         for w in pd.weyl_subset
     }
-    expanded = {
-        perm: (f.expand(c), g.expand(c)) for perm, (f, g) in factored.items()
-    }
     for w in pd.weyl_subset:
-        fw, gw = expanded[w.perm]
+        fw, gw = factored[w.perm]
         where = _describe(rs, w)
         partner = W.longest.compose(w).compose(pd.levi_longest)
-        if partner.perm not in expanded:
+        if partner.perm not in factored:
             cert.record("involution stays in the Weyl subset", False, w=where)
             continue
-        fp, gp = expanded[partner.perm]
-        cert.record("f involution", fe_substitution(fw, q, cp) == fp, w=where)
-        cert.record("g involution", fe_substitution(gw, q, cp) == gp, w=where)
+        fp, gp = factored[partner.perm]
+        cert.record("f involution", _reflects_to(c, fw, fp, cp), w=where)
+        cert.record("g involution", _reflects_to(c, gw, gp, cp), w=where)
     total = expand_sum(c, [product(((f, 1), (g, 1))) for f, g in factored.values()])
     cert.record(
         "sum of f*g equals clearing * period", total == decomp.omega_global

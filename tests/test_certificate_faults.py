@@ -10,6 +10,10 @@ Weyl subset).  Under its fault the certifier records exactly the listed
 failures, witnesses included.  ``test_every_recorded_identity_is_listed``
 runs the certifiers on the A2 and A3 pairs and fails on any identity that
 is not listed, so a check that no fault can fail does not go unnoticed.
+The involution identities are decided on factored forms and fall back on
+the expansions when the forms differ; the last two tests reach that
+fallback with a rewrite that keeps the function and with the f and g
+faults.
 """
 
 import math
@@ -25,7 +29,13 @@ import nazeta.residues
 import nazeta.rootsys
 import records
 from nazeta.algebra import Poly, RationalFunction
-from nazeta.curve import FactorProduct, curve_from_numerator, elliptic_curve
+from nazeta.curve import (
+    FactorProduct,
+    curve_from_numerator,
+    elliptic_curve,
+    line_factor,
+    product,
+)
 from nazeta.groupzeta import (
     fe_check_group,
     fg_involution_check,
@@ -175,6 +185,31 @@ def g_factors_scaled(monkeypatch):
         return g * SCALE if _is_identity(w) else g
 
     monkeypatch.setattr(nazeta.groupzeta, "_g_factors", faulty)
+
+
+def g_numerator_atoms_as_lines(monkeypatch):
+    """Not a fault: g_w for the identity on E(2, 3), where P(T) = 1 + 2T^2,
+    with each atom P(q^j u^m) written as L(2+4j, 4m) / L(1+2j, 2m),
+    L(j, m) = 1 - q^j u^m.  The function is the same, but its atoms no
+    longer cancel against the partner's, so the involution identities of
+    the identity and of w_0 w_p are decided on the expansions."""
+    exact = nazeta.groupzeta._g_factors
+
+    def rewritten(c, pd, w):
+        g = exact(c, pd, w)
+        if not _is_identity(w):
+            return g
+        return product([(g, 1)] + [
+            pair
+            for (kind, j, m), e in g.atoms if kind == "P"
+            for pair in (
+                (FactorProduct(F(1), 0, (((kind, j, m), 1),)), -e),
+                (line_factor(c.q, 2 + 4 * j, 4 * m), e),
+                (line_factor(c.q, 1 + 2 * j, 2 * m), -e),
+            )
+        ])
+
+    monkeypatch.setattr(nazeta.groupzeta, "_g_factors", rewritten)
 
 
 def subset_loses_w0_wp(monkeypatch):
@@ -365,3 +400,40 @@ def test_every_recorded_identity_is_listed(curve):
     assert set().union(*recorded.values()) == {
         kind for kinds in KINDS.values() for kind in kinds
     } - {STAYS}
+
+
+def involution_fallbacks(monkeypatch, curve, pair):
+    """The involution certificate, and how many of its substitution
+    identities were decided on the expansions, by fe_substitution."""
+    rs, W, pd = _pair(*pair)
+    z = group_zeta(curve, rs, W, pd)
+    decomp = omega_D_decompose(z)
+    calls = []
+    exact = nazeta.groupzeta.fe_substitution
+
+    def counted(f, q, c_p):
+        calls.append(f)
+        return exact(f, q, c_p)
+
+    monkeypatch.setattr(nazeta.groupzeta, "fe_substitution", counted)
+    return fg_involution_check(z, W, decomp), len(calls)
+
+
+def test_rewritten_atoms_pass_through_the_fallback(monkeypatch):
+    assert involution_fallbacks(monkeypatch, E23, A2P1)[1] == 0
+    g_numerator_atoms_as_lines(monkeypatch)
+    cert, fallbacks = involution_fallbacks(monkeypatch, E23, A2P1)
+    assert cert.passed
+    assert fallbacks == 2  # the identity's g involution and its partner's
+
+
+@pytest.mark.parametrize("kind", [F_INV, G_INV])
+def test_involution_faults_fail_through_the_fallback(monkeypatch, kind):
+    curve, pair, fault, failures = KINDS[involution_certificate][kind]
+    fault(monkeypatch)
+    cert, fallbacks = involution_fallbacks(monkeypatch, curve, pair)
+    assert [
+        {key: v for key, v in check.items() if key != "ok"}
+        for check in cert.failures()
+    ] == failures
+    assert fallbacks == 2  # the scaled identity and its partner w_0 w_p

@@ -19,10 +19,14 @@ from nazeta.curve import (
     curve_from_point_counts,
     elliptic_curve,
     expand_sum,
+    line_factor,
     product,
+    reflect_factors,
+    zeta_factors,
     zeta_special_residue,
 )
 from nazeta.errors import DomainError, PoleError, ValidationError
+from nazeta.groupzeta import fe_substitution
 
 GENUS2_P = Poly.of(1, 0, 2) ** 2
 
@@ -300,3 +304,52 @@ class TestProduct:
             assert f**e == product([(f, e)])
         for (a, _), (b, _) in zip(pairs, pairs[1:]):
             assert a * b == product([(a, 1), (b, 1)])
+
+
+ONE = FactorProduct(F(1))
+GENUS_1_AND_2 = pytest.mark.parametrize("curve", [
+    elliptic_curve(2, 3),
+    curve_from_numerator(2, 2, (Poly.of(1, -1, 2) * Poly.of(1, 1, 2)).coeffs),
+], ids=["genus-1", "genus-2"])
+
+
+class TestReflectFactors:
+    @CURVES
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(f=FACTORED, c_p=st.integers(-3, 4))
+    @example(f=X, c_p=3)
+    @example(f=Y, c_p=-2)
+    def test_applied_twice_gives_the_same_product(self, curve, f, c_p):
+        assert reflect_factors(curve, reflect_factors(curve, f, c_p), c_p) == f
+
+    @GENUS_1_AND_2
+    @pytest.mark.parametrize("c_p", [-2, 0, 1, 3])
+    @pytest.mark.parametrize("k,h", [(-2, 3), (-1, 0), (0, 2), (0, -1), (1, 1), (2, -3)])
+    def test_expansion_against_fe_substitution(self, curve, c_p, k, h):
+        single = zeta_factors(curve, k, h)
+        mixed = product([(single, 2), (zeta_factors(curve, k + 1, h - 1), -1)])
+        for f in (single, mixed):
+            assert reflect_factors(curve, f, c_p).expand(curve) == fe_substitution(
+                f.expand(curve), curve.q, c_p
+            )
+
+    def test_factored_quotient_misses_a_rewritten_numerator_atom(self):
+        # on E(2, 3), P(T) = 1 + 2T^2, so P(q^j u^m) = L(2+4j, 4m) / L(1+2j, 2m)
+        # with L(j, m) = 1 - q^j u^m: the same function in other atoms
+        c, c_p = elliptic_curve(2, 3), 3
+        g = zeta_factors(c, -1, 0) * zeta_factors(c, 2, 3)
+        numerator_atoms = [(atom, e) for atom, e in g.atoms if atom[0] == "P"]
+        assert numerator_atoms
+        rewritten = product([(g, 1)] + [
+            pair
+            for (_, j, m), e in numerator_atoms
+            for pair in (
+                (FactorProduct(F(1), 0, ((("P", j, m), 1),)), -e),
+                (line_factor(2, 2 + 4 * j, 4 * m), e),
+                (line_factor(2, 1 + 2 * j, 2 * m), -e),
+            )
+        ])
+        assert rewritten.expand(c) == g.expand(c)
+        partner = reflect_factors(c, g, c_p)
+        assert product([(reflect_factors(c, rewritten, c_p), 1), (partner, -1)]) != ONE
+        assert product([(rewritten, 1), (g, -1)]) != ONE

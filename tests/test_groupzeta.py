@@ -1,6 +1,7 @@
 """Group zeta assembly, functional equations, zeros, uniformity."""
 
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -309,6 +310,47 @@ def involution_certificate(c, rs, W, pd):
     return fg_involution_check(z, W, omega_D_decompose(z))
 
 
+def recorded(cert):
+    """The certificate's single-product identities and their verdicts."""
+    single = ("clearing product: two forms agree", "denominator reflection",
+              "f involution", "g involution")
+    return [(c["identity"], c["ok"]) for c in cert.checks if c["identity"] in single]
+
+
+def expanded_decomposition(z, decomp):
+    """Oracle: the decomposition's two single-product identities decided on
+    reduced expansions."""
+    c, rs, pd = z.curve, z.rs, z.pd
+    negative = Counter(pd.keys[rs.n_positive :])
+    alt = nazeta.groupzeta._zeta_product(c, negative).expand(c)
+    den = decomp.denominator
+    return [
+        ("clearing product: two forms agree", decomp.clearing == alt),
+        ("denominator reflection", fe_substitution(den, c.q, pd.c_p) == den),
+    ]
+
+
+def expanded_involutions(z, W):
+    """Oracle: f_w(-c_p-s) = f_{w_0 w w_p}(s) and the same for g, decided
+    on reduced expansions, for every w of the Weyl subset in order."""
+    c, rs, pd = z.curve, z.rs, z.pd
+    f_and_g = {
+        w.perm: (
+            nazeta.groupzeta._rational_factors(c, rs, pd, w).expand(c),
+            nazeta.groupzeta._g_factors(c, pd, w).expand(c),
+        )
+        for w in pd.weyl_subset
+    }
+    verdicts = []
+    for w in pd.weyl_subset:
+        partner = W.longest.compose(w).compose(pd.levi_longest)
+        for name, own, other in zip(
+            ("f involution", "g involution"), f_and_g[w.perm], f_and_g[partner.perm]
+        ):
+            verdicts.append((name, fe_substitution(own, c.q, pd.c_p) == other))
+    return verdicts
+
+
 class TestInvolution:
     def test_a1_hand_values(self):
         rs, W, pd = A1
@@ -363,9 +405,38 @@ class TestInvolution:
         monkeypatch.setattr(nazeta.groupzeta, "expand_sum", counted)
         cert = fg_involution_check(z, W, decomp)
         assert cert.passed
-        # f and g expanded once per element, the f*g sum reduced once
-        assert len(calls) <= 2 * len(pd.weyl_subset) + 1
-        assert calls[-1] == len(pd.weyl_subset)
+        # no f or g is expanded; the f*g sum is reduced once
+        assert calls == [len(pd.weyl_subset)]
+
+    @pytest.mark.parametrize("curve", SEED1_CURVES, ids=["E32", "G20-1"])
+    @pytest.mark.parametrize("label,rank,p", ALL_PAIRS)
+    def test_factored_verdicts_against_the_expansions(
+        self, monkeypatch, curve, label, rank, p
+    ):
+        rs, W, pd = pair(label, rank, p)
+        z = group_zeta(curve, rs, W, pd)
+        calls = Counter()
+        exact_fe, exact_expand = fe_substitution, FactorProduct.expand
+
+        def counted_fe(*args):
+            calls["fe_substitution"] += 1
+            return exact_fe(*args)
+
+        def counted_expand(f, c):
+            calls["expand"] += 1
+            return exact_expand(f, c)
+
+        monkeypatch.setattr(nazeta.groupzeta, "fe_substitution", counted_fe)
+        monkeypatch.setattr(FactorProduct, "expand", counted_expand)
+        decomp = omega_D_decompose(z)
+        # the clearing product and the denominator are expanded for the
+        # identities over sums; only the numerator reflection substitutes
+        assert calls == {"expand": 2, "fe_substitution": 1}
+        cert = fg_involution_check(z, W, decomp)
+        assert calls == {"expand": 2, "fe_substitution": 1}
+        monkeypatch.undo()
+        assert recorded(decomp.certificate) == expanded_decomposition(z, decomp)
+        assert recorded(cert) == expanded_involutions(z, W)
 
     def test_perturbed_g_factor_records_every_failure(self, monkeypatch):
         rs, W, pd = pair("A", 2, 1)
