@@ -218,17 +218,22 @@ def criterion_3() -> CriterionResult:
     return res
 
 
-def _a1_group(curve: CurveData):
+def _a1_data():
+    """(rs, W, pd) of the rank-one pair, built once per criterion."""
     rs = build_root_system("A", 1)
     W = enumerate_weyl(rs)
-    pd = parabolic_data(rs, W, 1)
-    return group_zeta(curve, rs, W, pd)
+    return rs, W, parabolic_data(rs, W, 1)
+
+
+def _a1_group(curve: CurveData, a1):
+    return group_zeta(curve, *a1)
 
 
 def criterion_4() -> CriterionResult:
     res = CriterionResult(4, "group zeta for the rank-one pair")
     c = elliptic_curve(2, 3)
-    z = _a1_group(c)
+    a1 = _a1_data()
+    z = _a1_group(c, a1)
     one = RationalFunction.const(1, "u")
     u = RationalFunction.variable("u")
     z2 = completed_zeta_factor(c, 1, 2)
@@ -246,7 +251,7 @@ def criterion_4() -> CriterionResult:
         _genus2_synthetic(3, 2, -2),
     ]
     for cc in curves:
-        zz = _a1_group(cc)
+        zz = _a1_group(cc, a1)
         if not fe_check_group(zz).passed:
             ok_fe = False
         rep = group_zeta_zeros(zz)
@@ -314,9 +319,10 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     res = CriterionResult(8, "uniformity for rank two")
+    a1 = _a1_data()
     for q, n in ((2, 3), (3, 4), (3, 2)):
         c = elliptic_curve(q, n)
-        z = _a1_group(c)
+        z = _a1_group(c, a1)
         pz = pure_zeta(c, elliptic_rank2_inputs(c))
         match = uniformity_match(pz.completed.retag("u"), z)
         ok = isinstance(match, UniformityMatch) and match.verified

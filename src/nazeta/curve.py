@@ -8,15 +8,18 @@ the power sums q^m + 1 - N_m of P's inverse roots.  The completed zeta
 q^{(g-1)s} P(q^{-s}) / ((1-q^{-s})(1-q^{1-s})) at any integer-linear
 argument k*s + h is a constant times a power of u = q^{-s} times powers
 of the atoms 1 - c u^m and P(c u^m), m >= 1 (a FactorProduct), where c
-is always a power q^j and an atom is keyed by the integer j.  Products
-of such factors are taken in one pass (product), constants as integer
-pairs, and stay factored until one expansion into a pair of integer
+is always a power q^j and an atom is keyed by the integer j.  The
+constant is kept as a reduced integer pair (num, den), so building,
+multiplying and reflecting factors is integer arithmetic with one gcd
+per product and no Fraction; FactorProduct.const gives it as a Fraction
+for the scalar callers.  Products of such factors are taken in one pass
+(product) and stay factored until one expansion into a pair of integer
 coefficient lists in u, which a single reduction turns into a rational
 function of u; completed_zeta_factor returns that function itself.  The
 reflection u -> q^c/u maps atoms to atoms, so reflect_factors applies it
-to a FactorProduct without expanding.  The
-residue at s = 1 is kept in "stripped" form, multiplied by log q, so
-that every special value in the system is an honest rational number.
+to a FactorProduct without expanding.  The residue at s = 1 is kept in
+"stripped" form, multiplied by log q, so that every special value in the
+system is an honest rational number.
 """
 
 from __future__ import annotations
@@ -140,20 +143,28 @@ Atom = tuple[str, int, int]
 
 
 class FactorProduct(Frozen):
-    """const * u^upow * prod atom^e over a multiset of atoms.
+    """(num/den) * u^upow * prod atom^e over a multiset of atoms.
 
     Products of zeta factors stay in this form, so multiplying is adding
-    exponents and only the final expansion builds polynomials.
+    exponents and only the final expansion builds polynomials.  The
+    constant is a reduced integer pair: den > 0, and zero is 0/1, so
+    equal products have equal fields.
     """
 
-    __slots__ = ("const", "upow", "atoms")
+    __slots__ = ("num", "den", "upow", "atoms")
 
     def __init__(
-        self, const: Fraction, upow: int = 0, atoms: tuple[tuple[Atom, int], ...] = ()
+        self, num: int, den: int, upow: int = 0, atoms: tuple[tuple[Atom, int], ...] = ()
     ) -> None:
-        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "upow", upow)
         object.__setattr__(self, "atoms", atoms)
+
+    @property
+    def const(self) -> Fraction:
+        """The constant num/den as a Fraction, for callers off the hot path."""
+        return Fraction(self.num, self.den)
 
     def __mul__(self, other: "FactorProduct") -> "FactorProduct":
         return product(((self, 1), (other, 1)))
@@ -171,14 +182,14 @@ def product(pairs) -> FactorProduct:
 
     Atom exponents and the power of u are summed, zero exponents dropped
     at the end; the constant is accumulated as an integer numerator and
-    denominator, and one Fraction is built from them.
+    denominator and reduced once.
     """
     num, den, upow = 1, 1, 0
     exps: dict[Atom, int] = {}
     for f, e in pairs:
         if not e:
             continue
-        a, b = f.const.numerator, f.const.denominator
+        a, b = f.num, f.den
         if e < 0:
             if not a:
                 raise DomainError("division by the zero function")
@@ -187,14 +198,15 @@ def product(pairs) -> FactorProduct:
         upow += f.upow * e
         for atom, x in f.atoms:
             exps[atom] = exps.get(atom, 0) + x * e
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
     return FactorProduct(
-        Fraction(num, den), upow, tuple((a, x) for a, x in exps.items() if x)
+        num // g, den // g, upow, tuple((a, x) for a, x in exps.items() if x)
     )
 
 
-def _q_power(q: int, j: int) -> Fraction:
-    """q^j from an integer power of q."""
-    return Fraction(q**j) if j >= 0 else Fraction(1, q**-j)
+def _q_power(q: int, j: int) -> tuple[int, int]:
+    """q^j as a reduced integer pair."""
+    return (q**j, 1) if j >= 0 else (1, q**-j)
 
 
 def _atom_ints(c: CurveData, atom: Atom) -> tuple[int, int, list[int]]:
@@ -220,25 +232,27 @@ def _atom_ints(c: CurveData, atom: Atom) -> tuple[int, int, list[int]]:
 def line_factor(q: int, j: int, k: int) -> FactorProduct:
     """1 - q^j u^k; a negative k folds to 1 - q^-j u^-k."""
     if k > 0:
-        return FactorProduct(Fraction(1), 0, ((("L", j, k), 1),))
+        return FactorProduct(1, 1, 0, ((("L", j, k), 1),))
+    a, b = _q_power(q, j)
     if k < 0:
         # 1 - q^j u^{-m} = -q^j u^{-m} (1 - q^{-j} u^m)
-        return FactorProduct(-_q_power(q, j), k, ((("L", -j, -k), 1),))
-    return FactorProduct(1 - _q_power(q, j))
+        return FactorProduct(-a, b, k, ((("L", -j, -k), 1),))
+    return FactorProduct(b - a, b)  # b and b - a are coprime, b > 0
 
 
 def _numerator_factor(c: CurveData, j: int, k: int) -> FactorProduct:
     """P(q^j u^k); a negative k folds by the coefficient symmetry."""
     if k > 0:
-        return FactorProduct(Fraction(1), 0, ((("P", j, k), 1),))
+        return FactorProduct(1, 1, 0, ((("P", j, k), 1),))
     if k < 0:
         # P(x) = q^g x^{2g} P(1/(q x)) at x = q^j u^{-m}
         return FactorProduct(
-            _q_power(c.q, c.g + 2 * c.g * j),
-            2 * c.g * k,
-            ((("P", -1 - j, -k), 1),),
+            *_q_power(c.q, c.g + 2 * c.g * j), 2 * c.g * k, ((("P", -1 - j, -k), 1),)
         )
-    return FactorProduct(c.P.evaluate(_q_power(c.q, j)))
+    num, den, ints = _atom_ints(c, ("P", j, 1))  # P(q^j y) at y = 1
+    num *= sum(ints)
+    g = math.gcd(num, den)
+    return FactorProduct(num // g, den // g)
 
 
 def reflect_factors(c: CurveData, f: FactorProduct, c_p: int) -> FactorProduct:
@@ -250,7 +264,9 @@ def reflect_factors(c: CurveData, f: FactorProduct, c_p: int) -> FactorProduct:
     becomes q^{c_p upow} u^{-upow}.
     """
     q = c.q
-    pairs = [(FactorProduct(f.const * _q_power(q, c_p * f.upow), -f.upow), 1)]
+    a, b = _q_power(q, c_p * f.upow)
+    # the constant need not be reduced here: product reduces its result
+    pairs = [(FactorProduct(f.num * a, f.den * b, -f.upow), 1)]
     for (kind, j, m), e in f.atoms:
         j, m = j + c_p * m, -m
         image = line_factor(q, j, m) if kind == "L" else _numerator_factor(c, j, m)
@@ -272,7 +288,7 @@ def zeta_factors(c: CurveData, k: int, h: int) -> FactorProduct:
             "use zeta_special_residue for the stripped value at 1"
         )
     g, q = c.g, c.q
-    shift = FactorProduct(_q_power(q, (g - 1) * h), -k * (g - 1))
+    shift = FactorProduct(*_q_power(q, (g - 1) * h), -k * (g - 1))
     return product((
         (shift, 1), (_numerator_factor(c, -h, k), 1),
         (line_factor(q, -h, k), -1), (line_factor(q, 1 - h, k), -1),
@@ -296,7 +312,7 @@ def _expand_parts(
     Atom powers are kept in ``powers`` by (atom, exponent), built on
     first use, their contents' powers as integer pairs.
     """
-    terms = [t for t in terms if t.const != 0]
+    terms = [t for t in terms if t.num]
     den_exps: dict[Atom, int] = {}
     for t in terms:
         for atom, e in t.atoms:
@@ -331,7 +347,7 @@ def _expand_parts(
         for atom, e in t.atoms:
             exps[atom] = exps.get(atom, 0) + e
         a, b, p = lift([0] * (t.upow - low) + [1], exps)
-        lifted.append((t.const.numerator * a, t.const.denominator * b, p))
+        lifted.append((t.num * a, t.den * b, p))
     common = math.lcm(*(den for _, den, _ in lifted))
     total = [0] * max((len(p) for _, _, p in lifted), default=0)
     for num, den, p in lifted:

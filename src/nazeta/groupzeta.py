@@ -27,8 +27,9 @@ An identity between two single products is decided on the factored
 forms: the quotient of its sides, the reflected side mapped atom by atom
 by curve.reflect_factors, reduces to 1.  Distinct atoms need not be
 coprime polynomials, so a quotient that does not reduce is decided again
-on the expansions.  The involution certificate builds each element's
-factored f and g once and reduces the sum of the f*g products once.
+on the expansions.  The involution certificate builds the completed
+zeta factor of each distinct key once, each element's factored f and g
+once from those, and reduces the sum of the f*g products once.
 
 Multiplying the period by the minimal normalization product, the
 positive max-difference exponents over h >= 2, yields the group zeta,
@@ -99,7 +100,7 @@ class GroupZetaResult(Frozen):
 def _zeta_num_factors(c: CurveData, k: int, h: int) -> FactorProduct:
     """Completed zeta factor, stripped to its special value at (0, 1)."""
     if (k, h) == (0, 1):
-        return FactorProduct(zeta_special_residue(c))
+        return FactorProduct(*zeta_special_residue(c).as_integer_ratio())
     return zeta_factors(c, k, h)
 
 
@@ -200,7 +201,7 @@ def _same_product(a: FactorProduct, b: FactorProduct) -> bool:
     constant of 1.  True proves a = b; False proves nothing, since
     distinct atoms need not be coprime, and callers then compare the
     expansions."""
-    return product(((a, 1), (b, -1))) == FactorProduct(Fraction(1))
+    return product(((a, 1), (b, -1))) == FactorProduct(1, 1)
 
 
 def _reflects_to(c: CurveData, a: FactorProduct, b: FactorProduct, c_p: int) -> bool:
@@ -292,15 +293,26 @@ def omega_D_decompose(z: GroupZetaResult) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _g_factors(c: CurveData, pd: ParabolicData, w: WeylElement) -> FactorProduct:
-    """Product of (stripped) completed zeta factors over w^{-1}Phi^-.
+def _zeta_table(c: CurveData, pd: ParabolicData) -> dict[tuple[int, int], FactorProduct]:
+    """The (stripped) completed zeta factor per distinct key of the roots."""
+    return {(k, h): _zeta_num_factors(c, k, h) for k, h in set(pd.keys)}
+
+
+def _g_factors(
+    pd: ParabolicData,
+    w: WeylElement,
+    zetas: dict[tuple[int, int], FactorProduct],
+) -> FactorProduct:
+    """Product of (stripped) completed zeta factors over w^{-1}Phi^-, each
+    key's factor read from ``_zeta_table`` and taken to its count.
 
     Levi simple roots in w^{-1}Phi^- sit at the pole argument (0, 1) and
     contribute the stripped special value, mirroring the period's
     convention; without them the sum identity below would be off by one
     stripped value per such root.
     """
-    return _zeta_product(c, negative_preimage_counts(pd, w))
+    items = sorted(negative_preimage_counts(pd, w).items())
+    return product((zetas[key], e) for key, e in items if e)
 
 
 def fg_involution_check(
@@ -312,7 +324,8 @@ def fg_involution_check(
     f_w(-c_p-s) = f_{w_0 w w_p}(s) and g_w(-c_p-s) = g_{w_0 w w_p}(s)
     must hold exactly, and sum_w f_w g_w, reduced once from the factored
     products, must equal the decomposition's clearing * period.  Each
-    f_w and g_w is factored once; a partner is looked up.  The
+    f_w and g_w is factored once, g_w from one table of zeta factors
+    per distinct key; a partner is looked up.  The
     substitution identities are decided on the factored forms, and only
     a pair whose quotient does not reduce to 1 is expanded.  An
     involution partner outside the Weyl subset is a recorded failure,
@@ -323,8 +336,9 @@ def fg_involution_check(
         f"involution structure {rs.type_label}{rs.rank} p={pd.p}"
     )
     cp = pd.c_p
+    zetas = _zeta_table(c, pd)
     factored = {
-        w.perm: (_rational_factors(c, rs, pd, w), _g_factors(c, pd, w))
+        w.perm: (_rational_factors(c, rs, pd, w), _g_factors(pd, w, zetas))
         for w in pd.weyl_subset
     }
     for w in pd.weyl_subset:

@@ -27,6 +27,7 @@ from .algebra import (
     Rat,
     RationalFunction,
     _frac,
+    _int_mul,
     poly_complex_roots,
     power_sums,
     roots_on_circle,
@@ -238,29 +239,38 @@ def rank1_inputs(c: CurveData) -> PureZetaInputs:
 
 
 def pure_zeta(c: CurveData, inputs: PureZetaInputs) -> PureZetaResult:
-    """Assemble the rank-r pure zeta of a curve from its count inputs."""
+    """Assemble the rank-r pure zeta of a curve from its count inputs.
+
+    The numerator is built over Z: the alphas and beta(0) are brought to
+    one common denominator L, the palindromic part is multiplied by
+    (1-T)(1-QT) as integer lists, and the content 1/L is applied once.
+    """
     if len(inputs.alphas) != c.g:
         raise DomainError(
             f"alpha table must have length g = {c.g}, got {len(inputs.alphas)}"
         )
     g, r = c.g, inputs.r
-    Q = Fraction(c.q) ** r
-    den = Poly.of(1, -1) * Poly.from_list([1, -Q])
-    poly_part = Poly.zero()
+    Q = c.q**r
+    L = math.lcm(inputs.beta0.denominator, *(a.denominator for a in inputs.alphas))
+    alphas = [a.numerator * (L // a.denominator) for a in inputs.alphas]
+    beta0 = inputs.beta0.numerator * (L // inputs.beta0.denominator)
+    # L times the polynomial part, sum_m alpha(rm) (T^m + Q^{g-1-m} T^{2(g-1)-m})
+    # + alpha(r(g-1)) T^{g-1}, then times (1-T)(1-QT)
+    part = [0] * (2 * g - 1)
     for m in range(g - 1):
-        bump = Poly.monomial(m).scale(inputs.alphas[m]) + Poly.monomial(
-            2 * (g - 1) - m
-        ).scale(inputs.alphas[m] * Q ** (g - 1 - m))
-        poly_part = poly_part + bump
-    poly_part = poly_part + Poly.monomial(g - 1).scale(inputs.alphas[g - 1])
-    numerator = poly_part * den + Poly.monomial(g).scale(
-        (Q - 1) * inputs.beta0
-    )
+        part[m] += alphas[m]
+        part[2 * (g - 1) - m] += alphas[m] * Q ** (g - 1 - m)
+    part[g - 1] += alphas[g - 1]
+    den_ints = [1, -(1 + Q), Q]
+    ints = _int_mul(part, den_ints)
+    ints[g] += (Q - 1) * beta0
+    numerator = Poly.from_ints(ints, Fraction(1, L))
+    den = Poly.from_ints(den_ints)
     zeta_T = RationalFunction.make(numerator, den, "T")
     completed = substitute(zeta_T, 1, r, "t").mul_monomial(
         -r * (g - 1)
     )
-    return PureZetaResult(zeta_T, completed, numerator, Q, r, g)
+    return PureZetaResult(zeta_T, completed, numerator, Fraction(Q), r, g)
 
 
 def pure_numerator(z: RationalFunction, Q: Fraction) -> Poly:

@@ -8,7 +8,8 @@ their own: a monic Euclidean gcd, exact division and a monic denominator
 for ``make``; for ``expand_sum`` each factored term expanded on its
 own, as a product of atom polynomials, then added to the running sum
 over the product of denominators and reduced; and for ``curve.product``
-each factor expanded on its own and taken to its exponent.  A ``Poly``
+each factor expanded on its own and taken to its exponent, and its
+integer-pair constant as a product of ``Fraction`` powers.  A ``Poly``
 is built only from a result, to compare it with the library's.
 """
 
@@ -167,3 +168,11 @@ def product(c: CurveData, pairs: list[tuple[FactorProduct, int]]) -> RationalFun
             a, b = b, a
         num, den = mul(num, power(a, abs(e))), mul(den, power(b, abs(e)))
     return make(num, den)
+
+
+def const_product(pairs: list[tuple[FactorProduct, int]]) -> Fraction:
+    """prod const^e over the (factor, e) pairs, in Fractions."""
+    out = Fraction(1)
+    for f, e in pairs:
+        out *= f.const**e
+    return out

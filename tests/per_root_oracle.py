@@ -68,7 +68,7 @@ def g_factors(
 ) -> FactorProduct:
     """The product of stripped zeta factors, one per root of w^{-1}Phi^-."""
     winv = w.inverse()
-    term = FactorProduct(Fraction(1))
+    term = FactorProduct(1, 1)
     for neg in range(rs.n_positive, len(rs.roots)):
         k, h = root_key(rs, pd, winv.apply(neg))
         term = term * _zeta_num_factors(c, k, h)

@@ -866,7 +866,7 @@ def residue_fault(monkeypatch):
     monkeypatch.setattr(
         nazeta.residues,
         "_weyl_factors",
-        lambda *args: exact(*args) * FactorProduct(Fraction(1001, 1000)),
+        lambda *args: exact(*args) * FactorProduct(1001, 1000),
     )
 
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracle
 from zeta_series_oracle import artin_zeta, brute_force_numerator, series_point_counts
@@ -227,7 +227,7 @@ class TestSpecialResidue:
 # atoms ("L", j, m) = 1 - q^j u^m and ("P", j, m) = P(q^j u^m)
 ATOMS = st.tuples(st.sampled_from("LP"), st.integers(-4, 4), st.integers(1, 3))
 FACTORED = st.builds(
-    FactorProduct,
+    lambda const, upow, atoms: FactorProduct(*const.as_integer_ratio(), upow, atoms),
     const=st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=9)),
     upow=st.integers(-4, 4),
     atoms=st.dictionaries(
@@ -247,10 +247,10 @@ class TestExpandSum:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(terms=FACTORED_TERMS)
     @example(terms=[])
-    @example(terms=[FactorProduct(F(0), -2, ((("P", 1, 2), -1),))])
+    @example(terms=[FactorProduct(0, 1, -2, ((("P", 1, 2), -1),))])
     @example(terms=[
-        FactorProduct(F(3, 2), -3, ((("L", -4, 1), 2), (("P", 4, 3), -1))),
-        FactorProduct(F(-1), 2, ((("P", -4, 1), 3), (("L", 4, 2), -3))),
+        FactorProduct(3, 2, -3, ((("L", -4, 1), 2), (("P", 4, 3), -1))),
+        FactorProduct(-1, 1, 2, ((("P", -4, 1), 3), (("L", 4, 2), -3))),
     ])
     def test_matches_the_per_term_fraction_oracle(self, curve, terms):
         assert expand_sum(curve, terms) == fraction_oracle.expand_sum(curve, terms)
@@ -276,12 +276,12 @@ class TestAtomInts:
             fraction_oracle.atom_poly(c, atom)
         )
         for e in (2, -1):
-            terms = [FactorProduct(F(-3, 4), 1, ((atom, e),))]
+            terms = [FactorProduct(-3, 4, 1, ((atom, e),))]
             assert expand_sum(c, terms) == fraction_oracle.expand_sum(c, terms)
 
 
-X = FactorProduct(F(-3, 2), 1, ((("L", 2, 1), 1), (("P", -1, 2), -2)))
-Y = FactorProduct(F(4, 9), -3, ((("L", 2, 1), -1), (("L", -3, 3), 2)))
+X = FactorProduct(-3, 2, 1, ((("L", 2, 1), 1), (("P", -1, 2), -2)))
+Y = FactorProduct(4, 9, -3, ((("L", 2, 1), -1), (("L", -3, 3), 2)))
 
 
 class TestProduct:
@@ -289,9 +289,9 @@ class TestProduct:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(pairs=st.lists(st.tuples(FACTORED, st.integers(-3, 3)), max_size=4))
     @example(pairs=[])
-    @example(pairs=[(X, 0), (FactorProduct(F(0)), 0)])  # both are 1
+    @example(pairs=[(X, 0), (FactorProduct(0, 1), 0)])  # both are 1
     @example(pairs=[(X, 1), (X, -1), (Y, -2)])  # ("L", 2, 1) cancels, reappears
-    @example(pairs=[(X, 2), (FactorProduct(F(0), 1), -1)])
+    @example(pairs=[(X, 2), (FactorProduct(0, 1, 1), -1)])
     def test_matches_the_per_factor_fraction_oracle(self, curve, pairs):
         if any(f.const == 0 and e < 0 for f, e in pairs):
             with pytest.raises(DomainError, match="division by the zero function"):
@@ -306,7 +306,48 @@ class TestProduct:
             assert a * b == product([(a, 1), (b, 1)])
 
 
-ONE = FactorProduct(F(1))
+class TestIntegerConstant:
+    """The constant of a FactorProduct is a reduced integer pair, and building
+    or combining factors makes no Fraction."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(FACTORED, st.integers(-3, 3)), max_size=5))
+    @example(pairs=[(X, 2), (Y, -3)])
+    @example(pairs=[(FactorProduct(0, 1, 2), 1), (X, -1)])
+    @example(pairs=[(FactorProduct(-4, 1), -1), (FactorProduct(6, 1), 1)])  # -3/2
+    def test_product_gives_a_reduced_pair(self, pairs):
+        assume(not any(f.num == 0 and e < 0 for f, e in pairs))
+        result = product(pairs)
+        assert result.den > 0 and math.gcd(result.num, result.den) == 1
+        assert result.num or result.den == 1  # zero is 0/1
+        assert result.const == fraction_oracle.const_product(pairs)
+
+    @CURVES
+    def test_building_factors_makes_no_fraction(self, curve, monkeypatch):
+        made = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        q = curve.q
+        for k in range(-2, 3):
+            for h in range(-3, 4):
+                line = line_factor(q, h, k)
+                if k == 0 and h in (0, 1):
+                    continue
+                f = zeta_factors(curve, k, h)
+                g = product([(f, 2), (line, -1), (X, 1), (Y, -2)])
+                for c_p in (-1, 2, 3):
+                    reflect_factors(curve, g, c_p)
+        assert made == []
+        F(1, 2)  # the count is live
+        assert made == [(1, 2)]
+
+
+ONE = FactorProduct(1, 1)
 GENUS_1_AND_2 = pytest.mark.parametrize("curve", [
     elliptic_curve(2, 3),
     curve_from_numerator(2, 2, (Poly.of(1, -1, 2) * Poly.of(1, 1, 2)).coeffs),
@@ -344,7 +385,7 @@ class TestReflectFactors:
             pair
             for (_, j, m), e in numerator_atoms
             for pair in (
-                (FactorProduct(F(1), 0, ((("P", j, m), 1),)), -e),
+                (FactorProduct(1, 1, 0, ((("P", j, m), 1),)), -e),
                 (line_factor(2, 2 + 4 * j, 4 * m), e),
                 (line_factor(2, 1 + 2 * j, 2 * m), -e),
             )

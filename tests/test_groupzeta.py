@@ -191,14 +191,15 @@ class TestPeriodStructure:
         # every period summand and every g_w, built from key counts, minus
         # the oracle's per-root product reduces to zero
         rs, W, pd = pair(label, rank, p)
-        minus = FactorProduct(F(-1))
+        minus = FactorProduct(-1, 1)
         for curve in SEED1_CURVES:
             ratios = nazeta.groupzeta._ratio_table(curve, rs, pd)
+            zetas = nazeta.groupzeta._zeta_table(curve, pd)
             for w in pd.weyl_subset:
                 term = nazeta.groupzeta._weyl_factors(curve, rs, W, pd, w, ratios)
                 oracle = per_root_oracle.weyl_factors(curve, rs, W, pd, w)
                 assert expand_sum(curve, [term, oracle * minus]).is_zero()
-                g = nazeta.groupzeta._g_factors(curve, pd, w)
+                g = nazeta.groupzeta._g_factors(pd, w, zetas)
                 oracle = per_root_oracle.g_factors(curve, rs, pd, w)
                 assert expand_sum(curve, [g, oracle * minus]).is_zero()
 
@@ -334,10 +335,11 @@ def expanded_involutions(z, W):
     """Oracle: f_w(-c_p-s) = f_{w_0 w w_p}(s) and the same for g, decided
     on reduced expansions, for every w of the Weyl subset in order."""
     c, rs, pd = z.curve, z.rs, z.pd
+    zetas = nazeta.groupzeta._zeta_table(c, pd)
     f_and_g = {
         w.perm: (
             nazeta.groupzeta._rational_factors(c, rs, pd, w).expand(c),
-            nazeta.groupzeta._g_factors(c, pd, w).expand(c),
+            nazeta.groupzeta._g_factors(pd, w, zetas).expand(c),
         )
         for w in pd.weyl_subset
     }
@@ -358,10 +360,11 @@ class TestInvolution:
         u = RationalFunction.variable("u")
         z1 = completed_zeta_factor(E23, 1, 1)
         z2 = completed_zeta_factor(E23, 1, 2)
+        zetas = nazeta.groupzeta._zeta_table(E23, pd)
 
         def f_and_g(w):
             f = nazeta.groupzeta._rational_factors(E23, rs, pd, w)
-            g = nazeta.groupzeta._g_factors(E23, pd, w)
+            g = nazeta.groupzeta._g_factors(pd, w, zetas)
             return f.expand(E23), g.expand(E23)
 
         fid, gid = f_and_g(W.identity)
@@ -408,6 +411,23 @@ class TestInvolution:
         # no f or g is expanded; the f*g sum is reduced once
         assert calls == [len(pd.weyl_subset)]
 
+    @pytest.mark.parametrize("curve", CRITERION_5_CURVES, ids=["E23", "G21-1"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_zeta_factor_per_distinct_key(self, monkeypatch, curve, p):
+        rs, W, pd = pair("A", 3, p)
+        z = group_zeta(curve, rs, W, pd)
+        decomp = omega_D_decompose(z)
+        calls = Counter()
+        exact = nazeta.groupzeta.zeta_factors
+
+        def counted(c, k, h):
+            calls[k, h] += 1
+            return exact(c, k, h)
+
+        monkeypatch.setattr(nazeta.groupzeta, "zeta_factors", counted)
+        assert fg_involution_check(z, W, decomp).passed
+        assert calls and max(calls.values()) == 1
+
     @pytest.mark.parametrize("curve", SEED1_CURVES, ids=["E32", "G20-1"])
     @pytest.mark.parametrize("label,rank,p", ALL_PAIRS)
     def test_factored_verdicts_against_the_expansions(
@@ -442,9 +462,9 @@ class TestInvolution:
         rs, W, pd = pair("A", 2, 1)
         exact = nazeta.groupzeta._g_factors
 
-        def perturbed(c, pd, w):
-            g = exact(c, pd, w)
-            return g * FactorProduct(F(1001, 1000)) if w == W.identity else g
+        def perturbed(pd, w, zetas):
+            g = exact(pd, w, zetas)
+            return g * FactorProduct(1001, 1000) if w == W.identity else g
 
         monkeypatch.setattr(nazeta.groupzeta, "_g_factors", perturbed)
         cert = involution_certificate(E23, rs, W, pd)

@@ -21,6 +21,7 @@ from nazeta.errors import CapabilityError, DomainError, ValidationError
 from nazeta.purezeta import (
     MASS_DIGITS_SLACK,
     PureZetaInputs,
+    PureZetaResult,
     bundle_counts,
     elliptic_beta2_closed_form,
     elliptic_rank2_inputs,
@@ -307,7 +308,52 @@ class TestIntegerPairRecurrence:
         assert counts[12] <= 2 * counts[6] + 16, counts
 
 
+def poly_built_pure_zeta(c, inputs):
+    """Oracle: the pure zeta assembled by Poly and Fraction arithmetic,
+    term by term, as the closed form reads."""
+    g, r = c.g, inputs.r
+    Q = F(c.q) ** r
+    den = Poly.of(1, -1) * Poly.from_list([1, -Q])
+    poly_part = Poly.zero()
+    for m in range(g - 1):
+        bump = Poly.monomial(m).scale(inputs.alphas[m]) + Poly.monomial(
+            2 * (g - 1) - m
+        ).scale(inputs.alphas[m] * Q ** (g - 1 - m))
+        poly_part = poly_part + bump
+    poly_part = poly_part + Poly.monomial(g - 1).scale(inputs.alphas[g - 1])
+    numerator = poly_part * den + Poly.monomial(g).scale((Q - 1) * inputs.beta0)
+    zeta_T = RationalFunction.make(numerator, den, "T")
+    completed = substitute(zeta_T, 1, r, "t").mul_monomial(-r * (g - 1))
+    return PureZetaResult(zeta_T, completed, numerator, Q, r, g)
+
+
+PURE_CURVES = [
+    elliptic_curve(2, 3),
+    GENUS2,
+    curve_from_numerator(3, 2, (Poly.of(1, 0, 2) ** 3).coeffs),
+]
+# alpha tables are the first g entries of each list
+PURE_INPUTS = [
+    ([F(3, 2), F(5, 7), F(1, 6)], F(2, 9)),
+    ([F(7), F(0), F(2, 3)], F(11)),
+    ([F(0), F(1, 3), F(0)], F(0)),
+    ([F(0), F(0), F(0)], F(4, 5)),
+    ([F(0), F(0), F(0)], F(0)),  # the zero function
+    ([F(10**12 + 1, 10**6), F(1, 10**9 + 7), F(5, 12)], F(13, 10**8)),
+]
+
+
 class TestPureZeta:
+    @pytest.mark.parametrize("c", PURE_CURVES, ids=["g1", "g2", "g3"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alphas,beta0", PURE_INPUTS)
+    def test_matches_the_poly_built_assembly(self, c, r, alphas, beta0):
+        inputs = PureZetaInputs.make(r, alphas[: c.g], beta0)
+        res, oracle = pure_zeta(c, inputs), poly_built_pure_zeta(c, inputs)
+        for field in PureZetaResult._fields:
+            assert getattr(res, field) == getattr(oracle, field), field
+        assert type(res.Q) is F
+
     def test_elliptic_rank2_closed_form(self):
         c = elliptic_curve(2, 3)
         res = pure_zeta(c, elliptic_rank2_inputs(c))
@@ -338,8 +384,9 @@ class TestPureZeta:
         assert substitute(res.completed, F(1, 3), -1, "t") == res.completed
 
     def test_alpha_length_enforced(self):
-        with pytest.raises(DomainError):
-            pure_zeta(GENUS2, PureZetaInputs.make(2, [F(1)], F(1)))
+        for alphas in ([F(1)], [F(1), F(2), F(3)]):
+            with pytest.raises(DomainError, match="alpha table must have length g = 2"):
+                pure_zeta(GENUS2, PureZetaInputs.make(2, alphas, F(1)))
 
 
 class TestFECheck:

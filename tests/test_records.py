@@ -82,7 +82,9 @@ FIELDS = {
     Certificate: lambda: {"name": "x", "checks": []},
     CriterionResult: lambda: {"number": 1, "name": "x", "lines": [], "failures": []},
     CurveData: lambda: {"g": 1, "q": 2, "P": _poly()},
-    FactorProduct: lambda: {"const": F(2), "upow": 1, "atoms": ((("L", 0, 1), 1),)},
+    FactorProduct: lambda: {
+        "num": -3, "den": 2, "upow": 1, "atoms": ((("L", 0, 1), 1),)
+    },
     GroupZetaResult: _group_zeta_fields,
     Decomposition: lambda: {
         "clearing": _rf(), "omega_global": _rf(), "denominator": _rf(),
@@ -204,6 +206,18 @@ def test_copies_and_pickles_are_equal(cls):
         copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
     ):
         assert copied == record and type(copied) is cls
+
+
+def test_factor_product_constant_is_a_read_only_fraction():
+    record, _ = build(FactorProduct)
+    assert record.const == F(-3, 2) and "const" not in FactorProduct._fields
+    with pytest.raises(AttributeError):
+        record.const = F(1)
+    for copied in (
+        copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+    ):
+        assert (copied.num, copied.den, copied.const) == (-3, 2, F(-3, 2))
+        assert hash(copied) == hash(record)
 
 
 def test_mutable_records_get_their_own_lists():

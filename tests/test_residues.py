@@ -333,7 +333,7 @@ class TestRouteEquivalence:
         monkeypatch.setattr(
             nazeta.residues,
             "_weyl_factors",
-            lambda *args: exact(*args) * FactorProduct(F(1001, 1000)),
+            lambda *args: exact(*args) * FactorProduct(1001, 1000),
         )
         rs, W, pd = pair("A", 2, 1)
         cert = residue_route_equivalence(E23, rs, W, pd)
